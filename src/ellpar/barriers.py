@@ -25,7 +25,7 @@ from .nonlinearity import (
     psi_derivative,
     psi_eval,
 )
-from .operators import OperatorSpec, pucci_minus, pucci_plus
+from .operators import OperatorSpec, divergence_expanded, structural_envelope
 
 __all__ = [
     "BarrierInfeasible",
@@ -439,23 +439,6 @@ class MarginReport:
     passed: bool
 
 
-def _envelope_residual_radial(lam, Lam, d1, d0, n, phase_positive, sense,
-                              val, dt, drho, drho2, rho, bt_factor=1.0):
-    """Residual of b(phi)_t - F against the extremal admissible operator.
-
-    sense "sub": returns b(phi)_t - [M^- - d1|Dphi| - d0|phi|]; a certificate
-    requires this to be negative.  sense "super": b(phi)_t - [M^+ + d1|Dphi|
-    + d0|phi|]; requires positive.  In the negative phase b(phi)_t = 0.
-    """
-    eigs = [drho / rho] * (n - 1) + [drho2]
-    if sense == "sub":
-        F_env = pucci_minus(eigs, lam, Lam) - d1 * abs(drho) - d0 * abs(val)
-    else:
-        F_env = pucci_plus(eigs, lam, Lam) + d1 * abs(drho) + d0 * abs(val)
-    bt = bt_factor * dt if phase_positive else 0.0
-    return bt - F_env
-
-
 def verify_subsolution_margin(bar, op: OperatorSpec, bn=None,
                               samples: int = 1000, seed: int = 0) -> MarginReport:
     """Sample the validity window and report the worst-case strictness margin
@@ -492,9 +475,12 @@ def _verify_radial(bar: RadialPowerBarrier, op, bn, samples, rng):
         bt_factor = 1.0
         if bn is not None and positive:
             bt_factor = float(bn_derivative(bn, val))
-        res = _envelope_residual_radial(
-            bar.lam, bar.Lam, bar.delta1, bar.delta0, bar.n_dim,
-            positive, bar.sign, val, dt, drho, drho2, rho, bt_factor)
+        # residual b(phi)_t - F of the extremal operator; b(phi)_t = 0 in the
+        # negative phase
+        F_env = structural_envelope(
+            [drho / rho] * (bar.n_dim - 1) + [drho2], abs(drho), val,
+            bar.lam, bar.Lam, bar.delta1, bar.delta0, bar.sign)
+        res = (bt_factor * dt if positive else 0.0) - F_env
         margin = -res if bar.sign == "sub" else res
         worst = min(worst, margin)
         n_done += 1
@@ -518,15 +504,9 @@ def _verify_logdiv(bar: LogDivBarrier, samples, rng):
             continue
         t = tau * (2 * rng.random() - 1) * 0.5
         rho = bar.rho0 + bar.omega * t + s
-        val, d1v, d2v = bar.profile(s)
-        val = float(val)
-        y = max(float(b_eval(bspec, val)), 0.0)
-        Psi = float(psi_eval(psi, y))
-        dPsi = float(psi_derivative(psi, y))
-        bp = float(b_derivative(bspec, val))
-        residual = (-bar.omega * bp * float(d1v)
-                    - dPsi * bp * float(d1v) ** 2
-                    - Psi * ((n - 1) * float(d1v) / rho + float(d2v)))
+        val, d1v, d2v = (float(v) for v in bar.profile(s))
+        F = divergence_expanded(psi, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
+        residual = -bar.omega * float(b_derivative(bspec, val)) * d1v - F
         worst = min(worst, residual)
     return MarginReport(family="logdiv", sense="super", samples=samples,
                         worst_margin=float(worst), flux_gap=None,
@@ -554,8 +534,7 @@ def _verify_parabola(bar: ParabolaBarrier, samples, rng):
             val = -t / (2 * bar.gamma) - 4 * x * x + 1
             if val <= 0:
                 continue
-            eigs = [-8.0] * n
-            F_env = pucci_minus(eigs, lam, Lam) - d1 * 8 * x - d0 * abs(val)
+            F_env = structural_envelope([-8.0] * n, 8 * x, val, lam, Lam, d1, d0, "sub")
             res = -1.0 / (2 * bar.gamma) - F_env
             worst = min(worst, -res)
         return MarginReport(family="parabola", sense="sub", samples=samples,
@@ -570,8 +549,7 @@ def _verify_parabola(bar: ParabolaBarrier, samples, rng):
         if val <= 0:
             continue
         dt = A * 4 * n * Lam
-        eigs = [2 * A] * n
-        F_env = pucci_plus(eigs, lam, Lam) + d1 * 2 * A * x + d0 * abs(val)
+        F_env = structural_envelope([2 * A] * n, 2 * A * x, val, lam, Lam, d1, d0, "super")
         res = dt - F_env
         worst = min(worst, res)
     return MarginReport(family="parabola", sense="super", samples=samples,

@@ -62,7 +62,6 @@ __all__ = [
     "CriterionResult",
     "run_acceptance",
     "ALL_CRITERIA",
-    "REPORT_SCHEMA",
 ]
 
 
@@ -74,7 +73,6 @@ __all__ = [
 class Scenario:
     name: str
     spec: ProblemSpec
-    expectations: list = field(default_factory=list)
 
 
 def jump_initial(x):
@@ -97,11 +95,7 @@ def make_jump_scenario(grid: int = 401, n: int = 32, T: float = 1.0,
         g_lo=-1.0, g_hi=-1.0,
         u0=jump_initial, T=T, grid=grid, dt=dt,
     )
-    return Scenario(name=f"jump-g{grid}-n{n}", spec=spec, expectations=[
-        {"name": "finite-extinction", "check": "extinction_time is not None"},
-        {"name": "post-extinction-stationary",
-         "check": "sup |u + 1| <= 0.05 for t >= extinction + 0.2"},
-    ])
+    return Scenario(name=f"jump-g{grid}-n{n}", spec=spec)
 
 
 def validate_class_P(scn: Scenario, tol: float = 1e-9) -> bool:
@@ -642,22 +636,6 @@ ALL_CRITERIA = {
     11: criterion_11_elliptic,
 }
 
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["passed", "criteria", "total_runtime"],
-    "criteria_item_required": ["index", "name", "passed", "margin", "runtime"],
-}
-
-
-def validate_report(report: dict) -> bool:
-    if not all(k in report for k in REPORT_SCHEMA["required"]):
-        return False
-    for item in report["criteria"]:
-        if not all(k in item for k in REPORT_SCHEMA["criteria_item_required"]):
-            return False
-    return True
-
-
 def run_acceptance(criteria=None, out_path: Optional[str] = None,
                    verbose: bool = True):
     """Run the acceptance suite; returns (exit_code, report dict).
@@ -685,7 +663,6 @@ def run_acceptance(criteria=None, out_path: Optional[str] = None,
             for r in results
         ],
     }
-    assert validate_report(report)
     if out_path:
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=2, default=str)

@@ -9,8 +9,8 @@ psi'', so every operator evaluation reduces to a 1D computation on an annulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,8 @@ __all__ = [
     "operator_full_eval",
     "radial_second_order",
     "apply_operator_1d",
+    "divergence_expanded",
+    "structural_envelope",
     "structural_envelope_check",
     "StructuralReport",
 ]
@@ -96,15 +98,33 @@ def pucci_minus(eigs, lam: float, Lam: float) -> float:
     return float(lam * e[e > 0].sum() + Lam * e[e < 0].sum())
 
 
-def _bi_eval(op: OperatorSpec, M: np.ndarray, p: np.ndarray, z: float) -> float:
-    group_vals = []
-    for group in op.bi_entries:
-        vals = [
-            float(np.trace(np.asarray(A) @ M) + np.dot(np.asarray(drift), p) + zeroth * z)
-            for A, drift, zeroth in group
-        ]
-        group_vals.append(max(vals))
-    return min(group_vals)
+def _inf_sup(groups, entry):
+    """Min over groups of max over entries of entry(A, drift, zeroth), which
+    returns (value, *payload); the payload of the active entry is selected
+    along with its value, the first entry winning ties."""
+
+    def pick(take, new, old):
+        return tuple(np.where(take, a, b) for a, b in zip(new, old))
+
+    outer = None
+    for group in groups:
+        inner = None
+        for A, drift, zeroth in group:
+            cand = entry(np.asarray(A, dtype=float), np.asarray(drift, dtype=float), zeroth)
+            inner = cand if inner is None else pick(cand[0] > inner[0], cand, inner)
+        outer = inner if outer is None else pick(inner[0] < outer[0], inner, outer)
+    return outer
+
+
+def divergence_expanded(psi: PsiSpec, bspec: Optional[BSpec], z, laplacian, grad_sq):
+    """Expanded conservative form Psi(b(z)) lap u + Psi'(b(z)) b'(z) |Du|^2 of
+    div(Psi(b(u)) Du)."""
+    bspec = bspec or BSpec("positive-part")
+    y = float(b_eval(bspec, z))
+    return float(
+        psi_eval(psi, y) * laplacian
+        + psi_derivative(psi, y) * b_derivative(bspec, z) * grad_sq
+    )
 
 
 def operator_full_eval(op: OperatorSpec, M, p, z: float, bspec: Optional[BSpec] = None) -> float:
@@ -118,14 +138,13 @@ def operator_full_eval(op: OperatorSpec, M, p, z: float, bspec: Optional[BSpec] 
         f = pucci_plus if op.kind == "pucci-plus" else pucci_minus
         return f(eigs, op.lam, op.Lam)
     if op.kind == "bellman-isaacs":
-        return _bi_eval(op, M, p, float(z))
-    # divergence, expanded conservative form
-    bspec = bspec or BSpec("positive-part")
-    y = float(b_eval(bspec, z))
-    return float(
-        psi_eval(op.psi, y) * np.trace(M)
-        + psi_derivative(op.psi, y) * b_derivative(bspec, z) * float(p @ p)
-    )
+        z = float(z)
+
+        def entry(A, drift, zeroth):
+            return (float(np.trace(A @ M) + np.dot(drift, p) + zeroth * z),)
+
+        return float(_inf_sup(op.bi_entries, entry)[0])
+    return divergence_expanded(op.psi, bspec, z, np.trace(M), float(p @ p))
 
 
 @dataclass(frozen=True)
@@ -148,125 +167,63 @@ def radial_second_order(profile: RadialProfile, i: int, op: OperatorSpec,
                         bspec: Optional[BSpec] = None) -> float:
     """Apply F to the radially symmetric Hessian at node i.
 
-    The eigenvalue list is [psi'/rho] * (n-1) + [psi''].  For the divergence
-    kind the expanded conservative form
-    Psi(b(u)) (psi'' + (n-1) psi'/rho) + Psi'(b(u)) b'(u) psi'^2 is used.
+    The Hessian has eigenvalues psi'/rho (multiplicity n-1) and psi'', with
+    the radial eigenvector and the gradient psi' along the first coordinate
+    axis by convention.
     """
     rho = float(profile.rho[i])
     du = float(profile.psi_prime[i])
     ddu = float(profile.psi_double_prime[i])
     u = float(profile.psi[i])
-    n = profile.n_dim
     if op.kind == "divergence":
-        bspec = bspec or BSpec("positive-part")
-        y = float(b_eval(bspec, u))
-        return float(
-            psi_eval(op.psi, y) * (ddu + (n - 1) * du / rho)
-            + psi_derivative(op.psi, y) * b_derivative(bspec, u) * du * du
-        )
-    eigs = [du / rho] * (n - 1) + [ddu]
-    if op.kind == "trace":
-        return float(op.lam * sum(eigs))
-    if op.kind == "pucci-plus":
-        return pucci_plus(eigs, op.lam, op.Lam)
-    if op.kind == "pucci-minus":
-        return pucci_minus(eigs, op.lam, op.Lam)
-    # bellman-isaacs: radial Hessian with radial eigenvector along the first
-    # coordinate axis by convention, gradient psi' along the same axis
-    M_tang = du / rho
-    group_vals = []
-    for group in op.bi_entries:
-        vals = []
-        for A, drift, zeroth in group:
-            A = np.asarray(A, dtype=float)
-            trA = float(np.trace(A))
-            vals.append(
-                M_tang * (trA - A[0, 0]) + ddu * A[0, 0]
-                + float(np.asarray(drift)[0]) * du + zeroth * u
-            )
-        group_vals.append(max(vals))
-    return float(min(group_vals))
+        return divergence_expanded(op.psi, bspec, u,
+                                   ddu + (profile.n_dim - 1) * du / rho, du * du)
+    a2, a1, a0 = _active_coefficients(op, ddu, du, u, rho, radial=True)
+    return float(a2 * ddu + a1 * du + a0 * u)
 
 
 # ---------------------------------------------------------------------------
 # finite-difference assembly on 1D grids (Cartesian interval or radial annulus)
 # ---------------------------------------------------------------------------
 
-def _bi_coefficients_1d(op: OperatorSpec, d2, d1, u, radial, rho):
-    """Active-envelope coefficients (a2, a1, a0) per node for the finite
-    inf-sup family, evaluated at the current (d2, d1, u)."""
+def _active_coefficients(op: OperatorSpec, d2, d1, u, rho, radial):
+    """Coefficients (a2, a1, a0) of the operator frozen at its active
+    selection for the current (d2, d1, u) = (u'', u', u), such that
+    F = a2*d2 + a1*d1 + a0*u.  On a radial grid rho is the radius and the
+    tangential eigenvalue d1/rho enters through a1.  The divergence kind is
+    assembled in flux form instead."""
     n = op.n_dim
-    best_outer = None
-    for group in op.bi_entries:
-        best_inner = None
-        for A, drift, zeroth in group:
-            A = np.asarray(A, dtype=float)
-            b1 = float(np.asarray(drift)[0])
-            if radial:
-                a2 = np.full_like(d2, A[0, 0])
-                a1 = (np.trace(A) - A[0, 0]) / rho + b1
-            else:
-                a2 = np.full_like(d2, A[0, 0])
-                a1 = np.full_like(d2, b1)
-            a0 = np.full_like(d2, zeroth)
-            val = a2 * d2 + a1 * d1 + a0 * u
-            if best_inner is None:
-                best_inner = (val, a2, a1, a0)
-            else:
-                v0, c2, c1, c0 = best_inner
-                take = val > v0
-                best_inner = (
-                    np.where(take, val, v0),
-                    np.where(take, a2, c2),
-                    np.where(take, a1, c1),
-                    np.where(take, a0, c0),
-                )
-        if best_outer is None:
-            best_outer = best_inner
-        else:
-            v0, c2, c1, c0 = best_outer
-            val, a2, a1, a0 = best_inner
-            take = val < v0
-            best_outer = (
-                np.where(take, val, v0),
-                np.where(take, a2, c2),
-                np.where(take, a1, c1),
-                np.where(take, a0, c0),
-            )
-    return best_outer
-
-
-def _coefficients_1d(op: OperatorSpec, u, x, bspec, radial):
-    """Frozen linearization coefficients (a2, a1, a0) at interior nodes for the
-    non-divergence kinds, such that F = a2*D2 + a1*D1 + a0*u."""
-    h = x[1] - x[0]
-    ui = u[1:-1]
-    d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-    d1 = (u[2:] - u[:-2]) / (2 * h)
-    rho = x[1:-1]
-    n = op.n_dim
+    zeros = np.zeros_like(d2)
     if op.kind == "trace":
-        a2 = np.full_like(d2, op.lam)
-        a1 = op.lam * (n - 1) / rho if radial else np.zeros_like(d2)
-        a0 = np.zeros_like(d2)
-        return a2, a1, a0
+        a1 = op.lam * (n - 1) / rho if radial else zeros
+        return np.full_like(d2, op.lam), a1, zeros
     if op.kind in ("pucci-plus", "pucci-minus"):
-        if op.kind == "pucci-plus":
-            cpos, cneg = op.Lam, op.lam
-        else:
-            cpos, cneg = op.lam, op.Lam
-        coef2 = np.where(d2 > 0, cpos, np.where(d2 < 0, cneg, op.lam))
-        if radial:
-            e1 = d1 / rho
-            coef1 = np.where(e1 > 0, cpos, np.where(e1 < 0, cneg, op.lam))
-            a1 = coef1 * (n - 1) / rho
-        else:
-            a1 = np.zeros_like(d2)
-        return coef2, a1, np.zeros_like(d2)
+        cpos, cneg = (op.Lam, op.lam) if op.kind == "pucci-plus" else (op.lam, op.Lam)
+
+        def coef(e):
+            return np.where(e > 0, cpos, np.where(e < 0, cneg, op.lam))
+
+        a1 = coef(d1 / rho) * (n - 1) / rho if radial else zeros
+        return coef(d2), a1, zeros
     if op.kind == "bellman-isaacs":
-        _, a2, a1, a0 = _bi_coefficients_1d(op, d2, d1, ui, radial, rho)
-        return a2, a1, a0
+        def entry(A, drift, zeroth):
+            # the radial direction is the first axis: A[0, 0] acts on u'' and
+            # the rest of the trace on the tangential eigenvalue u'/rho
+            a2 = np.full_like(d2, A[0, 0])
+            if radial:
+                a1 = (np.trace(A) - A[0, 0]) / rho + drift[0]
+            else:
+                a1 = np.full_like(d2, drift[0])
+            a0 = np.full_like(d2, zeroth)
+            return a2 * d2 + a1 * d1 + a0 * u, a2, a1, a0
+
+        return _inf_sup(op.bi_entries, entry)[1:]
     raise ValueError("divergence kind is assembled in flux form")
+
+
+def _differences(u, h):
+    """Central second and first differences at the interior nodes."""
+    return (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2, (u[2:] - u[:-2]) / (2 * h)
 
 
 def _divergence_fluxes(op: OperatorSpec, u, x, bspec, radial):
@@ -305,9 +262,8 @@ def apply_operator_1d(op: OperatorSpec, u, x, bspec: Optional[BSpec] = None,
         faces, w = _divergence_fluxes(op, u, x, bspec, radial)
         du = np.diff(u)
         return (faces[1:] * du[1:] - faces[:-1] * du[:-1]) / (h**2 * w[1:-1])
-    a2, a1, a0 = _coefficients_1d(op, u, x, bspec, radial)
-    d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
-    d1 = (u[2:] - u[:-2]) / (2 * h)
+    d2, d1 = _differences(u, h)
+    a2, a1, a0 = _active_coefficients(op, d2, d1, u[1:-1], x[1:-1], radial)
     return a2 * d2 + a1 * d1 + a0 * u[1:-1]
 
 
@@ -325,7 +281,8 @@ def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: Optional[BSpec] = None,
         upper = faces[1:] / (h**2 * wi)
         diag = -(faces[1:] + faces[:-1]) / (h**2 * wi)
         return lower, diag, upper
-    a2, a1, a0 = _coefficients_1d(op, u, x, bspec, radial)
+    d2, d1 = _differences(u, h)
+    a2, a1, a0 = _active_coefficients(op, d2, d1, u[1:-1], x[1:-1], radial)
     lower = a2 / h**2 - a1 / (2 * h)
     upper = a2 / h**2 + a1 / (2 * h)
     diag = -2 * a2 / h**2 + a0
@@ -343,6 +300,17 @@ class StructuralReport:
     passed: bool
     worst_margin: float
     violations: int = 0
+
+
+def structural_envelope(eigs, grad_norm, z, lam, Lam, delta1, delta0, sense):
+    """Extremal operator of the structural class (lam, Lam, delta1, delta0)
+    at Hessian eigenvalues eigs, gradient norm |p| and value z: the lower
+    envelope M^-(eigs) - (delta1 |p| + delta0 |z|) for sense "sub", the upper
+    envelope M^+(eigs) + (delta1 |p| + delta0 |z|) for sense "super"."""
+    slack = delta1 * grad_norm + delta0 * abs(z)
+    if sense == "sub":
+        return pucci_minus(eigs, lam, Lam) - slack
+    return pucci_plus(eigs, lam, Lam) + slack
 
 
 def _random_symmetric(rng, n):
@@ -374,10 +342,10 @@ def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,
         q = rng.standard_normal(n)
         z, w = rng.standard_normal(2)
         dF = operator_full_eval(op, M, p, z) - operator_full_eval(op, N, q, w)
-        slack_pq = op.delta1 * np.linalg.norm(p - q) + op.delta0 * abs(z - w)
         eigs = np.linalg.eigvalsh(M - N)
-        lo = pucci_minus(eigs, lam, Lam) - slack_pq
-        hi = pucci_plus(eigs, lam, Lam) + slack_pq
+        gap = (eigs, np.linalg.norm(p - q), z - w, lam, Lam, op.delta1, op.delta0)
+        lo = structural_envelope(*gap, "sub")
+        hi = structural_envelope(*gap, "super")
         margin = min(dF - lo, hi - dF)
         if margin < worst:
             worst = margin

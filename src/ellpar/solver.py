@@ -123,22 +123,15 @@ class ProblemSpec:
 class NewtonPolicy:
     max_iters: int = 40
     abs_tol: float = 1e-10
-    rel_tol: float = 0.0
     damping: float = 1.0
 
 
 @dataclass
 class SolverPolicy:
-    scheme: str = "implicit-euler"
     newton: NewtonPolicy = field(default_factory=NewtonPolicy)
     max_substep_depth: int = 20
     record_every: int = 1
     max_principle_tol: float = 1e-9
-    enforce_max_principle: bool = True
-
-    def __post_init__(self):
-        if self.scheme != "implicit-euler":
-            raise ValueError("only implicit-euler is supported")
 
 
 @dataclass
@@ -346,8 +339,7 @@ def _advance(spec, u, t, dt, policy, depth=0):
     failure or a max-principle violation."""
     try:
         u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
-        if (not policy.enforce_max_principle
-                or _max_principle_ok(spec, u, u_new, t + dt, policy.max_principle_tol)):
+        if _max_principle_ok(spec, u, u_new, t + dt, policy.max_principle_tol):
             return u_new, iters, 1
     except NewtonFailure:
         pass

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ellpar.harness import _bi_operator
 from ellpar.nonlinearity import BSpec, PsiSpec
 from ellpar.operators import (
     OperatorSpec,
@@ -110,19 +111,37 @@ class TestOperatorFullEval:
         assert operator_full_eval(op, M, p, z, bspec) == pytest.approx(want)
 
 
+def every_kind():
+    """One operator of each kind: trace, the Pucci pair, the criterion-3
+    Bellman-Isaacs family and a divergence operator with Psi = 1 + 2y."""
+    return (
+        OperatorSpec(kind="trace", lam=1.2, Lam=1.2, n_dim=3),
+        OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=3),
+        OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.0, n_dim=3),
+        _bi_operator(),
+        OperatorSpec(kind="divergence", psi=PsiSpec("polynomial", (1.0, 2.0)),
+                     n_dim=3),
+    )
+
+
 class TestRadialReduction:
     def test_matches_full_eval_on_radial_hessian(self):
-        op = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=3)
-        rho = np.array([1.3])
-        prof = RadialProfile(rho=rho, psi=np.array([0.7]),
-                             psi_prime=np.array([-0.4]),
-                             psi_double_prime=np.array([0.9]), n_dim=3)
-        got = radial_second_order(prof, 0, op)
-        # full Hessian of a radial function at x = rho * e1
-        du, ddu = -0.4, 0.9
-        M = np.diag([ddu, du / 1.3, du / 1.3])
-        want = operator_full_eval(op, M, np.array([du, 0, 0]), 0.7)
-        assert got == pytest.approx(want)
+        rng = np.random.default_rng(11)
+        for op in every_kind():
+            n = op.n_dim
+            for _ in range(20):
+                rho = rng.uniform(0.2, 2.0)
+                psi, du, ddu = rng.standard_normal(3)
+                prof = RadialProfile(rho=np.array([rho]), psi=np.array([psi]),
+                                     psi_prime=np.array([du]),
+                                     psi_double_prime=np.array([ddu]), n_dim=n)
+                got = radial_second_order(prof, 0, op)
+                # full Hessian and gradient of a radial function at x = rho * e1
+                M = np.diag([ddu] + [du / rho] * (n - 1))
+                p = np.zeros(n)
+                p[0] = du
+                want = operator_full_eval(op, M, p, psi)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12), op.kind
 
     def test_rho_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -174,18 +193,22 @@ class TestFiniteDifferenceAssembly:
         assert p1 > 1.9 and p2 > 1.9
 
     def test_jacobian_matches_directional_difference_trace(self):
-        op = OperatorSpec(kind="trace", lam=1.2, Lam=1.2, n_dim=1)
-        x = np.linspace(0, 1, 21)
-        rng = np.random.default_rng(8)
-        u = rng.standard_normal(21)
-        lower, diag, upper = operator_jacobian_1d(op, u, x)
-        F0 = apply_operator_1d(op, u, x)
-        v = rng.standard_normal(21)
-        v[0] = v[-1] = 0.0
-        eps = 1e-7
-        F1 = apply_operator_1d(op, u + eps * v, x)
-        Jv = lower * v[:-2] + diag * v[1:-1] + upper * v[2:]
-        assert np.allclose((F1 - F0) / eps, Jv, atol=1e-5)
+        # every kind but divergence, whose frozen Jacobian omits the
+        # Psi'(b(u)) b'(u) face term; on the interval and on the annulus
+        x = np.linspace(0.5, 1.5, 21)
+        for op in every_kind()[:4]:
+            for radial in (False, True):
+                rng = np.random.default_rng(8)
+                u = rng.standard_normal(21)
+                lower, diag, upper = operator_jacobian_1d(op, u, x, radial=radial)
+                F0 = apply_operator_1d(op, u, x, radial=radial)
+                v = rng.standard_normal(21)
+                v[0] = v[-1] = 0.0
+                eps = 1e-7
+                F1 = apply_operator_1d(op, u + eps * v, x, radial=radial)
+                Jv = lower * v[:-2] + diag * v[1:-1] + upper * v[2:]
+                err = np.max(np.abs((F1 - F0) / eps - Jv))
+                assert err <= 1e-7 * np.max(np.abs(Jv)), (op.kind, radial)
 
     def test_jacobian_is_m_matrix_compatible(self):
         # off-diagonal coefficients nonnegative for every kind on a mesh with
