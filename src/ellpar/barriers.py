@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .geometry import edge_zeros
 from .nonlinearity import (
     BSpec,
     PsiSpec,
@@ -569,33 +570,18 @@ class FrontOffsetMask:
 
 
 def _positive_intervals(x, u):
-    """Open intervals of {u > 0} with endpoints located by linear
-    interpolation of sign changes."""
-    intervals = []
-    inside = u[0] > 0
-    start = x[0] if inside else None
-    for i in range(len(u) - 1):
-        a, b = u[i], u[i + 1]
-        if a == b:
-            continue
-        crossing = None
-        if (a > 0) != (b > 0) and (a > 0 or b > 0):
-            if a * b < 0:
-                crossing = x[i] + (x[i + 1] - x[i]) * (0 - a) / (b - a)
-            elif a == 0 and b > 0:
-                crossing = x[i]
-            elif b == 0 and a > 0:
-                crossing = x[i + 1]
-        if crossing is not None:
-            if inside:
-                intervals.append((start, crossing))
-                inside = False
-            else:
-                start = crossing
-                inside = True
-    if inside:
-        intervals.append((start, x[-1]))
-    return intervals
+    """Open intervals of {u > 0}: each maximal run of positive nodes, ended
+    by the zero of the linear interpolant on its bounding edge, or by the
+    end of the grid."""
+    n = len(u)
+    step = np.diff(np.concatenate(([0], (u > 0).astype(np.int8), [0])))
+    first = np.flatnonzero(step == 1)
+    last = np.flatnonzero(step == -1) - 1
+    i = np.maximum(first - 1, 0)
+    starts = np.where(first == 0, x[0], edge_zeros(x, i, u[i], u[i + 1]))
+    i = np.minimum(last, n - 2)
+    ends = np.where(last == n - 1, x[-1], edge_zeros(x, i, u[i], u[i + 1]))
+    return list(zip(starts, ends))
 
 
 def _dist_to_intervals(x, intervals):
@@ -603,8 +589,6 @@ def _dist_to_intervals(x, intervals):
     for a, b in intervals:
         inside = (x >= a) & (x <= b)
         d = np.minimum(d, np.where(inside, 0.0, np.minimum(np.abs(x - a), np.abs(x - b))))
-    if not intervals:
-        d[:] = np.inf
     return d
 
 

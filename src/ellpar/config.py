@@ -11,7 +11,8 @@ Example::
     time.T = 1.0
 
 Values are parsed leniently: ints, floats, booleans, comma-separated lists,
-and bare strings.  Unknown keys are kept (callers decide what they need).
+and bare strings.  `load_config` rejects a key that no subcommand reads, so a
+misspelt key is an error rather than a silent default.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ __all__ = ["ConfigError", "Config", "parse_config", "load_config",
 
 class ConfigError(ValueError):
     """Malformed configuration; the CLI maps this to exit code 2."""
+
+
+# every key that some subcommand reads
+KNOWN_KEYS = frozenset("""
+    op.kind op.lambda op.Lambda op.delta1 op.delta0 op.n_dim psi.kind psi.coeffs
+    b.kind b.n b.breakpoints b.slopes geometry.kind grid.lo grid.hi grid.n g.lo g.hi
+    u0.kind u0.value time.T time.dt barrier.rho0 barrier.a_hat barrier.b_hat
+    barrier.omega_hat barrier.sign barrier.d barrier.delta barrier.omega barrier.M
+    barrier.samples""".split())
 
 
 def _coerce(raw: str):
@@ -56,11 +66,6 @@ class Config:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
-    def require(self, key):
-        if key not in self.values:
-            raise ConfigError(f"missing required key {key!r}")
-        return self.values[key]
-
     def section(self, prefix: str) -> dict:
         p = prefix + "."
         return {k[len(p):]: v for k, v in self.values.items() if k.startswith(p)}
@@ -85,9 +90,13 @@ def parse_config(text: str) -> Config:
 def load_config(path) -> Config:
     try:
         with open(path) as fh:
-            return parse_config(fh.read())
+            cfg = parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    unknown = sorted(set(cfg.values) - KNOWN_KEYS)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {', '.join(unknown)}")
+    return cfg
 
 
 def operator_from_config(cfg: Config) -> OperatorSpec:

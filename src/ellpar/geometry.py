@@ -1,5 +1,5 @@
-"""Space-time geometry of the regularization body and the iteration chain used
-for interior lower bounds.
+"""Space-time geometry of the regularization body, the iteration chain used
+for interior lower bounds, and the zero set of sampled profiles.
 
 The body Xi_r is the Minkowski sum of a space disk of radius r (at time 0) and
 the flattened set {|x|^3 + |t|^2 < r^2}.  Membership reduces to a radial test,
@@ -22,6 +22,7 @@ __all__ = [
     "xi_lateral_distance",
     "harnack_chain",
     "harnack_lower_bound",
+    "edge_zeros",
 ]
 
 
@@ -148,3 +149,15 @@ def harnack_lower_bound(alpha: float, s: float, r: float, vmin: float) -> float:
     if base == 0.0:
         return math.inf
     return alpha * base**expo * vmin
+
+
+def edge_zeros(x, i, a, b):
+    """Zeros of the linear interpolants through (x[i], a) and (x[i+1], b),
+    vectorized over the edge indices i; exact at zero nodes: x[i] where
+    a == 0, else x[i+1] where b == 0.  The one locator of the free boundary
+    between grid nodes, for solver fronts, positivity intervals and the Hopf
+    front of acceptance criterion 11."""
+    x0, x1 = x[i], x[i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = x0 + (x1 - x0) * (0 - a) / (b - a)
+    return np.where(a == 0, x0, np.where(b == 0, x1, z))

@@ -27,7 +27,7 @@ from .barriers import (
     solve_radial_barrier,
     verify_subsolution_margin,
 )
-from .geometry import harnack_chain, harnack_chain_k_bound
+from .geometry import edge_zeros, harnack_chain, harnack_chain_k_bound
 from .nonlinearity import BnFamily, BSpec, PsiSpec, bn_derivative, bn_eval
 from .operators import (
     OperatorSpec,
@@ -522,8 +522,7 @@ def criterion_10_regularization(ctx: Optional[AcceptanceContext] = None) -> Crit
         def build_pair():
             base = make_jump_scenario(grid=801, n=32, T=0.3)
             lo_scn, up_scn = make_comparison_pair(base, 0.5)
-            from .solver import SolverPolicy as _SP
-            return run(lo_scn.spec, _SP()), run(up_scn.spec, _SP())
+            return run(lo_scn.spec, SolverPolicy()), run(up_scn.spec, SolverPolicy())
 
         rl, ru = ctx.get("crossing-pair", build_pair)
         rr = 0.01
@@ -607,7 +606,7 @@ def criterion_11_elliptic(ctx=None) -> CriterionResult:
             ug = solve_elliptic(sp)
             xg = sp.nodes()
             i = int(np.argmax(ug <= 0)) - 1  # last positive node
-            front = xg[i] + (xg[i + 1] - xg[i]) * ug[i] / (ug[i] - ug[i + 1])
+            front = edge_zeros(xg, i, ug[i], ug[i + 1])
             quotients.append(float(ug[i] / (front - xg[i])))
         hopf_floor = 0.5
         ok_hopf = min(quotients) >= hopf_floor

@@ -10,13 +10,14 @@ iteration using the frozen-envelope tridiagonal Jacobian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
+from .geometry import edge_zeros
 from .nonlinearity import BnFamily, BSpec, b_derivative, b_eval, bn_derivative, bn_eval
 from .operators import OperatorSpec, apply_operator_1d, operator_jacobian_1d
 
@@ -67,10 +68,6 @@ class Geometry:
         return self.kind == "radial-ball-punctured"
 
 
-def _const(v):
-    return lambda t: v
-
-
 @dataclass
 class ProblemSpec:
     """One instance of the phase-transition problem on a 1D/radial grid."""
@@ -85,6 +82,16 @@ class ProblemSpec:
     T: float = 1.0
     grid: int = 201
     dt: float = 2.5e-3
+
+    def __post_init__(self):
+        if not (self.dt > 0 and self.T >= 0
+                and abs(self.steps * self.dt - self.T) <= 1e-9 * max(self.T, 1.0)):
+            raise ValueError(f"need dt > 0 and T a whole number of steps: "
+                             f"T = {self.T}, dt = {self.dt}")
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.T / self.dt))
 
     def nodes(self) -> np.ndarray:
         return np.linspace(self.geometry.lo, self.geometry.hi, self.grid)
@@ -123,14 +130,12 @@ class ProblemSpec:
 class NewtonPolicy:
     max_iters: int = 40
     abs_tol: float = 1e-10
-    damping: float = 1.0
 
 
 @dataclass
 class SolverPolicy:
     newton: NewtonPolicy = field(default_factory=NewtonPolicy)
     max_substep_depth: int = 20
-    record_every: int = 1
     max_principle_tol: float = 1e-9
 
 
@@ -158,23 +163,22 @@ def _extended(u, x, reflect):
     """Pad with a reflected ghost node at the inner end so interior stencils
     cover node 0 in the no-flux case."""
     if not reflect:
-        return u, x, 0
+        return u, x
     h = x[1] - x[0]
     ue = np.concatenate([[u[1]], u])
     xe = np.concatenate([[x[0] - h], x])
-    return ue, xe, 1
+    return ue, xe
 
 
 def _operator_residual(spec: ProblemSpec, u, x):
     """F at the free nodes, handling the reflecting inner boundary."""
-    reflect = spec.geometry.reflect_inner
-    ue, xe, pad = _extended(u, x, reflect)
-    F = apply_operator_1d(spec.op, ue, xe, spec.b, radial=spec.geometry.radial)
-    return F  # free nodes: indices pad..end align with _free_slice
+    ue, xe = _extended(u, x, spec.geometry.reflect_inner)
+    return apply_operator_1d(spec.op, ue, xe, spec.b, radial=spec.geometry.radial)
+
 
 def _operator_jacobian(spec: ProblemSpec, u, x):
     reflect = spec.geometry.reflect_inner
-    ue, xe, pad = _extended(u, x, reflect)
+    ue, xe = _extended(u, x, reflect)
     lower, diag, upper = operator_jacobian_1d(spec.op, ue, xe, spec.b,
                                               radial=spec.geometry.radial)
     if reflect:
@@ -215,14 +219,14 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: NewtonPolicy):
             return u, it, hist
         lower, diag, upper = jacobian_fn(u)
         du = _solve_tridiagonal(lower, diag, upper, -r)
-        u_full = u + policy.damping * du
+        u_full = u + du
         r_full = residual_fn(u_full)
         norm_full = float(np.max(np.abs(r_full)))
         if norm_full < norm or norm_full <= policy.abs_tol:
             u, r, norm = u_full, r_full, norm_full
             hist.append(norm)
             continue
-        step = 0.5 * policy.damping
+        step = 0.5
         accepted = False
         for _ in range(25):
             u_try = u + step * du
@@ -313,17 +317,17 @@ def step_parabolic(spec: ProblemSpec, u_prev: np.ndarray, t_next: float,
     return u, iters
 
 
-def _front_locations(x, u):
-    locs = []
-    for i in range(len(u) - 1):
-        a, b = u[i], u[i + 1]
-        if a == 0.0:
-            locs.append(float(x[i]))
-        elif a * b < 0:
-            locs.append(float(x[i] + (x[i + 1] - x[i]) * (0 - a) / (b - a)))
-    if u[-1] == 0.0:
-        locs.append(float(x[-1]))
-    return locs
+def _front_locations(x, values):
+    """Zero crossings of each row of values (n_times, n_x), one list of
+    floats per time level: the zero of the linear interpolant on every edge
+    with u[i] == 0 or u[i] u[i+1] < 0, then x[-1] if the last node is zero."""
+    # a zero column past the end: its edge is hit only at a zero last node
+    u = np.pad(values, ((0, 0), (0, 1)))
+    a, b = u[:, :-1], u[:, 1:]
+    rows, i = np.nonzero((a == 0.0) | (a * b < 0))
+    flat = edge_zeros(np.append(x, x[-1]), i, a[rows, i], b[rows, i]).tolist()
+    bounds = np.searchsorted(rows, np.arange(len(values) + 1)).tolist()
+    return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
 def _max_principle_ok(spec: ProblemSpec, u_prev, u, t_next, tol):
@@ -336,51 +340,44 @@ def _max_principle_ok(spec: ProblemSpec, u_prev, u, t_next, tol):
 
 def _advance(spec, u, t, dt, policy, depth=0):
     """Advance one macro step of size dt, recursively substepping on Newton
-    failure or a max-principle violation."""
+    failure or a max-principle violation.  The underflow error carries the
+    residual history of the last Newton failure."""
+    failure = None
     try:
         u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
         if _max_principle_ok(spec, u, u_new, t + dt, policy.max_principle_tol):
             return u_new, iters, 1
-    except NewtonFailure:
-        pass
+    except NewtonFailure as exc:
+        failure = exc
     if depth >= policy.max_substep_depth:
-        raise NewtonFailure(f"time step underflow at t = {t}")
+        raise NewtonFailure(f"time step underflow at t = {t}",
+                            failure.history if failure else None) from failure
     u_half, it1, s1 = _advance(spec, u, t, dt / 2, policy, depth + 1)
     u_new, it2, s2 = _advance(spec, u_half, t + dt / 2, dt / 2, policy, depth + 1)
     return u_new, it1 + it2, s1 + s2
 
 
 def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeField:
-    """Integrate to the horizon on the fixed macro time grid t_k = k dt,
-    recording fields, free-boundary locations and the extinction time."""
+    """Integrate to the horizon on the macro time grid t_k = k dt, recording
+    every step's field, the free-boundary locations and the extinction time
+    (the first time with max u < 0)."""
     policy = policy or SolverPolicy()
     x = spec.nodes()
-    u = spec.initial_values()
-    n_steps = int(round(spec.T / spec.dt))
-    if abs(n_steps * spec.dt - spec.T) > 1e-9 * max(spec.T, 1.0):
-        n_steps = int(math.ceil(spec.T / spec.dt))
-    times = [0.0]
-    values = [u.copy()]
+    n_steps = spec.steps
+    times = np.arange(n_steps + 1) * spec.dt
+    values = np.empty((n_steps + 1, x.size))
+    values[0] = u = spec.initial_values()
     total_iters = 0
     total_steps = 0
-    t = 0.0
     for k in range(n_steps):
-        u, iters, steps = _advance(spec, u, t, spec.dt, policy)
-        t = (k + 1) * spec.dt
+        u, iters, steps = _advance(spec, u, k * spec.dt, spec.dt, policy)
+        values[k + 1] = u
         total_iters += iters
         total_steps += steps
-        if (k + 1) % policy.record_every == 0 or k == n_steps - 1:
-            times.append(t)
-            values.append(u.copy())
-    values = np.asarray(values)
-    times = np.asarray(times)
-    fronts = [_front_locations(x, v) for v in values]
-    extinction = None
-    for tk, v in zip(times, values):
-        if float(np.max(v)) < 0.0:
-            extinction = float(tk)
-            break
-    return SpaceTimeField(x=x, times=times, values=values, fronts=fronts,
+    extinct = values.max(axis=1) < 0.0
+    extinction = float(times[np.argmax(extinct)]) if extinct.any() else None
+    return SpaceTimeField(x=x, times=times, values=values,
+                          fronts=_front_locations(x, values),
                           extinction_time=extinction,
                           newton_iterations=total_iters, steps=total_steps)
 
@@ -439,15 +436,11 @@ def perturb_initial_data(u0: np.ndarray, x: np.ndarray, eps: float,
     h = x[1] - x[0]
     w = int(round(eps / h))
     lift = lift_factor * eps
-    n = len(u0)
-    out = np.empty_like(u0)
-    for i in range(n):
-        a = max(i - w, 0)
-        b = min(i + w + 1, n)
-        if direction == "up":
-            out[i] = np.max(u0[a:b]) + lift
-        else:
-            out[i] = np.min(u0[a:b]) - lift
+    windows = sliding_window_view(np.pad(u0, w, mode="edge"), 2 * w + 1)
+    if direction == "up":
+        out = windows.max(axis=1) + lift
+    else:
+        out = windows.min(axis=1) - lift
     out[0] = u0[0]
     out[-1] = u0[-1]
     if direction == "up" and (out[1] > 0 or out[-2] > 0):

@@ -156,7 +156,51 @@ class TestParabolaBarriers:
         assert rep.passed
 
 
+def _reference_positive_intervals(x, u):
+    """Scalar loop over edges, toggling at each entry to and exit from
+    {u > 0}."""
+    intervals = []
+    inside = u[0] > 0
+    start = x[0] if inside else None
+    for i in range(len(u) - 1):
+        a, b = u[i], u[i + 1]
+        if (a > 0) == (b > 0):
+            continue
+        if a * b < 0:
+            crossing = x[i] + (x[i + 1] - x[i]) * (0 - a) / (b - a)
+        else:
+            crossing = x[i] if a == 0 else x[i + 1]
+        if inside:
+            intervals.append((start, crossing))
+        else:
+            start = crossing
+        inside = not inside
+    if inside:
+        intervals.append((start, x[-1]))
+    return intervals
+
+
 class TestFrontOffsetSets:
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            x = np.linspace(-1, 1, n) if trial % 2 else np.sort(rng.uniform(-1, 1, n))
+            # integer levels give exact zeros, runs of zeros and zero ends
+            u0 = rng.integers(-2, 3, n) * rng.uniform(0.5, 2.0, n)
+            t = float(rng.uniform(0.0, 0.01))
+            for sign, v in (("super", u0), ("sub", -u0)):
+                m = front_offset_sets(u0, x, t, sign)
+                ref = _reference_positive_intervals(x, v)
+                assert m.intervals == ref
+                dist = [min((0.0 if a <= xi <= b else min(abs(xi - a), abs(xi - b))
+                             for a, b in ref), default=math.inf) for xi in x]
+                if sign == "super":
+                    want = [ui > 0 or d < m.offset for ui, d in zip(u0, dist)]
+                else:
+                    want = [d > m.offset for d in dist]
+                assert m.mask.tolist() == want
+
     def test_super_mask_grows_with_time(self):
         x = np.linspace(-1, 1, 201)
         u0 = 0.3 - np.abs(x)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ellpar.cli import main, read_field_csv, write_field_csv
-from ellpar.config import ConfigError, parse_config, problem_from_config
+from ellpar.config import ConfigError, load_config, parse_config, problem_from_config
 from ellpar.harness import (
     jump_initial,
     make_comparison_pair,
@@ -62,6 +62,29 @@ class TestConfig:
     def test_bad_operator_is_config_error(self):
         with pytest.raises(ConfigError):
             problem_from_config(parse_config("op.kind = nonsense\n"))
+
+    def test_unknown_keys_rejected_on_load(self, tmp_path):
+        for typo in ("time.DT = 0.01", "grid.N = 101"):
+            p = tmp_path / "typo.cfg"
+            p.write_text(JUMP_CFG + typo + "\n")
+            with pytest.raises(ConfigError, match=typo.split()[0]):
+                load_config(p)
+
+    def test_every_read_key_loads(self, tmp_path):
+        # the keys of a divergence solve, a lipschitz-table b and a barrier
+        p = tmp_path / "all.cfg"
+        p.write_text(JUMP_CFG + "op.kind = divergence\nop.Lambda = 2.0\n"
+                     "op.delta1 = 0.0\nop.delta0 = 0.0\nop.n_dim = 3\n"
+                     "psi.kind = polynomial\npsi.coeffs = 1.0, 2.0\n"
+                     "b.breakpoints = 0.0\nb.slopes = 1.0\n"
+                     "geometry.kind = radial-annulus\ngrid.lo = 0.2\n"
+                     "grid.hi = 1.0\nu0.value = -1.0\nbarrier.samples = 10\n")
+        spec = problem_from_config(load_config(p))
+        assert spec.op.kind == "divergence" and spec.bn.n == 16
+
+    def test_horizon_not_whole_steps_is_config_error(self):
+        with pytest.raises(ConfigError):
+            problem_from_config(parse_config("time.T = 0.1\ntime.dt = 0.03\n"))
 
 
 class TestScenarios:
@@ -149,6 +172,32 @@ class TestCLI:
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == 2
+
+    def test_unknown_key_exit_2(self, tmp_path):
+        p = tmp_path / "typo.cfg"
+        p.write_text(JUMP_CFG + "grid.N = 101\n")
+        for argv in (["solve", "--config", str(p), "--out", str(tmp_path / "o")],
+                     ["sweep-n", "--config", str(p), "--n", "4,8,16"],
+                     ["compare", "--config", str(p)]):
+            assert main(argv) == 2
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_horizon_not_whole_steps_exit_2(self, tmp_path):
+        p = tmp_path / "horizon.cfg"
+        p.write_text(JUMP_CFG.replace("time.dt = 0.0025", "time.dt = 0.03"))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_front_csv_one_row_per_step(self, tmp_path):
+        cfg = self._write_cfg(tmp_path)
+        out = str(tmp_path / "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "front.csv")) as fh:
+            rows = fh.read().splitlines()
+        # header, then t_k = k dt for k = 0..40
+        assert len(rows) == 42
+        assert float(rows[-1].split(",")[0]) == pytest.approx(0.1)
 
     def test_sweep_n(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

@@ -10,8 +10,10 @@ from ellpar.operators import OperatorSpec
 from ellpar.solver import (
     Geometry,
     NewtonFailure,
+    NewtonPolicy,
     ProblemSpec,
     SolverPolicy,
+    _front_locations,
     perturb_initial_data,
     run,
     singular_limit_study,
@@ -95,6 +97,7 @@ class TestStepParabolic:
         # Richardson on three grids in the pure heat regime: order >= 1.9.
         # dt scales with h^2 so the first-order time error refines at the
         # same rate and the observed order reflects the combined scheme.
+        # T is a whole number of steps on all three grids.
         errs = []
         for m, dt in ((51, 3.2e-4), (101, 8e-5), (201, 2e-5)):
             spec = ProblemSpec(
@@ -103,11 +106,11 @@ class TestStepParabolic:
                 bn=BnFamily(64),
                 g_lo=2.0, g_hi=2.0,
                 u0=lambda x: 2.0 + np.cos(np.pi * x / 2),
-                T=0.02, grid=m, dt=dt,
+                T=0.0192, grid=m, dt=dt,
             )
             out = run(spec, SolverPolicy())
             x = spec.nodes()
-            want = 2.0 + math.exp(-np.pi**2 / 4 * 0.02) * np.cos(np.pi * x / 2)
+            want = 2.0 + math.exp(-np.pi**2 / 4 * 0.0192) * np.cos(np.pi * x / 2)
             errs.append(float(np.max(np.abs(out.values[-1] - want))))
         p1 = math.log2(errs[0] / errs[1])
         p2 = math.log2(errs[1] / errs[2])
@@ -119,7 +122,65 @@ class TestStepParabolic:
             step_parabolic(spec, spec.initial_values(), 0.1, dt=0.0)
 
 
+def _reference_fronts(x, u):
+    """Scalar loop: zero nodes and interpolated sign changes, left to right."""
+    locs = []
+    for i in range(len(u) - 1):
+        a, b = u[i], u[i + 1]
+        if a == 0.0:
+            locs.append(float(x[i]))
+        elif a * b < 0:
+            locs.append(float(x[i] + (x[i + 1] - x[i]) * (0 - a) / (b - a)))
+    if u[-1] == 0.0:
+        locs.append(float(x[-1]))
+    return locs
+
+
+class TestHorizon:
+    def test_horizon_must_be_whole_steps(self):
+        with pytest.raises(ValueError):
+            interval_spec(T=0.1, dt=0.03)
+        with pytest.raises(ValueError):
+            interval_spec(dt=0.0)
+        assert interval_spec(T=0.1, dt=0.025).steps == 4
+
+    def test_every_step_recorded_up_to_horizon(self):
+        spec = interval_spec(T=0.0125, grid=101)
+        out = run(spec, SolverPolicy())
+        assert out.times.tolist() == [k * spec.dt for k in range(6)]
+        assert out.values.shape == (6, 101)
+        assert out.steps == 5
+        assert len(out.fronts) == 6
+
+
 class TestRun:
+    def test_fronts_match_scalar_reference(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            n = int(rng.integers(2, 40))
+            x = np.linspace(-1, 1, n) if trial % 2 else np.sort(rng.uniform(-1, 1, n))
+            # integer levels give exact zeros, runs of zeros and zero ends
+            values = rng.integers(-2, 3, (4, n)) * rng.uniform(0.5, 2.0, (4, n))
+            fronts = _front_locations(x, values)
+            assert fronts == [_reference_fronts(x, v) for v in values]
+            assert all(type(f) is float for row in fronts for f in row)
+
+    def test_extinction_is_first_negative_level(self):
+        out = run(interval_spec(T=0.1, grid=101), SolverPolicy())
+        k = int(np.searchsorted(out.times, out.extinction_time))
+        assert out.times[k] == out.extinction_time
+        assert out.values[k].max() < 0
+        assert all(v.max() >= 0 for v in out.values[:k])
+
+    def test_underflow_carries_newton_history(self):
+        spec = make_jump_scenario(grid=201, n=32, T=0.01).spec
+        policy = SolverPolicy(newton=NewtonPolicy(max_iters=1), max_substep_depth=0)
+        with pytest.raises(NewtonFailure, match="underflow") as info:
+            run(spec, policy)
+        assert len(info.value.history) > 0
+        assert isinstance(info.value.__cause__, NewtonFailure)
+        assert info.value.history == info.value.__cause__.history
+
     def test_jump_extinction_and_fronts(self):
         out = run(interval_spec(T=0.2), SolverPolicy())
         assert out.extinction_time is not None
@@ -174,6 +235,21 @@ class TestPerturbations:
         assert np.all(dn[1:-1] < u0[1:-1])
         # front moved outward by about eps
         assert np.max(x[up > 0]) == pytest.approx(0.3 + 0.1, abs=0.02)
+
+    def test_matches_scalar_window_loop(self):
+        rng = np.random.default_rng(5)
+        x = np.linspace(-1, 1, 101)
+        for eps in (0.004, 0.02, 0.1, 0.3):
+            w = int(round(eps / (x[1] - x[0])))
+            for direction, shift in (("up", -4.0), ("down", 0.0)):
+                u0 = rng.standard_normal(101) + shift
+                want = np.array([
+                    np.max(u0[max(i - w, 0):i + w + 1]) + 0.1 * eps if direction == "up"
+                    else np.min(u0[max(i - w, 0):i + w + 1]) - 0.1 * eps
+                    for i in range(101)])
+                want[0], want[-1] = u0[0], u0[-1]
+                got = perturb_initial_data(u0, x, eps, direction)
+                assert np.array_equal(got, want)
 
     def test_exiting_domain_raises(self):
         x = np.linspace(-1, 1, 201)
