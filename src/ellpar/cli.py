@@ -30,13 +30,18 @@ def write_field_csv(path, fld: GridField):
 
 
 def read_field_csv(path) -> GridField:
+    """Read a field written by write_field_csv; ragged rows, non-numbers,
+    non-finite samples and a shape mismatch are a ConfigError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[0] != "t":
             raise ConfigError(f"{path}: expected 't' as first header column")
-        x = np.array([float(v) for v in header[1:]])
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return GridField(x, rows[:, 0], rows[:, 1:])
+        try:
+            x = np.array([float(v) for v in header[1:]])
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            return GridField(x, rows[:, 0], rows[:, 1:])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _write_front_csv(path, field):
@@ -105,8 +110,7 @@ def _cmd_verify_barrier(args):
         solve_radial_barrier,
         verify_subsolution_margin,
     )
-    from .config import _bspec_from_config
-    from .nonlinearity import PsiSpec
+    from .config import _bspec_from_config, _psi_from_config
 
     cfg = load_config(args.config)
     op = operator_from_config(cfg)
@@ -128,13 +132,8 @@ def _cmd_verify_barrier(args):
                 delta=float(cfg.get("barrier.delta", 0.1)),
             )
         elif fam == "logdiv":
-            coeffs = cfg.get("psi.coeffs", (1.0,))
-            if not isinstance(coeffs, tuple):
-                coeffs = (coeffs,)
-            psi = PsiSpec(cfg.get("psi.kind", "constant"),
-                          tuple(float(c) for c in coeffs))
             bar = solve_logdiv_barrier(
-                psi, _bspec_from_config(cfg),
+                _psi_from_config(cfg), _bspec_from_config(cfg),
                 omega=float(cfg.get("barrier.omega", 0.0)),
                 rho0=float(cfg.get("barrier.rho0", 1.0)),
                 M=float(cfg.get("barrier.M", 1.0)),
@@ -179,7 +178,7 @@ def _cmd_compare(args):
     from .harness import make_comparison_pair, make_jump_scenario
     from .solver import SolverPolicy, run
 
-    cfg = load_config(args.config) if args.config else None
+    cfg = load_config(args.config, keys={"grid.n", "b.n"}) if args.config else None
     grid = int(cfg.get("grid.n", 401)) if cfg else 401
     n = int(cfg.get("b.n", 32)) if cfg else 32
     base = make_jump_scenario(grid=grid, n=n)

@@ -11,8 +11,9 @@ Example::
     time.T = 1.0
 
 Values are parsed leniently: ints, floats, booleans, comma-separated lists,
-and bare strings.  `load_config` rejects a key that no subcommand reads, so a
-misspelt key is an error rather than a silent default.
+and bare strings.  `load_config` rejects a key that its caller does not read
+(by default, that no subcommand reads), so a misspelt key is an error rather
+than a silent default.
 """
 
 from __future__ import annotations
@@ -87,16 +88,26 @@ def parse_config(text: str) -> Config:
     return Config(values)
 
 
-def load_config(path) -> Config:
+def load_config(path, keys=KNOWN_KEYS) -> Config:
     try:
         with open(path) as fh:
             cfg = parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    unknown = sorted(set(cfg.values) - KNOWN_KEYS)
+    unknown = sorted(set(cfg.values) - keys)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {', '.join(unknown)}")
     return cfg
+
+
+def _floats(cfg: Config, key: str, default: tuple) -> tuple:
+    """A scalar or comma-separated value as a tuple of floats."""
+    v = cfg.get(key, default)
+    return tuple(float(c) for c in (v if isinstance(v, tuple) else (v,)))
+
+
+def _psi_from_config(cfg: Config) -> PsiSpec:
+    return PsiSpec(cfg.get("psi.kind", "constant"), _floats(cfg, "psi.coeffs", (1.0,)))
 
 
 def operator_from_config(cfg: Config) -> OperatorSpec:
@@ -110,11 +121,7 @@ def operator_from_config(cfg: Config) -> OperatorSpec:
         n_dim=int(cfg.get("op.n_dim", 1)),
     )
     if kind == "divergence":
-        psi_kind = cfg.get("psi.kind", "constant")
-        coeffs = cfg.get("psi.coeffs", (1.0,))
-        if not isinstance(coeffs, tuple):
-            coeffs = (coeffs,)
-        kwargs["psi"] = PsiSpec(psi_kind, tuple(float(c) for c in coeffs))
+        kwargs["psi"] = _psi_from_config(cfg)
     if kind == "bellman-isaacs":
         raise ConfigError("op.bi.entries: inf-sup families are not expressible "
                           "in flat config files; construct OperatorSpec in code")
@@ -127,13 +134,8 @@ def operator_from_config(cfg: Config) -> OperatorSpec:
 def _bspec_from_config(cfg: Config) -> BSpec:
     kind = cfg.get("b.kind", "positive-part")
     if kind == "lipschitz-table":
-        bp = cfg.get("b.breakpoints", (0.0,))
-        sl = cfg.get("b.slopes", (1.0,))
-        if not isinstance(bp, tuple):
-            bp = (bp,)
-        if not isinstance(sl, tuple):
-            sl = (sl,)
-        return BSpec(kind, tuple(float(v) for v in bp), tuple(float(v) for v in sl))
+        return BSpec(kind, _floats(cfg, "b.breakpoints", (0.0,)),
+                     _floats(cfg, "b.slopes", (1.0,)))
     return BSpec(kind)
 
 

@@ -1,5 +1,6 @@
 """Space-time geometry of the regularization body, the iteration chain used
-for interior lower bounds, and the zero set of sampled profiles.
+for interior lower bounds, the zero set of sampled profiles, and the windowed
+maximum that every body extremum is built on.
 
 The body Xi_r is the Minkowski sum of a space disk of radius r (at time 0) and
 the flattened set {|x|^3 + |t|^2 < r^2}.  Membership reduces to a radial test,
@@ -23,6 +24,7 @@ __all__ = [
     "harnack_chain",
     "harnack_lower_bound",
     "edge_zeros",
+    "window_max",
 ]
 
 
@@ -161,3 +163,24 @@ def edge_zeros(x, i, a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = x0 + (x1 - x0) * (0 - a) / (b - a)
     return np.where(a == 0, x0, np.where(b == 0, x1, z))
+
+
+def window_max(a, n: int, arg: bool = False):
+    """Maximum of every length-n window along the last axis: out[..., k] =
+    max(a[..., k:k+n]), by doubling the covered window (O(log n) passes).
+    With arg, also the leftmost argmax as an index into the last axis of a.
+    The one windowed extremum behind the Xi_r convolutions, the essential
+    envelopes and the front shift; minima are -window_max(-a)."""
+    m = np.asarray(a)
+    idx = np.broadcast_to(np.arange(m.shape[-1]), m.shape) if arg else None
+    c = 1  # m[..., k] = max(a[..., k:k+c])
+    while c < n:
+        s = min(c, n - c)
+        lo, hi = m[..., :-s], m[..., s:]
+        if arg:
+            take = hi > lo  # ties keep the left, hence the leftmost argmax
+            m, idx = np.where(take, hi, lo), np.where(take, idx[..., s:], idx[..., :-s])
+        else:
+            m = np.maximum(lo, hi)
+        c += s
+    return (m, idx) if arg else m

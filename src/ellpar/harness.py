@@ -3,9 +3,9 @@ suite: eleven property-based criteria with machine-readable margins.
 
 Each criterion function is independently callable and returns a
 CriterionResult; run_acceptance executes a selection and assembles the JSON
-report.  Expensive intermediates (the jump-scenario baseline run, the ordered
-comparison ensemble) are cached on an AcceptanceContext so criteria 6, 7 and
-10 share work.
+report.  Expensive intermediates (the jump-scenario runs, the ordered
+comparison ensemble, the crossing pair) are built at most once per
+AcceptanceContext.
 """
 
 from __future__ import annotations
@@ -373,29 +373,26 @@ def criterion_5_harnack(ctx=None) -> CriterionResult:
 
 
 def _comparison_ensemble(ctx: AcceptanceContext):
-    """100 ordered pairs on the jump scenario; cached for criteria 6 and 10."""
+    """Worst order gap over 100 ordered pairs on the jump scenario, for
+    criterion 6."""
 
     def build():
         base = make_jump_scenario(grid=401, n=32, T=1.0)
         policy = SolverPolicy()
         rng = np.random.default_rng(0)
+        x = base.spec.nodes()
+        u0 = base.spec.initial_values()
         worst = math.inf
-        first_pair = None
-        for i in range(100):
+        for _ in range(100):
             gap = float(rng.uniform(0.02, 0.08))
             eps_dn = float(rng.uniform(0.02, 0.08))
-            lower_scn, upper_scn = make_comparison_pair(base, gap)
-            x = base.spec.nodes()
-            u0 = base.spec.initial_values()
+            _, upper_scn = make_comparison_pair(base, gap)
             lower_spec = replace(base.spec,
                                  u0=perturb_initial_data(u0, x, eps_dn, "down"))
             rl = run(lower_spec, policy)
             ru = run(upper_scn.spec, policy)
-            gap_min = float(np.min(ru.values - rl.values))
-            worst = min(worst, gap_min)
-            if first_pair is None:
-                first_pair = (rl, ru, gap)
-        return worst, first_pair
+            worst = min(worst, float(np.min(ru.values - rl.values)))
+        return worst
 
     return ctx.get("comparison", build)
 
@@ -404,7 +401,7 @@ def criterion_6_comparison(ctx: Optional[AcceptanceContext] = None) -> Criterion
     ctx = ctx or AcceptanceContext()
 
     def body():
-        worst, _ = _comparison_ensemble(ctx)
+        worst = _comparison_ensemble(ctx)
         return worst >= -1e-9, worst + 1e-9, {"worst_order_gap": worst, "pairs": 100}
 
     (ok, margin, det), rt = _timed(body)

@@ -2,10 +2,11 @@
 Xi_r, dual-point extraction, crossing-time detection, and discrete essential
 envelopes.
 
-Fields are node-major matrices: values[j, i] is the sample at time times[j]
-and space node x[i].  Convolution requires uniform grids so the membership
-stencil is shared between all output nodes; the sliding-stencil evaluation is
-then exactly the brute-force maximum over in-body samples.
+Fields are node-major matrices of finite samples: values[j, i] is at time
+times[j] and space node x[i], on uniform grids.  Xi_r and the envelopes' disc
+are unions of centred rows |di| <= w at time offsets dj, so each body extremum
+is a maximum over rows of running window maxima (geometry.window_max), exactly
+the brute-force maximum over in-body samples.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import XiShape, xi_contains
+from .geometry import XiShape, window_max, xi_contains
 
 __all__ = [
     "GridField",
@@ -45,6 +46,8 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.times.size, self.x.size):
             raise ValueError("field shape must be (n_times, n_x)")
+        if not all(np.isfinite(a).all() for a in (self.x, self.times, self.values)):
+            raise ValueError("field samples and nodes must be finite")
 
     def require_uniform(self):
         hx = np.diff(self.x)
@@ -75,12 +78,14 @@ def _xi_stencil(r: float, hx: float, ht: float):
     shape = XiShape(r)
     reach_x = int(math.floor((r + r ** (2.0 / 3.0)) / hx)) + 1
     reach_t = int(math.floor(r / ht)) + 1
-    offs = []
-    for dj in range(-reach_t, reach_t + 1):
-        for di in range(-reach_x, reach_x + 1):
-            if xi_contains(shape, di * hx, dj * ht, closed=True):
-                offs.append((dj, di))
-    return np.asarray(offs, dtype=int)
+    return np.asarray([(dj, di) for dj in range(-reach_t, reach_t + 1)
+                       for di in range(-reach_x, reach_x + 1)
+                       if xi_contains(shape, di * hx, dj * ht, closed=True)], dtype=int)
+
+
+def _rows(offs):
+    """(dj, w) in ascending dj for a stencil whose row dj is |di| <= w."""
+    return [(dj, offs[offs[:, 0] == dj, 1].max()) for dj in np.unique(offs[:, 0])]
 
 
 def _convolve(field: GridField, r: float, kind: str) -> ConvolvedField:
@@ -90,7 +95,7 @@ def _convolve(field: GridField, r: float, kind: str) -> ConvolvedField:
     if hx > r / 4.0:
         raise ValueError("grid spacing must be at most r/4")
     x, times, vals = field.x, field.times, field.values
-    nt, nx = vals.shape
+    nx = x.size
 
     margin = r + r ** (2.0 / 3.0)
     # shrunk grid: nodes whose translated closed body stays inside the sampled box
@@ -101,25 +106,20 @@ def _convolve(field: GridField, r: float, kind: str) -> ConvolvedField:
     x_slice = slice(ix[0], ix[-1] + 1)
     t_slice = slice(it[0], it[-1] + 1)
 
-    offs = _xi_stencil(r, hx, ht)
-    sign = 1.0 if kind == "sup" else -1.0
-    work = sign * vals
-
-    out = np.empty((it.size, ix.size))
-    dual = np.empty((it.size, ix.size), dtype=np.int64)
-    # gather per output time level: rows = output space nodes, cols = stencil
-    di = offs[:, 1]
-    dj = offs[:, 0]
-    base_cols = ix[:, None] + di[None, :]
-    for a, j in enumerate(it):
-        rows = j + dj
-        gathered = work[rows[None, :], base_cols]
-        amax = np.argmax(gathered, axis=1)
-        out[a] = sign * gathered[np.arange(ix.size), amax]
-        dual[a] = rows[amax] * nx + base_cols[np.arange(ix.size), amax]
+    work = vals if kind == "sup" else -vals
+    best = np.full((it.size, ix.size), -np.inf)
+    dual = np.zeros((it.size, ix.size), dtype=np.int64)
+    # rows in ascending dj, leftmost argmax within a row, and updates only
+    # where strictly greater: the dual is the smallest flat index attaining it
+    for dj, w in _rows(_xi_stencil(r, hx, ht)):
+        j, i = it[0] + dj, ix[0] - w
+        m, k = window_max(work[j:j + it.size, i:i + ix.size + 2 * w], 2 * w + 1, arg=True)
+        up = m > best
+        best = np.where(up, m, best)
+        dual = np.where(up, (j + np.arange(it.size))[:, None] * nx + i + k, dual)
     return ConvolvedField(base=field, r=r, kind=kind, x=x[x_slice],
-                          times=times[t_slice], values=out, dual_index=dual,
-                          x_slice=x_slice, t_slice=t_slice)
+                          times=times[t_slice], values=vals.ravel()[dual],
+                          dual_index=dual, x_slice=x_slice, t_slice=t_slice)
 
 
 def sup_convolve(field: GridField, r: float) -> ConvolvedField:
@@ -180,24 +180,19 @@ def essential_envelopes(field: GridField, radii) -> tuple:
     for r in radii:
         rx = int(math.floor(r / hx))
         rt = int(math.floor(r / ht))
-        offs = [(dj, di) for dj in range(-rt, rt + 1) for di in range(-rx, rx + 1)
-                if (di * hx) ** 2 + (dj * ht) ** 2 <= r * r]
-        wmax = np.full_like(vals, -np.inf)
-        wmin = np.full_like(vals, np.inf)
-        for dj, di in offs:
-            js = slice(max(dj, 0), nt + min(dj, 0))
-            jd = slice(max(-dj, 0), nt + min(-dj, 0))
-            is_ = slice(max(di, 0), nx + min(di, 0))
-            id_ = slice(max(-di, 0), nx + min(-di, 0))
-            np.maximum(wmax[jd, id_], vals[js, is_], out=wmax[jd, id_])
-            np.minimum(wmin[jd, id_], vals[js, is_], out=wmin[jd, id_])
-        np.minimum(upper, wmax, out=upper)
-        np.maximum(lower, wmin, out=lower)
+        offs = np.array([(dj, di) for dj in range(-rt, rt + 1) for di in range(-rx, rx + 1)
+                         if (di * hx) ** 2 + (dj * ht) ** 2 <= r * r])
+        # max and -min of the field at once; -inf pads cut windows at the edge
+        both = np.pad(np.stack([vals, -vals]), ((0, 0), (rt, rt), (rx, rx)),
+                      constant_values=-np.inf)
+        acc = np.full((2, nt, nx), -np.inf)
+        for dj, w in _rows(offs):
+            win = both[:, rt + dj:rt + dj + nt, rx - w:rx + nx + w]
+            acc = np.maximum(acc, window_max(win, 2 * w + 1))
+        np.minimum(upper, acc[0], out=upper)
+        np.maximum(lower, -acc[1], out=lower)
     v = np.maximum(np.minimum(vals, upper), lower)
-    up = GridField(field.x, field.times, upper)
-    lo = GridField(field.x, field.times, lower)
-    cand = GridField(field.x, field.times, v)
-    return up, lo, cand
+    return tuple(GridField(field.x, field.times, a) for a in (upper, lower, v))
 
 
 @dataclass
@@ -217,45 +212,28 @@ def interior_ball_check(conv: ConvolvedField, level: str = "Z>=0",
     if level not in ("Z>=0", "W<=0"):
         raise ValueError("level must be 'Z>=0' or 'W<=0'")
     hx, ht = conv.base.require_uniform()
-    vals = conv.values
-    if level == "Z>=0":
-        inset = vals >= 0.0
-    else:
-        inset = vals <= 0.0
+    # W <= 0 is -W >= 0, and v > ref + tol is -v < -ref - tol, exactly
+    vals = conv.values if level == "Z>=0" else -conv.values
+    inset = vals >= 0.0
     # boundary nodes: in the set with a 4-neighbor outside
-    nb = np.zeros_like(inset)
-    nb[1:, :] |= ~inset[:-1, :]
-    nb[:-1, :] |= ~inset[1:, :]
-    nb[:, 1:] |= ~inset[:, :-1]
-    nb[:, :-1] |= ~inset[:, 1:]
+    out = np.pad(~inset, 1)
+    nb = out[:-2, 1:-1] | out[2:, 1:-1] | out[1:-1, :-2] | out[1:-1, 2:]
     boundary = np.argwhere(inset & nb)
     if boundary.shape[0] > max_nodes:
         step = boundary.shape[0] // max_nodes + 1
         boundary = boundary[::step]
 
-    nx_base = conv.base.x.size
     offs = _xi_stencil(conv.r, hx, ht)
-    # positions of the shrunk grid inside the base grid
-    j0 = conv.t_slice.start
-    i0 = conv.x_slice.start
     nt_out, nx_out = vals.shape
-    checked = 0
-    violations = 0
+    checked = violations = 0
+    # one boundary node at a time keeps the index arrays at stencil size
     for j, i in boundary:
-        flat = conv.dual_index[j, i]
-        dj_base, di_base = divmod(int(flat), nx_base)
-        ref = vals[j, i]
-        for doff, soff in offs:
-            jj = dj_base + doff - j0
-            ii = di_base + soff - i0
-            if not (0 <= jj < nt_out and 0 <= ii < nx_out):
-                continue
-            checked += 1
-            if level == "Z>=0":
-                if vals[jj, ii] < ref - 1e-12:
-                    violations += 1
-            else:
-                if vals[jj, ii] > ref + 1e-12:
-                    violations += 1
+        # the body around the dual point, in indices of the shrunk grid
+        dj, di = divmod(int(conv.dual_index[j, i]), conv.base.x.size)
+        jj = dj - conv.t_slice.start + offs[:, 0]
+        ii = di - conv.x_slice.start + offs[:, 1]
+        inside = (jj >= 0) & (jj < nt_out) & (ii >= 0) & (ii < nx_out)
+        checked += int(np.count_nonzero(inside))
+        violations += int(np.count_nonzero(vals[jj[inside], ii[inside]] < vals[j, i] - 1e-12))
     return InteriorBallReport(checked=checked, violations=violations,
                               passed=violations == 0)

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
-from .geometry import edge_zeros
+from .geometry import edge_zeros, window_max
 from .nonlinearity import BnFamily, BSpec, b_derivative, b_eval, bn_derivative, bn_eval
 from .operators import OperatorSpec, apply_operator_1d, operator_jacobian_1d
 
@@ -68,7 +67,7 @@ class Geometry:
         return self.kind == "radial-ball-punctured"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """One instance of the phase-transition problem on a 1D/radial grid."""
 
@@ -436,11 +435,11 @@ def perturb_initial_data(u0: np.ndarray, x: np.ndarray, eps: float,
     h = x[1] - x[0]
     w = int(round(eps / h))
     lift = lift_factor * eps
-    windows = sliding_window_view(np.pad(u0, w, mode="edge"), 2 * w + 1)
+    padded = np.pad(u0, w, mode="edge")
     if direction == "up":
-        out = windows.max(axis=1) + lift
+        out = window_max(padded, 2 * w + 1) + lift
     else:
-        out = windows.min(axis=1) - lift
+        out = -window_max(-padded, 2 * w + 1) - lift
     out[0] = u0[0]
     out[-1] = u0[-1]
     if direction == "up" and (out[1] > 0 or out[-2] > 0):

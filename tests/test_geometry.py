@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ellpar.geometry import (
     HarnackChain,
@@ -9,6 +10,7 @@ from ellpar.geometry import (
     harnack_chain,
     harnack_chain_k_bound,
     harnack_lower_bound,
+    window_max,
     xi_contains,
     xi_lateral_distance,
     xi_slice_radius,
@@ -146,3 +148,30 @@ class TestLowerBound:
             harnack_lower_bound(1.5, 0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             harnack_lower_bound(0.5, 0.0, 1.0, 1.0)
+
+
+class TestWindowMax:
+    def test_matches_sliding_windows(self):
+        # small integer levels make ties common; the argmax is the leftmost
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            length = int(rng.integers(1, 40))
+            n = int(rng.integers(1, length + 1))
+            a = rng.integers(-2, 3, (3, 2, length)).astype(float)
+            windows = sliding_window_view(a, n, axis=-1)
+            m, k = window_max(a, n, arg=True)
+            assert np.array_equal(m, windows.max(axis=-1))
+            assert np.array_equal(k, windows.argmax(axis=-1) + np.arange(length - n + 1))
+            assert np.array_equal(window_max(a, n), m)
+            assert np.array_equal(-window_max(-a, n), windows.min(axis=-1))
+
+    def test_window_of_one_is_identity(self):
+        a = np.array([[3.0, -1.0, 3.0], [0.0, 0.0, -2.0]])
+        m, k = window_max(a, 1, arg=True)
+        assert np.array_equal(m, a)
+        assert np.array_equal(k, [[0, 1, 2], [0, 1, 2]])
+
+    def test_all_ties_take_the_window_start(self):
+        m, k = window_max(np.zeros(9), 4, arg=True)
+        assert np.array_equal(m, np.zeros(6))
+        assert np.array_equal(k, np.arange(6))

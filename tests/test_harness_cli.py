@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from ellpar.cli import main, read_field_csv, write_field_csv
-from ellpar.config import ConfigError, load_config, parse_config, problem_from_config
+from ellpar.config import (
+    ConfigError,
+    load_config,
+    operator_from_config,
+    parse_config,
+    problem_from_config,
+)
 from ellpar.harness import (
     jump_initial,
     make_comparison_pair,
@@ -82,6 +88,18 @@ class TestConfig:
         spec = problem_from_config(load_config(p))
         assert spec.op.kind == "divergence" and spec.bn.n == 16
 
+    def test_scalar_or_list_floats(self):
+        one = parse_config("op.kind = divergence\npsi.coeffs = 2\n"
+                           "b.kind = lipschitz-table\nb.breakpoints = 0\nb.slopes = 3\n")
+        two = parse_config("op.kind = divergence\npsi.kind = polynomial\n"
+                           "psi.coeffs = 1, 2.5\nb.kind = lipschitz-table\n"
+                           "b.breakpoints = 0, 1\nb.slopes = 1, 2\n")
+        assert operator_from_config(one).psi.coeffs == (2.0,)
+        assert operator_from_config(two).psi.coeffs == (1.0, 2.5)
+        assert problem_from_config(one).b.slopes == (3.0,)
+        b = problem_from_config(two).b
+        assert (b.breakpoints, b.slopes) == ((0.0, 1.0), (1.0, 2.0))
+
     def test_horizon_not_whole_steps_is_config_error(self):
         with pytest.raises(ConfigError):
             problem_from_config(parse_config("time.T = 0.1\ntime.dt = 0.03\n"))
@@ -134,6 +152,14 @@ class TestFieldCSV:
         assert np.array_equal(back.x, fld.x)
         assert np.array_equal(back.times, fld.times)
         assert np.array_equal(back.values, fld.values)
+
+    def test_malformed_is_config_error(self, tmp_path):
+        p = tmp_path / "f.csv"
+        for body in ("t,0,1\n0,1,nan\n", "t,0,1\n0,1,inf\n", "t,0,nan\n0,1,2\n",
+                     "t,0,1\n0,1,2\n1,2\n", "t,0,1\n0,1,x\n", "t,0,1\n0,1,2,3\n"):
+            p.write_text(body)
+            with pytest.raises(ConfigError):
+                read_field_csv(p)
 
 
 class TestCLI:
@@ -225,6 +251,32 @@ class TestCLI:
         w = read_field_csv(wout)
         assert np.all(z.values >= w.values)
         assert main(["crossing", "--z", wout, "--w", zout]) == 0
+
+    def test_malformed_field_exit_2(self, tmp_path):
+        x = np.linspace(-1, 1, 41)
+        ts = np.linspace(0, 1, 41)
+        good = str(tmp_path / "good.csv")
+        write_field_csv(good, GridField(x, ts, np.ones((41, 41))))
+        lines = open(good).read().splitlines()
+        nan = tmp_path / "nan.csv"
+        # a NaN at one node must not hide the crossing at another
+        nan.write_text("\n".join([lines[0], lines[1].replace(",1,", ",nan,", 1)]
+                                 + lines[2:]) + "\n")
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("\n".join(lines[:5] + [lines[5].rsplit(",", 1)[0]]) + "\n")
+        for bad in (str(nan), str(ragged)):
+            assert main(["envelope", "--in", bad, "--r", "0.2",
+                         "--out", str(tmp_path / "o.csv")]) == 2
+            assert main(["crossing", "--z", bad, "--w", good]) == 2
+            assert main(["crossing", "--z", good, "--w", bad]) == 2
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_compare_rejects_keys_it_does_not_read(self, tmp_path, capsys):
+        # compare reads only grid.n and b.n; time.T would be silently ignored
+        p = tmp_path / "compare.cfg"
+        p.write_text("grid.n = 101\nb.n = 16\ntime.T = 0.1\n")
+        assert main(["compare", "--config", str(p)]) == 2
+        assert "time.T" in capsys.readouterr().err
 
     def test_verify_barrier(self, tmp_path):
         p = tmp_path / "bar.cfg"

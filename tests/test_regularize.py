@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ellpar.geometry import XiShape, xi_contains
 from ellpar.regularize import (
     GridField,
+    _xi_stencil,
     crossing_time,
     essential_envelopes,
     inf_convolve,
@@ -12,9 +15,24 @@ from ellpar.regularize import (
 )
 
 
+def _offset_masks(nt, nx, member):
+    """member(di, dj) for every offset between two nodes of an (nt, nx) grid,
+    as mask[dj + nt - 1, di + nx - 1]; the body around node (j, i) over the
+    whole grid is then the window mask[nt-1-j:2nt-1-j, nx-1-i:2nx-1-i]."""
+    return np.array([[member(di, dj) for di in range(1 - nx, nx)]
+                     for dj in range(1 - nt, nt)], dtype=bool)
+
+
+def _body(mask, j, i):
+    nt, nx = (mask.shape[0] + 1) // 2, (mask.shape[1] + 1) // 2
+    return mask[nt - 1 - j:2 * nt - 1 - j, nx - 1 - i:2 * nx - 1 - i]
+
+
 def brute_force_convolve(field, r, kind):
-    """Direct per-node maximization over enumerated in-body samples; the
-    implementation must be bit-identical to this."""
+    """Per-node extremum over every in-body sample of the whole grid, with
+    membership from xi_contains (evaluated once per offset, by translation
+    invariance); returns the values and the smallest flat index attaining
+    them.  The implementation must be bit-identical to this."""
     hx = field.x[1] - field.x[0]
     ht = field.times[1] - field.times[0]
     shape = XiShape(r)
@@ -22,17 +40,63 @@ def brute_force_convolve(field, r, kind):
     x, ts, vals = field.x, field.times, field.values
     ix = np.where((x - x[0] >= margin - 1e-12) & (x[-1] - x >= margin - 1e-12))[0]
     it = np.where((ts - ts[0] >= r - 1e-12) & (ts[-1] - ts >= r - 1e-12))[0]
-    out = np.empty((it.size, ix.size))
+    mask = _offset_masks(ts.size, x.size,
+                         lambda di, dj: xi_contains(shape, di * hx, dj * ht, closed=True))
+    work = vals if kind == "sup" else -vals
+    dual = np.empty((it.size, ix.size), dtype=np.int64)
     for a, j in enumerate(it):
         for b, i in enumerate(ix):
-            best = -np.inf if kind == "sup" else np.inf
-            for jj in range(len(ts)):
-                for ii in range(len(x)):
-                    if xi_contains(shape, (ii - i) * hx, (jj - j) * ht, closed=True):
-                        v = vals[jj, ii]
-                        best = max(best, v) if kind == "sup" else min(best, v)
-            out[a, b] = best
-    return out
+            dual[a, b] = np.argmax(np.where(_body(mask, j, i), work, -np.inf))
+    return vals.ravel()[dual], dual
+
+
+def brute_force_envelopes(field, radii):
+    """Per-node min over radii of the max (and max over radii of the min) over
+    grid samples in the disc (di hx)^2 + (dj ht)^2 <= r^2, cut at the grid."""
+    hx = field.x[1] - field.x[0]
+    ht = field.times[1] - field.times[0]
+    vals = field.values
+    nt, nx = vals.shape
+    upper = np.full_like(vals, np.inf)
+    lower = np.full_like(vals, -np.inf)
+    for r in radii:
+        mask = _offset_masks(nt, nx, lambda di, dj: (di * hx) ** 2 + (dj * ht) ** 2 <= r * r)
+        for j in range(nt):
+            for i in range(nx):
+                disc = vals[_body(mask, j, i)]
+                upper[j, i] = min(upper[j, i], disc.max())
+                lower[j, i] = max(lower[j, i], disc.min())
+    return upper, lower
+
+
+def reference_ball_check(conv, level):
+    """The interior-ball check as a scalar loop over boundary nodes and
+    stencil points."""
+    hx, ht = conv.base.require_uniform()
+    vals = conv.values
+    inset = vals >= 0.0 if level == "Z>=0" else vals <= 0.0
+    nt, nx = vals.shape
+    boundary = [(j, i) for j in range(nt) for i in range(nx) if inset[j, i] and any(
+        0 <= j + a < nt and 0 <= i + b < nx and not inset[j + a, i + b]
+        for a, b in ((-1, 0), (1, 0), (0, -1), (0, 1)))]
+    if len(boundary) > 200:
+        boundary = boundary[::len(boundary) // 200 + 1]
+    stencil = _xi_stencil(conv.r, hx, ht).tolist()
+    checked = violations = 0
+    for j, i in boundary:
+        dj, di = divmod(int(conv.dual_index[j, i]), conv.base.x.size)
+        ref = vals[j, i]
+        for doff, soff in stencil:
+            jj = dj + doff - conv.t_slice.start
+            ii = di + soff - conv.x_slice.start
+            if not (0 <= jj < nt and 0 <= ii < nx):
+                continue
+            checked += 1
+            if level == "Z>=0" and vals[jj, ii] < ref - 1e-12:
+                violations += 1
+            if level == "W<=0" and vals[jj, ii] > ref + 1e-12:
+                violations += 1
+    return checked, violations
 
 
 def small_random_field(seed=0, nx=41, nt=29):
@@ -50,8 +114,29 @@ class TestConvolution:
         r = 0.21
         for kind, fn in (("sup", sup_convolve), ("inf", inf_convolve)):
             got = fn(fld, r)
-            want = brute_force_convolve(fld, r, kind)
+            want, dual = brute_force_convolve(fld, r, kind)
             assert np.array_equal(got.values, want)
+            assert np.array_equal(got.dual_index, dual)
+
+    def test_ties_take_smallest_flat_index(self):
+        # integer levels: many samples of a body attain the extremum
+        rng = np.random.default_rng(11)
+        x = np.linspace(0.0, 2.0, 41)
+        ts = np.linspace(0.0, 1.4, 29)
+        fld = GridField(x, ts, rng.integers(-2, 3, (29, 41)).astype(float))
+        for kind, fn in (("sup", sup_convolve), ("inf", inf_convolve)):
+            want, dual = brute_force_convolve(fld, 0.21, kind)
+            got = fn(fld, 0.21)
+            assert np.array_equal(got.values, want)
+            assert np.array_equal(got.dual_index, dual)
+
+    def test_rejects_non_finite_samples(self):
+        fld = small_random_field()
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = fld.values.copy()
+            vals[3, 4] = bad
+            with pytest.raises(ValueError):
+                GridField(fld.x, fld.times, vals)
 
     def test_constant_field(self):
         x = np.linspace(0, 1, 41)
@@ -115,8 +200,9 @@ class TestConvolution:
         fld = GridField(x, ts, vals)
         r = 0.5
         Z = sup_convolve(fld, r)
-        want = brute_force_convolve(fld, r, "sup")
+        want, dual = brute_force_convolve(fld, r, "sup")
         assert np.array_equal(Z.values, want)
+        assert np.array_equal(Z.dual_index, dual)
         # closed form at interior times: -max(|x| - slice reach, 0)
         reach = r + (r * r) ** (1 / 3)
         mid = Z.values[Z.values.shape[0] // 2]
@@ -190,6 +276,20 @@ class TestEnvelopes:
         assert np.all(v.values <= up.values)
         assert np.array_equal(v.values, fld.values)
 
+    def test_matches_disc_oracle(self):
+        rng = np.random.default_rng(12)
+        x = np.linspace(0.0, 1.0, 23)
+        ts = np.linspace(0.0, 0.6, 17)
+        for vals in (rng.standard_normal((17, 23)),
+                     rng.integers(-2, 3, (17, 23)).astype(float)):
+            fld = GridField(x, ts, vals)
+            for radii in ([0.05], [0.3, 0.12], [0.2, 0.1, 0.07]):
+                up, lo, v = essential_envelopes(fld, radii)
+                want_up, want_lo = brute_force_envelopes(fld, radii)
+                assert np.array_equal(up.values, want_up)
+                assert np.array_equal(lo.values, want_lo)
+                assert np.array_equal(v.values, vals)
+
 
 class TestInteriorBall:
     def test_indicator_ball(self):
@@ -221,3 +321,23 @@ class TestInteriorBall:
         Z = sup_convolve(GridField(x, ts, np.ones((41, 41))), 0.15)
         rep = interior_ball_check(Z, "Z>=0")
         assert rep.passed  # level set has no boundary nodes
+
+    def test_matches_scalar_reference(self):
+        # the indicator ball, then the same dual points with perturbed values,
+        # so that the body around a dual point leaves the level set
+        x = np.linspace(-1, 1, 81)
+        ts = np.linspace(0, 1, 81)
+        X, T = np.meshgrid(x, ts)
+        vals = np.where((np.abs(X) <= 0.3) & (np.abs(T - 0.5) <= 0.2), 1.0, -1.0)
+        rng = np.random.default_rng(13)
+        seen_violations = False
+        for fn, level in ((sup_convolve, "Z>=0"), (inf_convolve, "W<=0")):
+            conv = fn(GridField(x, ts, vals if level == "Z>=0" else -vals), 0.12)
+            noisy = replace(conv, values=conv.values
+                            + 0.05 * rng.standard_normal(conv.values.shape))
+            for c in (conv, noisy):
+                rep = interior_ball_check(c, level)
+                assert (rep.checked, rep.violations) == reference_ball_check(c, level)
+                assert rep.passed == (rep.violations == 0)
+                seen_violations |= rep.violations > 0
+        assert seen_violations

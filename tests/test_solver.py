@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -143,6 +143,14 @@ class TestHorizon:
         with pytest.raises(ValueError):
             interval_spec(dt=0.0)
         assert interval_spec(T=0.1, dt=0.025).steps == 4
+
+    def test_spec_is_frozen(self):
+        # assignment would bypass the whole-steps check; replace() re-runs it
+        spec = interval_spec(T=0.1, dt=0.025)
+        with pytest.raises(FrozenInstanceError):
+            spec.dt = 0.03
+        with pytest.raises(ValueError):
+            replace(spec, dt=0.03)
 
     def test_every_step_recorded_up_to_horizon(self):
         spec = interval_spec(T=0.0125, grid=101)
