@@ -384,8 +384,10 @@ def eval_logdiv_barrier(bar: LogDivBarrier, x_norm: float, t: float):
 @dataclass(frozen=True)
 class ParabolaBarrier:
     """variant "decr-parabola": phi = (-t/(2 gamma) - 4 |x|^2 + 1)_+ with
-    gamma = min(1/(16 n lam + 8 d1 + 2 d0), 1); a parabolic-problem
-    subsolution.
+    gamma = min(1/(16 n Lam + 8 d1 + 4 d0), 1); a parabolic-problem
+    subsolution.  On the verified window |x| <= 1/2, -2 gamma <= t <= 0,
+    phi <= 2 and M^-(D^2 phi) = M^-(-8 I) = -8 n Lam, so phi_t = -1/(2 gamma)
+    stays below the lower envelope when 1/(2 gamma) >= 8 n Lam + 4 d1 + 2 d0.
 
     variant "eps-eta": psi = (4 M / eps)(4 n Lam t + |x|^2 + eta); a
     parabolic-problem supersolution on its positivity set.
@@ -404,7 +406,7 @@ class ParabolaBarrier:
 
 
 def make_parabola_barrier(op: OperatorSpec) -> ParabolaBarrier:
-    gamma = min(1.0 / (16 * op.n_dim * op.lam + 8 * op.delta1 + 2 * op.delta0), 1.0)
+    gamma = min(1.0 / (16 * op.n_dim * op.Lam + 8 * op.delta1 + 4 * op.delta0), 1.0)
     return ParabolaBarrier(variant="decr-parabola", n_dim=op.n_dim, lam=op.lam,
                            Lam=op.Lam, delta1=op.delta1, delta0=op.delta0,
                            gamma=gamma)
@@ -498,19 +500,18 @@ def _verify_logdiv(bar: LogDivBarrier, samples, rng):
     psi, bspec = bar.psi_spec, bar.bspec
     n = bar.n_dim
     tau = bar.rho0 / (2 * bar.omega) if bar.omega > 0 else 1.0
-    worst = math.inf
-    for _ in range(samples):
-        s = bar.eta * rng.random()
-        if s == 0.0:
-            continue
-        t = tau * (2 * rng.random() - 1) * 0.5
-        rho = bar.rho0 + bar.omega * t + s
-        val, d1v, d2v = (float(v) for v in bar.profile(s))
-        F = divergence_expanded(psi, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
-        residual = -bar.omega * float(b_derivative(bspec, val)) * d1v - F
-        worst = min(worst, residual)
+    draws = rng.random((samples, 2))
+    s = bar.eta * draws[:, 0]
+    keep = s != 0.0
+    s = s[keep]
+    t = tau * (2 * draws[keep, 1] - 1) * 0.5
+    rho = bar.rho0 + bar.omega * t + s
+    val, d1v, d2v = bar.profile(s)
+    F = divergence_expanded(psi, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
+    residual = -bar.omega * b_derivative(bspec, val) * d1v - F
+    worst = float(np.min(residual, initial=math.inf))
     return MarginReport(family="logdiv", sense="super", samples=samples,
-                        worst_margin=float(worst), flux_gap=None,
+                        worst_margin=worst, flux_gap=None,
                         passed=worst > 0)
 
 
@@ -526,35 +527,34 @@ def _verify_heatkernel(bar: HeatKernelBarrier, samples):
 
 def _verify_parabola(bar: ParabolaBarrier, samples, rng):
     n, lam, Lam, d1, d0 = bar.n_dim, bar.lam, bar.Lam, bar.delta1, bar.delta0
-    worst = math.inf
+    draws = rng.random((samples, 2))
     if bar.variant == "decr-parabola":
         # support: 4|x|^2 <= 1 - t/(2 gamma) truncated to |x| <= 1/2, t <= 0
-        for _ in range(samples):
-            x = 0.5 * rng.random()
-            t = -2 * bar.gamma * rng.random()
-            val = -t / (2 * bar.gamma) - 4 * x * x + 1
-            if val <= 0:
-                continue
-            F_env = structural_envelope([-8.0] * n, 8 * x, val, lam, Lam, d1, d0, "sub")
-            res = -1.0 / (2 * bar.gamma) - F_env
-            worst = min(worst, -res)
+        x = 0.5 * draws[:, 0]
+        t = -2 * bar.gamma * draws[:, 1]
+        val = -t / (2 * bar.gamma) - 4 * x * x + 1
+        keep = val > 0
+        F_env = structural_envelope([-8.0] * n, 8 * x[keep], val[keep],
+                                    lam, Lam, d1, d0, "sub")
+        res = -1.0 / (2 * bar.gamma) - F_env
+        worst = float(np.min(-res, initial=math.inf))
+        # gamma makes the inequality tight at x = 0 when delta1 = delta0 = 0,
+        # so rounding alone can leave the margin a few ulps below zero
         return MarginReport(family="parabola", sense="sub", samples=samples,
-                            worst_margin=float(worst), flux_gap=None,
-                            passed=worst >= 0)
+                            worst_margin=worst, flux_gap=None,
+                            passed=worst >= -1e-10)
     # eps-eta supersolution
     A = 4 * bar.M / bar.eps
-    for _ in range(samples):
-        x = math.sqrt(bar.eps) * rng.random()
-        t = -bar.eps / (8 * n * Lam) * rng.random()
-        val = A * (4 * n * Lam * t + x * x + bar.eta)
-        if val <= 0:
-            continue
-        dt = A * 4 * n * Lam
-        F_env = structural_envelope([2 * A] * n, 2 * A * x, val, lam, Lam, d1, d0, "super")
-        res = dt - F_env
-        worst = min(worst, res)
+    x = math.sqrt(bar.eps) * draws[:, 0]
+    t = -bar.eps / (8 * n * Lam) * draws[:, 1]
+    val = A * (4 * n * Lam * t + x * x + bar.eta)
+    keep = val > 0
+    dt = A * 4 * n * Lam
+    F_env = structural_envelope([2 * A] * n, 2 * A * x[keep], val[keep],
+                                lam, Lam, d1, d0, "super")
+    worst = float(np.min(dt - F_env, initial=math.inf))
     return MarginReport(family="parabola", sense="super", samples=samples,
-                        worst_margin=float(worst), flux_gap=None,
+                        worst_margin=worst, flux_gap=None,
                         passed=worst > 0)
 
 

@@ -52,7 +52,7 @@ def _write_front_csv(path, field):
 
 
 def _cmd_solve(args):
-    from .solver import SolverPolicy, run
+    from .solver import SolverPolicy, max_principle_bounds, run
 
     spec = problem_from_config(load_config(args.config))
     out = args.out
@@ -60,9 +60,7 @@ def _cmd_solve(args):
     field = run(spec, SolverPolicy())
     write_field_csv(os.path.join(out, "field.csv"), field.to_grid_field())
     _write_front_csv(os.path.join(out, "front.csv"), field)
-    glo, ghi = spec.boundary(0.0)
-    lower = min(float(field.values[0].min()), glo, ghi)
-    upper = max(float(field.values[0].max()), glo, ghi, 0.0)
+    lower, upper = max_principle_bounds(spec, field.values[0], 0.0)
     summary = {
         "extinction_time": field.extinction_time,
         "max_principle": {
@@ -151,24 +149,21 @@ def _cmd_verify_barrier(args):
 
 def _cmd_envelope(args):
     fld = read_field_csv(getattr(args, "in"))
-    conv = sup_convolve(fld, args.r) if args.kind == "sup" else inf_convolve(fld, args.r)
+    convolve = sup_convolve if args.kind == "sup" else inf_convolve
+    try:
+        conv = convolve(fld, args.r)
+    except ValueError as exc:
+        raise ConfigError(f"--r {args.r}: {exc}") from exc
     write_field_csv(args.out, GridField(conv.x, conv.times, conv.values))
     return 0
 
 
 def _cmd_crossing(args):
-    zf = read_field_csv(args.z)
-    wf = read_field_csv(args.w)
-    if zf.values.shape != wf.values.shape or not np.array_equal(zf.times, wf.times):
-        raise ConfigError("crossing inputs live on different grids")
-    # rebuild lightweight convolved wrappers so the shared detector applies
-    from .regularize import ConvolvedField
-
-    mk = lambda f, kind: ConvolvedField(base=f, r=0.0, kind=kind, x=f.x,
-                                        times=f.times, values=f.values,
-                                        dual_index=np.zeros_like(f.values, dtype=np.int64),
-                                        x_slice=slice(None), t_slice=slice(None))
-    rep = crossing_time(mk(zf, "sup"), mk(wf, "inf"))
+    zf, wf = read_field_csv(args.z), read_field_csv(args.w)
+    try:
+        rep = crossing_time(zf, wf)
+    except ValueError as exc:
+        raise ConfigError(f"crossing inputs: {exc}") from exc
     print(json.dumps({"t0": rep.t0,
                       "contact_nodes": rep.contact_nodes.tolist()}))
     return 0

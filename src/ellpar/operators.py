@@ -81,21 +81,25 @@ class OperatorSpec:
             object.__setattr__(self, "psi", PsiSpec("constant", (1.0,)))
 
 
-def pucci_plus(eigs, lam: float, Lam: float) -> float:
+def _pucci(eigs, lam, Lam, cpos, cneg):
+    """cpos * (sum of positive eigenvalues) + cneg * (sum of negative ones)
+    over the last axis of eigs (..., n); a float for one eigenvalue vector."""
+    if lam > Lam:
+        raise ValueError("need lambda <= Lambda")
+    e = np.asarray(eigs, dtype=float)
+    out = cpos * np.where(e > 0, e, 0.0).sum(-1) + cneg * np.where(e < 0, e, 0.0).sum(-1)
+    return out if out.ndim else float(out)
+
+
+def pucci_plus(eigs, lam: float, Lam: float):
     """Maximal Pucci operator: Lam * sum of positive eigenvalues plus
-    lam * sum of negative ones."""
-    if lam > Lam:
-        raise ValueError("need lambda <= Lambda")
-    e = np.asarray(eigs, dtype=float)
-    return float(Lam * e[e > 0].sum() + lam * e[e < 0].sum())
+    lam * sum of negative ones, over the last axis of eigs (..., n)."""
+    return _pucci(eigs, lam, Lam, Lam, lam)
 
 
-def pucci_minus(eigs, lam: float, Lam: float) -> float:
+def pucci_minus(eigs, lam: float, Lam: float):
     """Minimal Pucci operator; satisfies pucci_minus(e) = -pucci_plus(-e)."""
-    if lam > Lam:
-        raise ValueError("need lambda <= Lambda")
-    e = np.asarray(eigs, dtype=float)
-    return float(lam * e[e > 0].sum() + Lam * e[e < 0].sum())
+    return _pucci(eigs, lam, Lam, lam, Lam)
 
 
 def _inf_sup(groups, entry):
@@ -118,33 +122,33 @@ def _inf_sup(groups, entry):
 
 def divergence_expanded(psi: PsiSpec, bspec: Optional[BSpec], z, laplacian, grad_sq):
     """Expanded conservative form Psi(b(z)) lap u + Psi'(b(z)) b'(z) |Du|^2 of
-    div(Psi(b(u)) Du)."""
+    div(Psi(b(u)) Du); elementwise over broadcast arguments."""
     bspec = bspec or BSpec("positive-part")
-    y = float(b_eval(bspec, z))
-    return float(
-        psi_eval(psi, y) * laplacian
-        + psi_derivative(psi, y) * b_derivative(bspec, z) * grad_sq
-    )
+    y = b_eval(bspec, z)
+    return (psi_eval(psi, y) * laplacian
+            + psi_derivative(psi, y) * b_derivative(bspec, z) * grad_sq)
 
 
-def operator_full_eval(op: OperatorSpec, M, p, z: float, bspec: Optional[BSpec] = None) -> float:
-    """Evaluate F(M, p, z) on a full symmetric matrix argument."""
+def operator_full_eval(op: OperatorSpec, M, p, z, bspec: Optional[BSpec] = None):
+    """Evaluate F(M, p, z) on symmetric matrices M (..., n, n), gradients
+    p (..., n) and values z (...), broadcast over the leading axes: a float
+    for one argument, an array of the leading shape for a stack."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if op.kind == "trace":
-        return float(op.lam * np.trace(M))
     if op.kind in ("pucci-plus", "pucci-minus"):
-        eigs = np.linalg.eigvalsh(M)
         f = pucci_plus if op.kind == "pucci-plus" else pucci_minus
-        return f(eigs, op.lam, op.Lam)
-    if op.kind == "bellman-isaacs":
-        z = float(z)
-
+        out = f(np.linalg.eigvalsh(M), op.lam, op.Lam)
+    elif op.kind == "bellman-isaacs":
         def entry(A, drift, zeroth):
-            return (float(np.trace(A @ M) + np.dot(drift, p) + zeroth * z),)
+            return (np.trace(A @ M, axis1=-2, axis2=-1) + np.vecdot(drift, p) + zeroth * z,)
 
-        return float(_inf_sup(op.bi_entries, entry)[0])
-    return divergence_expanded(op.psi, bspec, z, np.trace(M), float(p @ p))
+        out = _inf_sup(op.bi_entries, entry)[0]
+    elif op.kind == "trace":
+        out = op.lam * np.trace(M, axis1=-2, axis2=-1)
+    else:
+        out = divergence_expanded(op.psi, bspec, z, np.trace(M, axis1=-2, axis2=-1),
+                                  np.vecdot(p, p))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -304,18 +308,14 @@ class StructuralReport:
 
 def structural_envelope(eigs, grad_norm, z, lam, Lam, delta1, delta0, sense):
     """Extremal operator of the structural class (lam, Lam, delta1, delta0)
-    at Hessian eigenvalues eigs, gradient norm |p| and value z: the lower
-    envelope M^-(eigs) - (delta1 |p| + delta0 |z|) for sense "sub", the upper
-    envelope M^+(eigs) + (delta1 |p| + delta0 |z|) for sense "super"."""
+    at Hessian eigenvalues eigs (..., n), gradient norms |p| (...) and values
+    z (...): the lower envelope M^-(eigs) - (delta1 |p| + delta0 |z|) for
+    sense "sub", the upper envelope M^+(eigs) + (delta1 |p| + delta0 |z|) for
+    sense "super"; broadcast over the leading axes."""
     slack = delta1 * grad_norm + delta0 * abs(z)
     if sense == "sub":
         return pucci_minus(eigs, lam, Lam) - slack
     return pucci_plus(eigs, lam, Lam) + slack
-
-
-def _random_symmetric(rng, n):
-    A = rng.standard_normal((n, n))
-    return 0.5 * (A + A.T)
 
 
 def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,
@@ -325,36 +325,32 @@ def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,
         M^-(M-N) - d1|p-q| - d0|z-w| <= F(M,p,z) - F(N,q,w)
                                      <= M^+(M-N) + d1|p-q| + d0|z-w|.
 
-    Violations are reported, not raised.  The worst margin is the most
-    negative slack over both inequalities (nonnegative slack = pass).
+    Row k of one standard-normal block holds trial k's M, N (symmetrized),
+    p, q, z and w, in that order.  Violations are reported, not raised.  The
+    worst margin is the most negative slack over both inequalities
+    (nonnegative slack = pass).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    n = min(op.n_dim, 3)
+    n = op.n_dim
     lam, Lam = (op.lam, op.lam) if op.kind == "trace" else (op.lam, op.Lam)
-    worst = np.inf
-    violations = 0
-    for _ in range(trials):
-        M = _random_symmetric(rng, n)
-        N = _random_symmetric(rng, n)
-        p = rng.standard_normal(n)
-        q = rng.standard_normal(n)
-        z, w = rng.standard_normal(2)
-        dF = operator_full_eval(op, M, p, z) - operator_full_eval(op, N, q, w)
-        eigs = np.linalg.eigvalsh(M - N)
-        gap = (eigs, np.linalg.norm(p - q), z - w, lam, Lam, op.delta1, op.delta0)
-        lo = structural_envelope(*gap, "sub")
-        hi = structural_envelope(*gap, "super")
-        margin = min(dF - lo, hi - dF)
-        if margin < worst:
-            worst = margin
-        if margin < -1e-10:
-            violations += 1
+    draws = rng.standard_normal((trials, 2 * n * n + 2 * n + 2))
+    M, N = draws[:, :2 * n * n].reshape(trials, 2, n, n).swapaxes(0, 1)
+    M, N = 0.5 * (M + M.swapaxes(-1, -2)), 0.5 * (N + N.swapaxes(-1, -2))
+    p, q = draws[:, 2 * n * n:-2].reshape(trials, 2, n).swapaxes(0, 1)
+    z, w = draws[:, -2], draws[:, -1]
+    dF = operator_full_eval(op, M, p, z) - operator_full_eval(op, N, q, w)
+    # np.vecdot keeps the per-row rounding of np.linalg.norm
+    gap = (np.linalg.eigvalsh(M - N), np.sqrt(np.vecdot(p - q, p - q)), z - w,
+           lam, Lam, op.delta1, op.delta0)
+    margin = np.minimum(dF - structural_envelope(*gap, "sub"),
+                        structural_envelope(*gap, "super") - dF)
+    violations = int(np.count_nonzero(margin < -1e-10))
     return StructuralReport(
         kind=op.kind,
         trials=trials,
         passed=violations == 0,
-        worst_margin=float(worst),
+        worst_margin=float(margin.min()),
         violations=violations,
     )

@@ -143,13 +143,15 @@ class CrossingReport:
     contact_nodes: np.ndarray
 
 
-def crossing_time(Z: ConvolvedField, W: ConvolvedField) -> CrossingReport:
+def crossing_time(Z, W) -> CrossingReport:
     """First time level at which min(W - Z) <= 0, with the arg-node contact
-    set; t0 is None if W stays strictly above Z through the horizon."""
-    if Z.kind != "sup" or W.kind != "inf":
-        raise ValueError("expected a (sup, inf) pair")
-    if Z.values.shape != W.values.shape or not np.array_equal(Z.times, W.times):
-        raise ValueError("convolved fields live on different grids")
+    set; t0 is None if W stays strictly above Z through the horizon.
+
+    Z and W are any two fields (GridField or ConvolvedField) on one grid,
+    typically a sup-convolution Z and an inf-convolution W; a ValueError
+    reports fields on different grids."""
+    if not (np.array_equal(Z.x, W.x) and np.array_equal(Z.times, W.times)):
+        raise ValueError("fields live on different grids")
     gap = W.values - Z.values
     level_min = gap.min(axis=1)
     hit = np.where(level_min <= 0.0)[0]

@@ -29,6 +29,7 @@ __all__ = [
     "solve_elliptic",
     "step_parabolic",
     "run",
+    "max_principle_bounds",
     "singular_limit_study",
     "bracket_maximal_minimal",
     "perturb_initial_data",
@@ -329,12 +330,14 @@ def _front_locations(x, values):
     return [flat[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
-def _max_principle_ok(spec: ProblemSpec, u_prev, u, t_next, tol):
-    glo, ghi = spec.boundary(t_next)
+def max_principle_bounds(spec: ProblemSpec, u, t):
+    """Bounds (lo, hi) that the maximum principle puts on a step from u to
+    time t: the range of u and of the Dirichlet data read at t (a reflecting
+    inner boundary reads none), widened to include 0 from above."""
+    glo, ghi = spec.boundary(t)
     gvals = [ghi] if spec.geometry.reflect_inner else [glo, ghi]
-    lo = min(float(np.min(u_prev)), min(gvals))
-    hi = max(float(np.max(u_prev)), max(gvals), 0.0)
-    return bool(np.all(u >= lo - tol) and np.all(u <= hi + tol))
+    return (min(float(np.min(u)), min(gvals)),
+            max(float(np.max(u)), max(gvals), 0.0))
 
 
 def _advance(spec, u, t, dt, policy, depth=0):
@@ -344,7 +347,9 @@ def _advance(spec, u, t, dt, policy, depth=0):
     failure = None
     try:
         u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
-        if _max_principle_ok(spec, u, u_new, t + dt, policy.max_principle_tol):
+        lo, hi = max_principle_bounds(spec, u, t + dt)
+        tol = policy.max_principle_tol
+        if np.all(u_new >= lo - tol) and np.all(u_new <= hi + tol):
             return u_new, iters, 1
     except NewtonFailure as exc:
         failure = exc

@@ -17,8 +17,8 @@ from ellpar.barriers import (
     solve_radial_barrier,
     verify_subsolution_margin,
 )
-from ellpar.nonlinearity import BSpec, PsiSpec
-from ellpar.operators import OperatorSpec
+from ellpar.nonlinearity import BSpec, PsiSpec, b_derivative
+from ellpar.operators import OperatorSpec, divergence_expanded, structural_envelope
 
 
 OP = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.2, delta1=0.5,
@@ -143,8 +143,23 @@ class TestParabolaBarriers:
     def test_decr_parabola_margin(self):
         op = OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=2)
         bar = make_parabola_barrier(op)
+        assert bar.gamma == 1 / 32
         rep = verify_subsolution_margin(bar, op, samples=500, seed=3)
         assert rep.passed
+        # gamma must follow Lambda and 2 delta_0 |phi| with phi <= 2; with
+        # delta = 0 the margin is 0 in exact arithmetic, and on a non-dyadic
+        # Lambda it can round below zero (tight does at seed 0)
+        tight = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.8, n_dim=1)
+        for op in (OP,
+                   OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=2),
+                   OperatorSpec(kind="trace", lam=1.0, Lam=1.0, delta0=1.0, n_dim=2),
+                   OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.2, n_dim=3),
+                   OperatorSpec(kind="pucci-minus", lam=1.0, Lam=3.45, n_dim=2),
+                   tight):
+            rep = verify_subsolution_margin(make_parabola_barrier(op), op,
+                                            samples=2000, seed=0)
+            assert rep.passed, (op, rep.worst_margin)
+        assert -1e-12 < rep.worst_margin < 0
 
     def test_eps_eta_smallness_enforced(self):
         op = OperatorSpec(kind="trace", lam=1.0, Lam=1.0, delta1=2.0,
@@ -154,6 +169,74 @@ class TestParabolaBarriers:
         ok = make_eps_eta_barrier(op, M=1.0, eps=0.01, eta=0.001)
         rep = verify_subsolution_margin(ok, op, samples=500, seed=3)
         assert rep.passed
+
+
+def _reference_parabola_margin(bar, samples, seed):
+    """Worst margin of the parabola barriers, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    n, lam, Lam, d1, d0 = bar.n_dim, bar.lam, bar.Lam, bar.delta1, bar.delta0
+    worst = math.inf
+    A = 4 * bar.M / bar.eps
+    for _ in range(samples):
+        if bar.variant == "decr-parabola":
+            x = 0.5 * rng.random()
+            t = -2 * bar.gamma * rng.random()
+            val = -t / (2 * bar.gamma) - 4 * x * x + 1
+            if val <= 0:
+                continue
+            F_env = structural_envelope([-8.0] * n, 8 * x, val, lam, Lam, d1, d0, "sub")
+            worst = min(worst, -(-1.0 / (2 * bar.gamma) - F_env))
+        else:
+            x = math.sqrt(bar.eps) * rng.random()
+            t = -bar.eps / (8 * n * Lam) * rng.random()
+            val = A * (4 * n * Lam * t + x * x + bar.eta)
+            if val <= 0:
+                continue
+            F_env = structural_envelope([2 * A] * n, 2 * A * x, val, lam, Lam, d1, d0, "super")
+            worst = min(worst, A * 4 * n * Lam - F_env)
+    return worst
+
+
+def _reference_logdiv_margin(bar, samples, seed):
+    """Worst supersolution residual of a log barrier, one sample at a time."""
+    rng = np.random.default_rng(seed)
+    psi, bspec, n = bar.psi_spec, bar.bspec, bar.n_dim
+    tau = bar.rho0 / (2 * bar.omega) if bar.omega > 0 else 1.0
+    worst = math.inf
+    for _ in range(samples):
+        s = bar.eta * rng.random()
+        t = tau * (2 * rng.random() - 1) * 0.5
+        if s == 0.0:
+            continue
+        rho = bar.rho0 + bar.omega * t + s
+        val, d1v, d2v = (float(v) for v in bar.profile(s))
+        F = divergence_expanded(psi, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
+        worst = min(worst, -bar.omega * float(b_derivative(bspec, val)) * d1v - F)
+    return worst
+
+
+class TestBatchedMargins:
+    def test_parabola_matches_scalar_reference(self):
+        ops = (OP, OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=2),
+               OperatorSpec(kind="pucci-plus", lam=0.5, Lam=2.0, delta1=0.1, n_dim=1))
+        for op in ops:
+            bars = [make_parabola_barrier(op),
+                    make_eps_eta_barrier(op, M=1.0, eps=0.01, eta=0.001)]
+            for bar in bars:
+                for seed in (0, 1, 2):
+                    rep = verify_subsolution_margin(bar, op, samples=400, seed=seed)
+                    assert rep.worst_margin == _reference_parabola_margin(bar, 400, seed)
+
+    def test_logdiv_matches_scalar_reference(self):
+        cases = ((PsiSpec("polynomial", (1.0, 0.5)), BSpec(), 0.5),
+                 (PsiSpec("constant", (2.0,)), BSpec(), 0.0),
+                 (PsiSpec("polynomial", (1.0, 0.3, 0.2)),
+                  BSpec("lipschitz-table", (0.0, 0.5), (1.0, 2.0)), 0.5))
+        for psi, bspec, omega in cases:
+            bar = solve_logdiv_barrier(psi, bspec, omega=omega, rho0=1.0, M=1.0, n_dim=3)
+            for seed in (0, 1, 5):
+                rep = verify_subsolution_margin(bar, None, samples=400, seed=seed)
+                assert rep.worst_margin == _reference_logdiv_margin(bar, 400, seed)
 
 
 def _reference_positive_intervals(x, u):

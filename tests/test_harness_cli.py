@@ -21,6 +21,7 @@ from ellpar.harness import (
     validate_class_P,
 )
 from ellpar.regularize import GridField
+from ellpar.solver import max_principle_bounds
 
 JUMP_CFG = """
 # jump scenario
@@ -271,6 +272,42 @@ class TestCLI:
             assert main(["crossing", "--z", good, "--w", bad]) == 2
         assert not (tmp_path / "o.csv").exists()
 
+    def test_envelope_radius_out_of_range_exit_2(self, tmp_path, capsys):
+        x = np.linspace(-1, 1, 41)
+        fin = str(tmp_path / "in.csv")
+        write_field_csv(fin, GridField(x, x, np.ones((41, 41))))
+        # r = 0.05 is finer than 4 grid spacings; r = 5 leaves no shrunk grid
+        for r in ("0.05", "5"):
+            assert main(["envelope", "--in", fin, "--r", r,
+                         "--out", str(tmp_path / "o.csv")]) == 2
+            assert "--r" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_crossing_grid_mismatch_exit_2(self, tmp_path):
+        x = np.linspace(-1, 1, 41)
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        write_field_csv(a, GridField(x, x, np.ones((41, 41))))
+        write_field_csv(b, GridField(x, x[:-1], np.ones((40, 41))))
+        assert main(["crossing", "--z", a, "--w", b]) == 2
+        assert main(["crossing", "--z", a, "--w", a]) == 0
+
+    def test_solve_bounds_match_solver_on_reflecting_ball(self, tmp_path):
+        # the punctured ball reflects at its inner radius, so g.lo is never
+        # read and must not widen the reported bounds
+        p = tmp_path / "ball.cfg"
+        p.write_text("geometry.kind = radial-ball-punctured\ngrid.lo = 0.05\n"
+                     "grid.hi = 1.0\ngrid.n = 41\nop.n_dim = 3\ng.lo = 5.0\n"
+                     "g.hi = -1.0\ntime.T = 0.01\ntime.dt = 2.5e-3\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+        with open(out / "summary.json") as fh:
+            bounds = json.load(fh)["max_principle"]
+        spec = problem_from_config(load_config(p))
+        u0 = spec.initial_values()
+        assert (bounds["lower_bound"], bounds["upper_bound"]) == \
+            max_principle_bounds(spec, u0, 0.0) == (-1.0, float(u0.max()))
+        assert bounds["upper_bound"] < 5.0
+
     def test_compare_rejects_keys_it_does_not_read(self, tmp_path, capsys):
         # compare reads only grid.n and b.n; time.T would be silently ignored
         p = tmp_path / "compare.cfg"
@@ -284,8 +321,9 @@ class TestCLI:
                      "op.delta1 = 0.5\nop.delta0 = 0.2\nop.n_dim = 3\n"
                      "barrier.rho0 = 1.0\nbarrier.a_hat = 1.0\n"
                      "barrier.b_hat = -0.5\nbarrier.omega_hat = 0.3\n")
-        assert main(["verify-barrier", "--family", "radial",
-                     "--config", str(p)]) == 0
+        for family in ("radial", "parabola"):
+            assert main(["verify-barrier", "--family", family,
+                         "--config", str(p)]) == 0
 
     def test_accept_subset(self, tmp_path):
         rep = str(tmp_path / "report.json")

@@ -12,6 +12,7 @@ from ellpar.operators import (
     pucci_minus,
     pucci_plus,
     radial_second_order,
+    structural_envelope,
     structural_envelope_check,
 )
 
@@ -20,18 +21,14 @@ def brute_force_pucci(M, lam, Lam, n_samples=4000, seed=0):
     """sup / inf of tr(A M) over sampled A in [lam I, Lam I]."""
     rng = np.random.default_rng(seed)
     n = M.shape[0]
-    sup = -np.inf
-    inf = np.inf
-    for _ in range(n_samples):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        # bias eigenvalues toward the extreme points where the optimum sits
-        mu = np.where(rng.random(n) < 0.45, lam,
-                      np.where(rng.random(n) < 0.8, Lam, rng.uniform(lam, Lam, n)))
-        A = (Q * mu) @ Q.T
-        v = float(np.trace(A @ M))
-        sup = max(sup, v)
-        inf = min(inf, v)
-    return sup, inf
+    Q, _ = np.linalg.qr(rng.standard_normal((n_samples, n, n)))
+    # bias eigenvalues toward the extreme points where the optimum sits
+    shape = (n_samples, n)
+    mu = np.where(rng.random(shape) < 0.45, lam,
+                  np.where(rng.random(shape) < 0.8, Lam, rng.uniform(lam, Lam, shape)))
+    A = (Q * mu[:, None, :]) @ Q.swapaxes(-1, -2)
+    v = np.einsum("kij,ji->k", A, M)
+    return float(v.max()), float(v.min())
 
 
 class TestPucci:
@@ -241,13 +238,11 @@ class TestStructuralEnvelope:
         assert rep.passed  # sanity: the genuine operator passes
         worse = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=1.2, n_dim=2)
         # evaluate the 4.0 operator against the tighter class: must fail
-        from ellpar.operators import _random_symmetric  # noqa
-
         rng = np.random.default_rng(0)
         violated = False
         for _ in range(200):
-            M = _random_symmetric(rng, 2)
-            N = _random_symmetric(rng, 2)
+            M, N = (0.5 * (A + A.T) for A in (rng.standard_normal((2, 2)),
+                                              rng.standard_normal((2, 2))))
             dF = (operator_full_eval(bad, M, np.zeros(2), 0.0)
                   - operator_full_eval(bad, N, np.zeros(2), 0.0))
             eigs = np.linalg.eigvalsh(M - N)
@@ -255,3 +250,82 @@ class TestStructuralEnvelope:
                 violated = True
                 break
         assert violated
+
+    def test_out_of_class_operator_fails(self):
+        # a Bellman-Isaacs entry A = 4I lies outside the class Lambda = 1.2
+        A = ((4.0, 0.0), (0.0, 4.0))
+        bad = OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=1.2, n_dim=2,
+                           bi_entries=(((A, (0.0, 0.0), 0.0),),))
+        rep = structural_envelope_check(bad, trials=500, seed=0)
+        assert not rep.passed
+        assert rep.violations > 0
+        assert rep.worst_margin < -1e-10
+
+    def test_matches_scalar_reference(self):
+        """The batched check equals a loop over trials drawing M, N, p, q and
+        (z, w) one at a time, bit for bit."""
+
+        def reference(op, trials, seed):
+            rng = np.random.default_rng(seed)
+            n = op.n_dim
+            lam, Lam = (op.lam, op.lam) if op.kind == "trace" else (op.lam, op.Lam)
+            worst, violations = np.inf, 0
+            for _ in range(trials):
+                M, N = (0.5 * (A + A.T) for A in (rng.standard_normal((n, n)),
+                                                  rng.standard_normal((n, n))))
+                p = rng.standard_normal(n)
+                q = rng.standard_normal(n)
+                z, w = rng.standard_normal(2)
+                dF = operator_full_eval(op, M, p, z) - operator_full_eval(op, N, q, w)
+                gap = (np.linalg.eigvalsh(M - N), np.linalg.norm(p - q), z - w,
+                       lam, Lam, op.delta1, op.delta0)
+                margin = min(dF - structural_envelope(*gap, "sub"),
+                             structural_envelope(*gap, "super") - dF)
+                worst = min(worst, margin)
+                violations += margin < -1e-10
+            return worst, violations
+
+        ops = every_kind() + (
+            OperatorSpec(kind="pucci-plus", lam=0.5, Lam=1.5, delta1=0.3,
+                         delta0=0.1, n_dim=2),
+            OperatorSpec(kind="pucci-plus", lam=1.0, Lam=4.0, n_dim=1),
+            # four dimensions: the trials are drawn in the operator's own
+            OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.0, n_dim=4),
+            OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=2.0, n_dim=4,
+                         bi_entries=(((tuple(map(tuple, 1.5 * np.eye(4))),
+                                       (0.0,) * 4, 0.0),),)),
+        )
+        for op in ops:
+            for seed in (0, 3):
+                rep = structural_envelope_check(op, trials=300, seed=seed)
+                assert (rep.worst_margin, rep.violations) == reference(op, 300, seed), op
+
+
+class TestBatched:
+    def test_full_eval_stack_matches_per_element(self):
+        rng = np.random.default_rng(21)
+        for op in every_kind():
+            n = op.n_dim
+            M = rng.standard_normal((4, 5, n, n))
+            M = 0.5 * (M + M.swapaxes(-1, -2))
+            p = rng.standard_normal((4, 5, n))
+            z = rng.standard_normal((4, 5))
+            got = operator_full_eval(op, M, p, z)
+            assert got.shape == (4, 5), op.kind
+            want = [[operator_full_eval(op, M[i, j], p[i, j], z[i, j])
+                     for j in range(5)] for i in range(4)]
+            assert all(type(v) is float for row in want for v in row), op.kind
+            np.testing.assert_array_equal(got, want, err_msg=op.kind)
+
+    def test_pucci_stack_matches_per_row(self):
+        rng = np.random.default_rng(22)
+        e = rng.standard_normal((60, 3))
+        e[::7, 1] = 0.0
+        lam, Lam = 1.0, 2.5
+        for f, cpos, cneg in ((pucci_plus, Lam, lam), (pucci_minus, lam, Lam)):
+            got = f(e, lam, Lam)
+            assert got.shape == (60,)
+            for k, row in enumerate(e):
+                one = f(row, lam, Lam)
+                assert type(one) is float
+                assert one == got[k] == cpos * row[row > 0].sum() + cneg * row[row < 0].sum()

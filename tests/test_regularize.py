@@ -211,19 +211,9 @@ class TestConvolution:
 
 
 class TestCrossing:
-    def _wrap(self, fld, kind):
-        from ellpar.regularize import ConvolvedField
-
-        return ConvolvedField(base=fld, r=0.1, kind=kind, x=fld.x,
-                              times=fld.times, values=fld.values,
-                              dual_index=np.zeros_like(fld.values, dtype=np.int64),
-                              x_slice=slice(None), t_slice=slice(None))
-
     def test_never_crossing(self):
         fld = small_random_field(7)
-        Z = self._wrap(fld, "sup")
-        W = self._wrap(GridField(fld.x, fld.times, fld.values + 1.0), "inf")
-        rep = crossing_time(Z, W)
+        rep = crossing_time(fld, GridField(fld.x, fld.times, fld.values + 1.0))
         assert rep.t0 is None
 
     def test_synthetic_single_node(self):
@@ -231,17 +221,23 @@ class TestCrossing:
         ts = np.linspace(0, 1, 21)
         gap = np.ones((21, 11))
         gap[:, 5] = 0.5 - ts  # hits zero exactly at t = 0.5
-        Z = self._wrap(GridField(x, ts, np.zeros((21, 11))), "sup")
-        W = self._wrap(GridField(x, ts, gap), "inf")
-        rep = crossing_time(Z, W)
+        rep = crossing_time(GridField(x, ts, np.zeros((21, 11))), GridField(x, ts, gap))
         assert rep.t0 == pytest.approx(0.5)
         assert list(rep.contact_nodes) == [5]
 
     def test_kind_and_grid_validation(self):
+        # any two fields on one grid pair up, whatever their kind; fields on
+        # different grids do not
         fld = small_random_field(8)
-        Z = self._wrap(fld, "sup")
+        Z = sup_convolve(fld, 0.2)
+        assert crossing_time(Z, GridField(Z.x, Z.times, Z.values + 1.0)).t0 is None
+        assert crossing_time(Z, Z).t0 == Z.times[0]
         with pytest.raises(ValueError):
-            crossing_time(Z, Z)
+            crossing_time(Z, fld)
+        with pytest.raises(ValueError):
+            crossing_time(fld, GridField(fld.x, fld.times[:-1], fld.values[:-1]))
+        with pytest.raises(ValueError):
+            crossing_time(fld, GridField(fld.x + 0.1, fld.times, fld.values))
 
 
 class TestEnvelopes:
