@@ -2,7 +2,7 @@
 compare, accept.
 
 Exit codes: 0 success / criteria pass, 1 criterion or verification failure,
-2 configuration error.
+2 configuration or command-line argument error.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ def _write_front_csv(path, field):
             fh.write(f"{t:.17g}" + "".join(f",{v:.17g}" for v in locs) + "\n")
 
 
+def _int_list(flag, raw):
+    """Comma-separated integers of a command-line flag; anything else is a
+    ConfigError that names the flag."""
+    try:
+        return [int(v) for v in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {raw}: {exc}") from exc
+
+
 def _cmd_solve(args):
     from .solver import SolverPolicy, max_principle_bounds, run
 
@@ -80,8 +89,12 @@ def _cmd_sweep_n(args):
     from .solver import singular_limit_study
 
     spec = problem_from_config(load_config(args.config))
-    n_list = [int(v) for v in args.n.split(",")]
-    rep = singular_limit_study(spec, n_list)
+    n_list = _int_list("--n", args.n)
+    try:
+        # the study checks its indices before it runs anything
+        rep = singular_limit_study(spec, n_list)
+    except ValueError as exc:
+        raise ConfigError(f"--n {args.n}: {exc}") from exc
     out = {
         "n_list": rep.n_list,
         "probe_times": rep.probe_times,
@@ -177,7 +190,10 @@ def _cmd_compare(args):
     grid = int(cfg.get("grid.n", 401)) if cfg else 401
     n = int(cfg.get("b.n", 32)) if cfg else 32
     base = make_jump_scenario(grid=grid, n=n)
-    lower, upper = make_comparison_pair(base, args.gap)
+    try:
+        lower, upper = make_comparison_pair(base, args.gap)
+    except ValueError as exc:
+        raise ConfigError(f"--gap {args.gap}: {exc}") from exc
     rl = run(lower.spec, SolverPolicy())
     ru = run(upper.spec, SolverPolicy())
     worst = float(np.min(ru.values - rl.values))
@@ -188,11 +204,14 @@ def _cmd_compare(args):
 
 
 def _cmd_accept(args):
-    from .harness import run_acceptance
+    from .harness import ALL_CRITERIA, run_acceptance
 
     criteria = None
     if args.criteria:
-        criteria = [int(v) for v in args.criteria.split(",")]
+        criteria = _int_list("--criteria", args.criteria)
+        if not set(criteria) <= ALL_CRITERIA.keys():
+            raise ConfigError(f"--criteria {args.criteria}: "
+                              f"criteria are {sorted(ALL_CRITERIA)}")
     code, _ = run_acceptance(criteria=criteria, out_path=args.out)
     return code
 

@@ -5,7 +5,9 @@ elliptic solver, and the singular-limit / bracketing studies.
 Explicit stepping is hopeless here: the stability bound involves min b_n',
 which decays like e^{-n} in the negative phase.  Every step therefore solves
 the nonlinear system b_n(u) - b_n(u_prev) - dt F(u) = 0 with a damped Newton
-iteration using the frozen-envelope tridiagonal Jacobian.
+iteration using the frozen-envelope tridiagonal Jacobian.  The stationary
+problem F(D^2 u, Du, u) = 0 is the b = 0 case of the same system (the
+elliptic phase is where b vanishes), so both go through one implicit solve.
 """
 
 from __future__ import annotations
@@ -101,20 +103,30 @@ class ProblemSpec:
         ghi = self.g_hi(t) if callable(self.g_hi) else self.g_hi
         return float(glo), float(ghi)
 
-    def initial_values(self) -> np.ndarray:
+    def dirichlet(self, t: float) -> dict:
+        """The Dirichlet nodes and their data at time t, as {node index:
+        value}: the outer end always, the inner end unless it reflects."""
+        glo, ghi = self.boundary(t)
+        return {-1: ghi} if self.geometry.reflect_inner else {0: glo, -1: ghi}
+
+    def initial_datum(self) -> np.ndarray:
+        """The initial datum on the grid, as given."""
         x = self.nodes()
         if self.u0 is None:
             u = np.full_like(x, -1.0)
-        elif callable(self.u0):
-            u = np.asarray(self.u0(x), dtype=float)
         else:
-            u = np.asarray(self.u0, dtype=float).copy()
+            # a copy: initial_values writes into it
+            u = np.array(self.u0(x) if callable(self.u0) else self.u0, dtype=float)
         if u.shape != x.shape:
             raise ValueError("initial data shape does not match the grid")
-        glo, ghi = self.boundary(0.0)
-        if not self.geometry.reflect_inner:
-            u[0] = glo
-        u[-1] = ghi
+        return u
+
+    def initial_values(self) -> np.ndarray:
+        """The initial datum with the Dirichlet data at t = 0 written over
+        the Dirichlet nodes."""
+        u = self.initial_datum()
+        for i, g in self.dirichlet(0.0).items():
+            u[i] = g
         return u
 
     def b_pair(self):
@@ -155,41 +167,6 @@ class SpaceTimeField:
         return GridField(self.x, self.times, self.values)
 
 
-def _free_slice(geom: Geometry):
-    return slice(0, -1) if geom.reflect_inner else slice(1, -1)
-
-
-def _extended(u, x, reflect):
-    """Pad with a reflected ghost node at the inner end so interior stencils
-    cover node 0 in the no-flux case."""
-    if not reflect:
-        return u, x
-    h = x[1] - x[0]
-    ue = np.concatenate([[u[1]], u])
-    xe = np.concatenate([[x[0] - h], x])
-    return ue, xe
-
-
-def _operator_residual(spec: ProblemSpec, u, x):
-    """F at the free nodes, handling the reflecting inner boundary."""
-    ue, xe = _extended(u, x, spec.geometry.reflect_inner)
-    return apply_operator_1d(spec.op, ue, xe, spec.b, radial=spec.geometry.radial)
-
-
-def _operator_jacobian(spec: ProblemSpec, u, x):
-    reflect = spec.geometry.reflect_inner
-    ue, xe = _extended(u, x, reflect)
-    lower, diag, upper = operator_jacobian_1d(spec.op, ue, xe, spec.b,
-                                              radial=spec.geometry.radial)
-    if reflect:
-        # ghost = u[1]: fold the ghost column into the first superdiagonal
-        upper = upper.copy()
-        upper[0] += lower[0]
-        lower = lower.copy()
-        lower[0] = 0.0
-    return lower, diag, upper
-
-
 def _solve_tridiagonal(lower, diag, upper, rhs):
     n = diag.size
     ab = np.zeros((3, n))
@@ -203,6 +180,7 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: NewtonPolicy):
     """Damped semismooth Newton on the free nodes; returns (solution,
     iterations, residual history).
 
+    Each iteration tries the full step and then up to 25 halvings of it.
     For the piecewise-linear envelope operators the full step is a policy
     iteration and the residual norm need not decrease monotonically, so a
     failed backtracking line search falls through to accepting the full step
@@ -219,25 +197,17 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: NewtonPolicy):
             return u, it, hist
         lower, diag, upper = jacobian_fn(u)
         du = _solve_tridiagonal(lower, diag, upper, -r)
-        u_full = u + du
-        r_full = residual_fn(u_full)
-        norm_full = float(np.max(np.abs(r_full)))
-        if norm_full < norm or norm_full <= policy.abs_tol:
-            u, r, norm = u_full, r_full, norm_full
-            hist.append(norm)
-            continue
-        step = 0.5
-        accepted = False
-        for _ in range(25):
-            u_try = u + step * du
+        for trial in range(26):
+            u_try = u + du
             r_try = residual_fn(u_try)
             norm_try = float(np.max(np.abs(r_try)))
+            if trial == 0:
+                u_full, r_full, norm_full = u_try, r_try, norm_try
             if norm_try < norm or norm_try <= policy.abs_tol:
                 u, r, norm = u_try, r_try, norm_try
-                accepted = True
                 break
-            step *= 0.5
-        if not accepted:
+            du *= 0.5
+        else:
             # non-monotone fallback: take the policy-iteration step anyway
             stalls += 1
             if stalls > 5 or not np.all(np.isfinite(r_full)):
@@ -249,35 +219,56 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: NewtonPolicy):
     raise NewtonFailure("no convergence within the iteration budget", hist)
 
 
-def solve_elliptic(spec: ProblemSpec, boundary=None,
-                   policy: Optional[SolverPolicy] = None) -> np.ndarray:
-    """Stationary solve F(D^2 u, Du, u) = 0 with Dirichlet data, Newton on the
-    discrete system to residual 1e-10."""
-    policy = policy or SolverPolicy()
+def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
+                    policy: SolverPolicy):
+    """Solve b(u) - b(u_prev) - dt F(u) = 0 at the free nodes by Newton from
+    u_prev, with the Dirichlet data at t.  Returns (u, newton_iterations)."""
     x = spec.nodes()
-    if boundary is None:
-        glo, ghi = spec.boundary(0.0)
-    else:
-        glo, ghi = boundary
-    free = _free_slice(spec.geometry)
-    u = np.empty_like(x)
-    u[:] = glo + (ghi - glo) * (x - x[0]) / (x[-1] - x[0])
-    if not spec.geometry.reflect_inner:
-        u[0] = glo
-    u[-1] = ghi
+    reflect = spec.geometry.reflect_inner
+    if reflect:
+        # a ghost node mirroring u[1] lets interior stencils cover node 0
+        x = np.concatenate([[x[0] - (x[1] - x[0])], x])
+    bc = spec.dirichlet(t)
+    free = slice(1 if 0 in bc else 0, -1)
+    base = u_prev.copy()
+    for i, g in bc.items():
+        base[i] = g
+    b_prev = np.asarray(bval(u_prev))[free]
+
+    def full(u_free):
+        u = base.copy()
+        u[free] = u_free
+        return np.concatenate([[u[1]], u]) if reflect else u
 
     def residual(u_free):
-        full = u.copy()
-        full[free] = u_free
-        return _operator_residual(spec, full, x)
+        F = apply_operator_1d(spec.op, full(u_free), x, spec.b,
+                              radial=spec.geometry.radial)
+        return np.asarray(bval(u_free)) - b_prev - dt * F
 
     def jacobian(u_free):
-        full = u.copy()
-        full[free] = u_free
-        return _operator_jacobian(spec, full, x)
+        lower, diag, upper = operator_jacobian_1d(spec.op, full(u_free), x, spec.b,
+                                                  radial=spec.geometry.radial)
+        if reflect:
+            # ghost = u[1]: fold the ghost column into the first superdiagonal
+            upper[0] += lower[0]
+            lower[0] = 0.0
+        bd = np.asarray(bder(u_free))
+        return -dt * lower, bd - dt * diag, -dt * upper
 
-    sol_free, _, _ = _newton(residual, jacobian, u[free].copy(), policy.newton)
-    u[free] = sol_free
+    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy.newton)
+    base[free] = sol_free
+    return base, iters
+
+
+def solve_elliptic(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> np.ndarray:
+    """Stationary solve F(D^2 u, Du, u) = 0 with the Dirichlet data at t = 0:
+    the implicit system with b = 0 and dt = 1, by Newton from the affine
+    interpolant of the data to residual 1e-10."""
+    x = spec.nodes()
+    glo, ghi = spec.boundary(0.0)
+    start = glo + (ghi - glo) * (x - x[0]) / (x[-1] - x[0])
+    u, _ = _implicit_solve(spec, start, 0.0, 1.0, np.zeros_like, np.zeros_like,
+                           policy or SolverPolicy())
     return u
 
 
@@ -285,36 +276,11 @@ def step_parabolic(spec: ProblemSpec, u_prev: np.ndarray, t_next: float,
                    dt: float, policy: Optional[SolverPolicy] = None):
     """One implicit Euler step: solve b(u) - b(u_prev) = dt F(u) nodewise with
     the Dirichlet data at t_next.  Returns (u, newton_iterations)."""
-    policy = policy or SolverPolicy()
     if dt <= 0:
         raise ValueError("dt must be positive")
-    x = spec.nodes()
     bval, bder = spec.b_pair()
-    glo, ghi = spec.boundary(t_next)
-    free = _free_slice(spec.geometry)
-    base = u_prev.copy()
-    if not spec.geometry.reflect_inner:
-        base[0] = glo
-    base[-1] = ghi
-    b_prev = np.asarray(bval(u_prev))[free]
-
-    def residual(u_free):
-        full = base.copy()
-        full[free] = u_free
-        F = _operator_residual(spec, full, x)
-        return np.asarray(bval(u_free)) - b_prev - dt * F
-
-    def jacobian(u_free):
-        full = base.copy()
-        full[free] = u_free
-        lower, diag, upper = _operator_jacobian(spec, full, x)
-        bd = np.asarray(bder(u_free))
-        return -dt * lower, bd - dt * diag, -dt * upper
-
-    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy.newton)
-    u = base.copy()
-    u[free] = sol_free
-    return u, iters
+    return _implicit_solve(spec, u_prev, t_next, dt, bval, bder,
+                           policy or SolverPolicy())
 
 
 def _front_locations(x, values):
@@ -332,12 +298,11 @@ def _front_locations(x, values):
 
 def max_principle_bounds(spec: ProblemSpec, u, t):
     """Bounds (lo, hi) that the maximum principle puts on a step from u to
-    time t: the range of u and of the Dirichlet data read at t (a reflecting
-    inner boundary reads none), widened to include 0 from above."""
-    glo, ghi = spec.boundary(t)
-    gvals = [ghi] if spec.geometry.reflect_inner else [glo, ghi]
-    return (min(float(np.min(u)), min(gvals)),
-            max(float(np.max(u)), max(gvals), 0.0))
+    time t: the range of u and of the Dirichlet data at t (a reflecting
+    inner boundary has none), widened to include 0 from above."""
+    g = spec.dirichlet(t).values()
+    return (min(float(np.min(u)), min(g)),
+            max(float(np.max(u)), max(g), 0.0))
 
 
 def _advance(spec, u, t, dt, policy, depth=0):
@@ -390,6 +355,15 @@ def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeFi
 # studies
 # ---------------------------------------------------------------------------
 
+def _probe_rows(spec: ProblemSpec, times, probe_times):
+    """The probe times of a study (T/4, T/2 and 3T/4 unless given) and the
+    index of the stored time level nearest to each."""
+    if probe_times is None:
+        probe_times = [0.25 * spec.T, 0.5 * spec.T, 0.75 * spec.T]
+    probe_times = list(probe_times)
+    return probe_times, [int(np.argmin(np.abs(times - pt))) for pt in probe_times]
+
+
 @dataclass
 class SingularLimitReport:
     n_list: list
@@ -408,13 +382,8 @@ def singular_limit_study(spec: ProblemSpec, n_list: Sequence[int],
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need at least 3 strictly increasing smoothing indices")
     policy = policy or SolverPolicy()
-    if probe_times is None:
-        probe_times = [0.25 * spec.T, 0.5 * spec.T, 0.75 * spec.T]
-    runs = []
-    for n in n_list:
-        sp = replace(spec, bn=BnFamily(n))
-        runs.append(run(sp, policy))
-    probe_idx = [int(np.argmin(np.abs(runs[0].times - pt))) for pt in probe_times]
+    runs = [run(replace(spec, bn=BnFamily(n)), policy) for n in n_list]
+    probe_times, probe_idx = _probe_rows(spec, runs[0].times, probe_times)
     pairwise = []
     for a, b in zip(runs, runs[1:]):
         d = [float(np.max(np.abs(a.values[j] - b.values[j]))) for j in probe_idx]
@@ -422,7 +391,7 @@ def singular_limit_study(spec: ProblemSpec, n_list: Sequence[int],
     ext = [r.extinction_time for r in runs]
     gaps = [abs(b - a) if a is not None and b is not None else None
             for a, b in zip(ext, ext[1:])]
-    return SingularLimitReport(n_list=n_list, probe_times=list(probe_times),
+    return SingularLimitReport(n_list=n_list, probe_times=probe_times,
                                pairwise_sup=pairwise, extinction_times=ext,
                                extinction_gaps=gaps)
 
@@ -471,8 +440,6 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or any(e <= 0 for e in eps_list):
         raise ValueError("eps_list must be positive and strictly decreasing")
     policy = policy or SolverPolicy()
-    if probe_times is None:
-        probe_times = [0.25 * spec.T, 0.5 * spec.T, 0.75 * spec.T]
     x = spec.nodes()
     u0 = spec.initial_values()
     runs_up, runs_dn = [], []
@@ -481,7 +448,7 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
         dn = replace(spec, u0=perturb_initial_data(u0, x, eps, "down"))
         runs_up.append(run(up, policy))
         runs_dn.append(run(dn, policy))
-    probe_idx = [int(np.argmin(np.abs(runs_up[0].times - pt))) for pt in probe_times]
+    probe_times, probe_idx = _probe_rows(spec, runs_up[0].times, probe_times)
     gaps = []
     ordered = True
     for ru, rd in zip(runs_up, runs_dn):
@@ -495,7 +462,7 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
             ordered = False
         if np.any(runs_dn[i].values - runs_dn[i + 1].values > policy.max_principle_tol * 10):
             ordered = False
-    return BracketReport(eps_list=eps_list, probe_times=list(probe_times),
+    return BracketReport(eps_list=eps_list, probe_times=probe_times,
                          gaps=gaps, ordered=ordered,
                          extinction_upper=[r.extinction_time for r in runs_up],
                          extinction_lower=[r.extinction_time for r in runs_dn])

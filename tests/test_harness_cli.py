@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ellpar.harness import (
     validate_class_P,
 )
 from ellpar.regularize import GridField
-from ellpar.solver import max_principle_bounds
+from ellpar.solver import Geometry, max_principle_bounds
 
 JUMP_CFG = """
 # jump scenario
@@ -118,12 +120,23 @@ class TestScenarios:
 
     def test_class_P_warns_on_bad_datum(self):
         scn = make_jump_scenario(grid=201, n=8)
-        from dataclasses import replace
-
         scn.spec = replace(scn.spec, u0=lambda x: np.cos(x) - 0.9,
                            g_lo=np.cos(1.0) - 0.9, g_hi=np.cos(1.0) - 0.9)
         with pytest.warns(UserWarning):
             assert not validate_class_P(scn)
+
+    def test_class_P_checks_the_datum_as_given(self):
+        # initial_values overwrites the end nodes with g, so the check must
+        # read the datum before that; the reflecting inner end is not checked
+        scn = make_jump_scenario(grid=201, n=8)
+        scn.spec = replace(scn.spec, u0=lambda x: np.full_like(x, 0.4))
+        with pytest.warns(UserWarning):
+            assert not validate_class_P(scn)
+        scn.spec = replace(scn.spec, geometry=Geometry("radial-ball-punctured", 0.05, 1.0),
+                           g_lo=5.0, g_hi=0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_class_P(scn)
 
     def test_comparison_pair_strict_separation(self):
         base = make_jump_scenario(grid=201, n=16, T=0.1)
@@ -324,6 +337,17 @@ class TestCLI:
         for family in ("radial", "parabola"):
             assert main(["verify-barrier", "--family", family,
                          "--config", str(p)]) == 0
+
+    @pytest.mark.parametrize("command", [
+        "sweep-n --n 4,8", "sweep-n --n 4,x,16", "accept --criteria 99",
+        "accept --criteria 1,x", "compare --gap 0", "compare --gap 0.8"])
+    def test_bad_argument_exit_2(self, tmp_path, capsys, command):
+        argv = command.split()
+        if argv[0] == "sweep-n":
+            argv += ["--config", self._write_cfg(tmp_path),
+                     "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 2
+        assert command.split()[1] in capsys.readouterr().err
 
     def test_accept_subset(self, tmp_path):
         rep = str(tmp_path / "report.json")

@@ -14,6 +14,7 @@ from ellpar.solver import (
     ProblemSpec,
     SolverPolicy,
     _front_locations,
+    bracket_maximal_minimal,
     perturb_initial_data,
     run,
     singular_limit_study,
@@ -65,6 +66,18 @@ class TestElliptic:
         oracle = _shooting_oracle(op, 0.5, 1.5, 1.0, -1.0, x,
                                   max_step=(x[1] - x[0]) / 10)
         assert np.max(np.abs(u - oracle)) < 1e-4
+
+    @pytest.mark.parametrize("op", [
+        OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=3),
+        OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.7, n_dim=3),
+    ], ids=["trace", "pucci-minus"])
+    def test_reflecting_ball_is_constant(self, op):
+        # no flux at the inner radius: the solution is the outer datum,
+        # and the inner datum g_lo is never read
+        spec = ProblemSpec(geometry=Geometry("radial-ball-punctured", 0.05, 1.0),
+                           op=op, g_lo=5.0, g_hi=-1.0, grid=96)
+        u = solve_elliptic(spec)
+        assert np.max(np.abs(u + 1.0)) < 1e-12
 
 
 class TestStepParabolic:
@@ -151,6 +164,15 @@ class TestHorizon:
             spec.dt = 0.03
         with pytest.raises(ValueError):
             replace(spec, dt=0.03)
+
+    def test_initial_values_leave_the_datum_alone(self):
+        # the Dirichlet data go into a copy, whether u0 is an array or a
+        # callable that returns one
+        datum = np.zeros(101)
+        for u0 in (datum, lambda x: datum):
+            u = interval_spec(grid=101, g_lo=-1.0, g_hi=0.5, u0=u0).initial_values()
+            assert (u[0], u[-1]) == (-1.0, 0.5)
+            assert not datum.any()
 
     def test_every_step_recorded_up_to_horizon(self):
         spec = interval_spec(T=0.0125, grid=101)
@@ -273,6 +295,21 @@ class TestStudies:
             singular_limit_study(spec, [4, 8])
         with pytest.raises(ValueError):
             singular_limit_study(spec, [8, 4, 2])
+
+    def test_bracket_validation(self):
+        spec = interval_spec()
+        for eps_list in ([0.02, 0.04], [0.04, 0.04], [0.04, 0.0], [0.04, -0.02]):
+            with pytest.raises(ValueError):
+                bracket_maximal_minimal(spec, eps_list)
+
+    def test_bracket_small(self):
+        spec = make_jump_scenario(grid=201, n=16, T=0.2).spec
+        rep = bracket_maximal_minimal(spec, [0.08, 0.04])
+        assert rep.ordered
+        assert rep.probe_times == pytest.approx([0.05, 0.1, 0.15])
+        assert len(rep.gaps) == 2
+        for up, dn in zip(rep.extinction_upper, rep.extinction_lower):
+            assert up >= dn
 
     def test_singular_limit_small(self):
         spec = interval_spec(T=0.06, grid=101)
