@@ -78,7 +78,9 @@ def _cmd_solve(args):
             "lower_margin": float(field.values.min()) - lower,
             "upper_margin": upper - float(field.values.max()),
         },
-        "newton": {"iterations": field.newton_iterations, "steps": field.steps},
+        # grid steps: solved plus filled from a fixed point
+        "newton": {"iterations": field.newton_iterations,
+                   "steps": field.steps + field.repeated_steps},
     }
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)

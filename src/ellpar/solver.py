@@ -158,8 +158,9 @@ class SpaceTimeField:
     values: np.ndarray  # (n_times, n_x)
     fronts: list  # per time level, list of zero-crossing locations
     extinction_time: Optional[float]
-    newton_iterations: int = 0
-    steps: int = 0
+    newton_iterations: int = 0  # over the solved steps
+    steps: int = 0  # solved steps, substeps included
+    repeated_steps: int = 0  # macro steps filled from a fixed point
 
     def to_grid_field(self):
         from .regularize import GridField
@@ -329,26 +330,42 @@ def _advance(spec, u, t, dt, policy, depth=0):
 def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeField:
     """Integrate to the horizon on the macro time grid t_k = k dt, recording
     every step's field, the free-boundary locations and the extinction time
-    (the first time with max u < 0)."""
+    (the first time with max u < 0).
+
+    With constant boundary data a macro step depends on u alone, so one that
+    returns u unchanged with no Newton iteration and no substep is a fixed
+    point: every later step would repeat it bit for bit.  The remaining rows
+    are filled with it instead of being solved.  `steps` and
+    `newton_iterations` count the solved steps, `repeated_steps` the filled
+    ones."""
     policy = policy or SolverPolicy()
     x = spec.nodes()
     n_steps = spec.steps
     times = np.arange(n_steps + 1) * spec.dt
     values = np.empty((n_steps + 1, x.size))
     values[0] = u = spec.initial_values()
+    constant_data = not (callable(spec.g_lo) or callable(spec.g_hi))
     total_iters = 0
     total_steps = 0
+    solved = n_steps
     for k in range(n_steps):
-        u, iters, steps = _advance(spec, u, k * spec.dt, spec.dt, policy)
-        values[k + 1] = u
+        u_next, iters, steps = _advance(spec, u, k * spec.dt, spec.dt, policy)
+        values[k + 1] = u_next
         total_iters += iters
         total_steps += steps
+        if constant_data and iters == 0 and steps == 1 and np.array_equal(u_next, u):
+            solved = k + 1
+            values[solved + 1:] = u_next
+            break
+        u = u_next
+    fronts = _front_locations(x, values[:solved + 1])
+    fronts += [list(fronts[-1]) for _ in range(n_steps - solved)]
     extinct = values.max(axis=1) < 0.0
     extinction = float(times[np.argmax(extinct)]) if extinct.any() else None
-    return SpaceTimeField(x=x, times=times, values=values,
-                          fronts=_front_locations(x, values),
+    return SpaceTimeField(x=x, times=times, values=values, fronts=fronts,
                           extinction_time=extinction,
-                          newton_iterations=total_iters, steps=total_steps)
+                          newton_iterations=total_iters, steps=total_steps,
+                          repeated_steps=n_steps - solved)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ellpar.solver import (
     NewtonPolicy,
     ProblemSpec,
     SolverPolicy,
+    _advance,
     _front_locations,
     bracket_maximal_minimal,
     perturb_initial_data,
@@ -253,6 +254,118 @@ class TestRun:
         )
         out = run(spec, SolverPolicy())
         assert np.max(np.abs(out.values + 0.5)) < 1e-9
+
+
+def _reference_run(spec, policy):
+    """Every one of the spec's steps solved by _advance, fronts located on
+    every row: run without the fixed-point shortcut."""
+    x = spec.nodes()
+    times = np.arange(spec.steps + 1) * spec.dt
+    rows = [spec.initial_values()]
+    iters = steps = 0
+    for k in range(spec.steps):
+        u, it, st = _advance(spec, rows[-1], k * spec.dt, spec.dt, policy)
+        rows.append(u)
+        iters += it
+        steps += st
+    values = np.array(rows)
+    extinct = [t for t, u in zip(times, values) if u.max() < 0.0]
+    extinction = float(extinct[0]) if extinct else None
+    return values, _front_locations(x, values), extinction, iters, steps
+
+
+def _punctured_ball_spec():
+    # positive phase at the reflecting inner node, gone within a few steps;
+    # g_lo is never read on the ball
+    return ProblemSpec(
+        geometry=Geometry("radial-ball-punctured", 0.05, 1.0),
+        op=OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=3),
+        bn=BnFamily(16), g_lo=5.0, g_hi=-1.0,
+        u0=lambda x: np.where(x < 0.3, 0.4 - x, -1.0),
+        T=0.1, grid=96, dt=2.5e-3)
+
+
+def _pucci_annulus_spec():
+    return ProblemSpec(
+        geometry=Geometry("radial-annulus", 0.2, 1.0),
+        op=OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.7, n_dim=3),
+        bn=BnFamily(16), g_lo=-0.5, g_hi=-1.0,
+        u0=lambda x: np.where(np.abs(x - 0.6) < 0.15, 0.3, -0.5 - 0.5 * (x - 0.2) / 0.8),
+        T=0.2, grid=121, dt=2.5e-3)
+
+
+class TestStationaryTail:
+    @pytest.mark.parametrize("make_spec", [
+        lambda: make_jump_scenario(grid=401, n=32, T=1.0).spec,
+        _punctured_ball_spec,
+        _pucci_annulus_spec,
+    ], ids=["jump", "punctured-ball", "pucci-minus-annulus"])
+    def test_matches_stepping_every_step(self, make_spec):
+        spec = make_spec()
+        policy = SolverPolicy()
+        out = run(spec, policy)
+        values, fronts, extinction, iters, steps = _reference_run(spec, policy)
+        assert out.repeated_steps > 0
+        assert np.array_equal(out.values, values)
+        assert out.fronts == fronts
+        assert len({id(row) for row in out.fronts}) == len(out.fronts)
+        assert out.extinction_time == extinction
+        assert out.newton_iterations == iters
+        assert out.steps + out.repeated_steps == steps
+
+    def test_time_dependent_data_are_always_solved(self):
+        # callables are never taken for constants, even when they return one
+        spec = make_jump_scenario(grid=201, n=32, T=0.25).spec
+        out = run(spec)
+        timed = run(replace(spec, g_lo=lambda t: -1.0, g_hi=lambda t: -1.0))
+        assert out.repeated_steps > 0
+        assert timed.repeated_steps == 0
+        assert timed.steps == spec.steps
+        assert np.array_equal(timed.values, out.values)
+        assert timed.fronts == out.fronts
+        assert timed.newton_iterations == out.newton_iterations
+
+    def test_totals_count_the_solved_macro_steps(self, monkeypatch):
+        # the sums over top-level _advance calls, as a tracer wrapping it
+        # sees them, equal the field's totals
+        from ellpar import solver
+
+        advance = solver._advance
+        depth = [0]
+        macro = []
+
+        def counting(*args, **kwargs):
+            depth[0] += 1
+            try:
+                res = advance(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:
+                macro.append(res[1:])
+            return res
+
+        monkeypatch.setattr(solver, "_advance", counting)
+        spec = make_jump_scenario(grid=401, n=32, T=1.0).spec
+        out = run(spec)
+        assert sum(it for it, _ in macro) == out.newton_iterations
+        assert sum(st for _, st in macro) == out.steps
+        assert len(macro) + out.repeated_steps == spec.steps == 400
+        assert len(macro) <= 40
+
+    @pytest.mark.parametrize("bn", [BnFamily(32), None], ids=["b_32", "b"])
+    def test_discrete_mass_balance(self, bn):
+        # lam = Lam = 1: F is the second difference, so summing the implicit
+        # step over the interior nodes leaves the boundary fluxes at u^{k+1}
+        spec = replace(make_jump_scenario(grid=401, n=32, T=1.0).spec, bn=bn)
+        out = run(spec)
+        assert out.repeated_steps > 0
+        x = spec.nodes()
+        h = x[1] - x[0]
+        b = spec.b_pair()[0](out.values)[:, 1:-1]
+        stored = h * np.sum(b[1:] - b[:-1], axis=1)
+        u = out.values[1:]
+        flux = spec.dt * ((u[:, -1] - u[:, -2]) - (u[:, 1] - u[:, 0])) / h
+        assert np.max(np.abs(stored - flux)) <= 1e-9
 
 
 class TestPerturbations:
