@@ -36,12 +36,12 @@ def main():
                                omega_hat=0.3)
     print(f"gamma = {bar.gamma}, alpha = {bar.alpha:.4f}, "
           f"beta = {bar.beta:.4f}, c = {bar.c:.4f}")
-    rep = verify_subsolution_margin(bar, op, samples=2000)
+    rep = verify_subsolution_margin(bar, samples=2000)
     print(f"worst margin: {rep.worst_margin:.3e}  "
           f"flux gap |Dphi+| - |Dphi-|: {rep.flux_gap:.6f}  "
           f"passed: {rep.passed}")
 
-    rho_c = critical_radius(op.lam, op.Lam, op.delta1, op.n_dim)
+    rho_c = critical_radius(op)
     print(f"critical front radius rho_c = {rho_c:.4f}")
     try:
         solve_radial_barrier(op, rho0=1.01 * rho_c, a_hat=1.0, b_hat=-0.5,
@@ -51,7 +51,7 @@ def main():
 
     print("\n== heat-kernel barrier ==")
     hk = solve_heatkernel_barrier(op, d=0.5, delta=0.01)
-    rep = verify_subsolution_margin(hk, op)
+    rep = verify_subsolution_margin(hk)
     print(f"k = {hk.k:.4f}, eta = {hk.eta:.4e}, eps = {hk.eps:.4e}")
     print(f"worst squeeze margin: {rep.worst_margin:.3e}  passed: {rep.passed}")
 
@@ -60,7 +60,7 @@ def main():
                               n_dim=2)
     print(f"k1 = {ld.k1:.4f}, k2 = {ld.k2:.4f}, eta = {ld.eta:.4f}, "
           f"k = {ld.k:.4f}, a = {ld.a:.6f}")
-    rep = verify_subsolution_margin(ld, op)
+    rep = verify_subsolution_margin(ld)
     print(f"worst margin: {rep.worst_margin:.3e}  passed: {rep.passed}")
 
 

@@ -4,9 +4,9 @@ verification of strict sub/supersolution margins and the front flux condition.
 All radial barriers are two-phase: a positive phase inside the moving front
 rho_0 + omega*t and a negative phase outside, glued with prescribed one-sided
 slopes a_hat (inside) and b_hat (outside).  Verification is done against the
-extremal structural envelope (worst admissible operator with the given
-lambda, Lambda, delta_1, delta_0), so a passing margin certifies the barrier
-for every operator in the class.
+extremal structural envelope of the class (lambda, Lambda, delta_1, delta_0,
+n) that the barrier carries as `op`, so a passing margin certifies the
+barrier for every operator in the class.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ class OutOfWindowError(ValueError):
     """Raised when a barrier is evaluated outside its validity window."""
 
 
-def critical_radius(lam: float, Lam: float, delta1: float, n_dim: int) -> float:
-    """Largest admissible front radius (lambda + (n-1) Lambda) / (2 delta_1);
-    +infinity when delta_1 = 0."""
-    if delta1 == 0.0:
+def critical_radius(op: OperatorSpec) -> float:
+    """Largest admissible front radius (lambda + (n-1) Lambda) / (2 delta_1)
+    of the class of op; +infinity when delta_1 = 0."""
+    if op.delta1 == 0.0:
         return math.inf
-    return (lam + (n_dim - 1) * Lam) / (2.0 * delta1)
+    return (op.lam + (op.n_dim - 1) * op.Lam) / (2.0 * op.delta1)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,8 @@ def critical_radius(lam: float, Lam: float, delta1: float, n_dim: int) -> float:
 class RadialPowerBarrier:
     """Two-phase radial barrier built from the profile
     psi(rho) = alpha (rho^-gamma - rho_0^-gamma) + beta (rho^2 - rho_0^2),
-    decreasing near rho_0, with a quadratic-plus-power negative continuation.
+    decreasing near rho_0, with a quadratic-plus-power negative continuation
+    (alpha_neg for alpha); op is the class the margins were solved for.
     """
 
     rho0: float
@@ -87,15 +88,8 @@ class RadialPowerBarrier:
     omega_hat: float
     eps: float
     sign: str
-    # negative-phase profile parameters
-    alpha_neg: float = 0.0
-    beta_neg: float = 0.0
-    # operator class constants the margins were solved for
-    lam: float = 1.0
-    Lam: float = 1.0
-    delta1: float = 0.0
-    delta0: float = 0.0
-    n_dim: int = 2
+    alpha_neg: float
+    op: OperatorSpec
 
     @property
     def eps_t(self) -> float:
@@ -126,8 +120,8 @@ def solve_radial_barrier(op: OperatorSpec, rho0: float, a_hat: float,
     """
     if sign not in ("sub", "super"):
         raise ValueError("sign must be 'sub' or 'super'")
-    lam, Lam, d1, d0, n = op.lam, op.Lam, op.delta1, op.delta0, op.n_dim
-    rho_c = critical_radius(lam, Lam, d1, n)
+    lam, Lam, d1, n = op.lam, op.Lam, op.delta1, op.n_dim
+    rho_c = critical_radius(op)
     if not rho0 > 0:
         raise ValueError("rho0 must be positive")
     if rho0 > rho_c:
@@ -164,35 +158,34 @@ def solve_radial_barrier(op: OperatorSpec, rho0: float, a_hat: float,
         bar = RadialPowerBarrier(
             rho0=rho0, alpha=alpha, beta=beta, c=c, gamma=gamma,
             a_hat=a_hat, b_hat=b_hat, omega_hat=omega_hat, eps=eps,
-            sign=sign, alpha_neg=alpha_neg, beta_neg=beta,
-            lam=lam, Lam=Lam, delta1=d1, delta0=d0, n_dim=n,
+            sign=sign, alpha_neg=alpha_neg, op=op,
         )
-        rep = verify_subsolution_margin(bar, op, samples=256, seed=7)
+        rep = verify_subsolution_margin(bar, samples=256, seed=7)
         if rep.worst_margin > 0.5 * abs(front_margin):
             return bar
         eps *= 0.5
     raise BarrierInfeasible("could not certify a validity window")
 
 
-def eval_radial_barrier(bar: RadialPowerBarrier, x_norm: float, t: float):
-    """Value and analytic derivatives (d/dt, d/drho, d2/drho2) at (|x|, t).
+def eval_radial_barrier(bar: RadialPowerBarrier, x_norm, t):
+    """Value and analytic derivatives (d/dt, d/drho, d2/drho2) at (|x|, t),
+    elementwise over broadcast arrays.
 
-    Raises OutOfWindowError outside K = (rho0-eps, rho0+eps) x (-eps_t, eps_t).
+    Raises OutOfWindowError if any point lies outside
+    K = (rho0-eps, rho0+eps) x (-eps_t, eps_t).
     """
     rho0, eps = bar.rho0, bar.eps
-    if not (rho0 - eps < x_norm < rho0 + eps) or not (-bar.eps_t < t < bar.eps_t):
+    x_norm, t = np.asarray(x_norm, dtype=float), np.asarray(t, dtype=float)
+    inside = (rho0 - eps < x_norm) & (x_norm < rho0 + eps) & (np.abs(t) < bar.eps_t)
+    if not np.all(inside):
         raise OutOfWindowError("evaluation outside the validity window")
     rho_f = bar.front_radius(t)
-    if x_norm <= rho_f:
-        v, d1, d2 = _power_profile(bar.alpha, bar.beta, bar.gamma, rho0, x_norm)
-        vf, d1f, _ = _power_profile(bar.alpha, bar.beta, bar.gamma, rho0, rho_f)
-        val = v - vf
-        dt = -d1f * bar.omega_hat
-    else:
-        v, d1, d2 = _power_profile(bar.alpha_neg, bar.beta_neg, bar.gamma, rho0, x_norm)
-        vf, d1f, _ = _power_profile(bar.alpha_neg, bar.beta_neg, bar.gamma, rho0, rho_f)
-        val = v - vf
-        dt = -d1f * bar.omega_hat
+    # the two phases differ only in the power coefficient
+    alpha = np.where(x_norm <= rho_f, bar.alpha, bar.alpha_neg)
+    v, d1, d2 = _power_profile(alpha, bar.beta, bar.gamma, rho0, x_norm)
+    vf, d1f, _ = _power_profile(alpha, bar.beta, bar.gamma, rho0, rho_f)
+    val = v - vf
+    dt = -d1f * bar.omega_hat
     if bar.sign == "super":
         return -val, -dt, -d1, -d2
     return val, dt, d1, d2
@@ -213,9 +206,7 @@ class HeatKernelBarrier:
     alpha_scale: float
     d: float
     delta: float
-    lam: float = 1.0
-    delta1: float = 0.0
-    delta0: float = 0.0
+    op: OperatorSpec
 
     def psi(self, x1, t):
         t = np.asarray(t, dtype=float)
@@ -228,9 +219,9 @@ class HeatKernelBarrier:
 
 
 def _heatkernel_bracket(bar: HeatKernelBarrier, x1, t):
-    k, lam = bar.k, bar.lam
-    return ((x1**2 - 2 * k * t) * (k - lam) / (4 * k**2 * t**2)
-            + bar.delta1 * np.abs(x1) / (2 * k * t) + bar.delta0)
+    k, op = bar.k, bar.op
+    return ((x1**2 - 2 * k * t) * (k - op.lam) / (4 * k**2 * t**2)
+            + op.delta1 * np.abs(x1) / (2 * k * t) + op.delta0)
 
 
 def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float,
@@ -239,14 +230,13 @@ def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float,
     is negative on [d, 2d] x (0, 2 delta], then solve the eta/eps squeeze."""
     if d <= 0 or delta <= 0:
         raise ValueError("need positive diameter and horizon")
-    lam, d1, d0 = op.lam, op.delta1, op.delta0
-    k = min(d * d / (4 * delta), lam)
+    k = min(d * d / (4 * delta), op.lam)
     x1 = np.linspace(d, 2 * d, 101)
     ts = np.linspace(1e-9, 2 * delta, 401)
     X, T = np.meshgrid(x1, ts)
     for _ in range(200):
         probe = HeatKernelBarrier(k=k, eps=0.0, eta=0.0, alpha_scale=1.0,
-                                  d=d, delta=delta, lam=lam, delta1=d1, delta0=d0)
+                                  d=d, delta=delta, op=op)
         if np.max(_heatkernel_bracket(probe, X, T)) < 0:
             break
         k *= 0.5
@@ -265,11 +255,11 @@ def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float,
     eps = math.sqrt(lhs * rhs)
 
     probe = HeatKernelBarrier(k=k, eps=eps, eta=eta, alpha_scale=1.0,
-                              d=d, delta=delta, lam=lam, delta1=d1, delta0=d0)
+                              d=d, delta=delta, op=op)
     sup = float(np.max(np.abs(probe.eval(X, T - 1e-9))))
     alpha_scale = c / (2.0 * max(sup, 1e-300))
     return HeatKernelBarrier(k=k, eps=eps, eta=eta, alpha_scale=alpha_scale,
-                             d=d, delta=delta, lam=lam, delta1=d1, delta0=d0)
+                             d=d, delta=delta, op=op)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +291,13 @@ class LogDivBarrier:
         return val, d1, d2
 
 
-def _sampled_max(fun, lo, hi, coarse=1000, refine=1000):
-    """Max of fun on [lo, hi]: coarse grid, then local refinement around the
-    coarse argmax."""
-    s = np.linspace(lo, hi, coarse + 1)
+def _sampled_max(fun, lo, hi):
+    """Max of fun on [lo, hi]: a 1000-interval grid, then 1000 intervals
+    across the four grid cells around its argmax."""
+    s = np.linspace(lo, hi, 1001)
     v = fun(s)
     i = int(np.argmax(v))
-    a = s[max(i - 2, 0)]
-    b = s[min(i + 2, coarse)]
-    s2 = np.linspace(a, b, refine + 1)
+    s2 = np.linspace(s[max(i - 2, 0)], s[min(i + 2, 1000)], 1001)
     return float(max(np.max(v), np.max(fun(s2))))
 
 
@@ -394,11 +382,7 @@ class ParabolaBarrier:
     """
 
     variant: str
-    n_dim: int
-    lam: float = 1.0
-    Lam: float = 1.0
-    delta1: float = 0.0
-    delta0: float = 0.0
+    op: OperatorSpec
     gamma: float = 0.0
     M: float = 1.0
     eps: float = 0.1
@@ -407,9 +391,7 @@ class ParabolaBarrier:
 
 def make_parabola_barrier(op: OperatorSpec) -> ParabolaBarrier:
     gamma = min(1.0 / (16 * op.n_dim * op.Lam + 8 * op.delta1 + 4 * op.delta0), 1.0)
-    return ParabolaBarrier(variant="decr-parabola", n_dim=op.n_dim, lam=op.lam,
-                           Lam=op.Lam, delta1=op.delta1, delta0=op.delta0,
-                           gamma=gamma)
+    return ParabolaBarrier(variant="decr-parabola", op=op, gamma=gamma)
 
 
 def make_eps_eta_barrier(op: OperatorSpec, M: float, eps: float, eta: float,
@@ -423,9 +405,7 @@ def make_eps_eta_barrier(op: OperatorSpec, M: float, eps: float, eta: float,
         raise BarrierInfeasible("eps too large for the drift/zeroth constants")
     if r is not None and not (r * eps / (8 * nL)) ** (1 / 3) > math.sqrt(eps):
         raise BarrierInfeasible("eps too large for the body radius")
-    return ParabolaBarrier(variant="eps-eta", n_dim=op.n_dim, lam=op.lam,
-                           Lam=op.Lam, delta1=op.delta1, delta0=op.delta0,
-                           M=M, eps=eps, eta=eta)
+    return ParabolaBarrier(variant="eps-eta", op=op, M=M, eps=eps, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -442,17 +422,19 @@ class MarginReport:
     passed: bool
 
 
-def verify_subsolution_margin(bar, op: OperatorSpec, bn=None,
-                              samples: int = 1000, seed: int = 0) -> MarginReport:
+def verify_subsolution_margin(bar, samples: int = 1000, seed: int = 0) -> MarginReport:
     """Sample the validity window and report the worst-case strictness margin
     of the classical sub/supersolution inequalities, plus the flux gap
-    |D phi^+| - |D phi^-| on the zero level set for two-phase barriers.
+    |D phi^+| - |D phi^-| on the zero level set for two-phase barriers, for
+    the operator class the barrier was built for.
 
     Margins are oriented so positive = certificate holds strictly.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     if isinstance(bar, RadialPowerBarrier):
-        return _verify_radial(bar, op, bn, samples, rng)
+        return _verify_radial(bar, samples, rng)
     if isinstance(bar, LogDivBarrier):
         return _verify_logdiv(bar, samples, rng)
     if isinstance(bar, HeatKernelBarrier):
@@ -462,37 +444,28 @@ def verify_subsolution_margin(bar, op: OperatorSpec, bn=None,
     raise TypeError(f"unknown barrier type {type(bar).__name__}")
 
 
-def _verify_radial(bar: RadialPowerBarrier, op, bn, samples, rng):
-    from .nonlinearity import bn_derivative
-
-    worst = math.inf
-    n_done = 0
-    while n_done < samples:
-        rho = bar.rho0 + bar.eps * (2 * rng.random() - 1)
-        t = bar.eps_t * (2 * rng.random() - 1)
-        rho_f = bar.front_radius(t)
-        if abs(rho - rho_f) < 1e-9 * bar.rho0 or not (bar.rho0 - bar.eps < rho < bar.rho0 + bar.eps):
-            continue
-        val, dt, drho, drho2 = eval_radial_barrier(bar, rho, t)
-        positive = val > 0
-        bt_factor = 1.0
-        if bn is not None and positive:
-            bt_factor = float(bn_derivative(bn, val))
-        # residual b(phi)_t - F of the extremal operator; b(phi)_t = 0 in the
-        # negative phase
-        F_env = structural_envelope(
-            [drho / rho] * (bar.n_dim - 1) + [drho2], abs(drho), val,
-            bar.lam, bar.Lam, bar.delta1, bar.delta0, bar.sign)
-        res = (bt_factor * dt if positive else 0.0) - F_env
-        margin = -res if bar.sign == "sub" else res
-        worst = min(worst, margin)
-        n_done += 1
-    if bar.sign == "sub":
-        flux_gap = bar.a_hat + bar.b_hat  # |D phi^+| - |D phi^-|
-    else:
-        flux_gap = -(bar.a_hat + bar.b_hat)
+def _verify_radial(bar: RadialPowerBarrier, samples, rng):
+    op = bar.op
+    draws = rng.random((samples, 2))
+    rho = bar.rho0 + bar.eps * (2 * draws[:, 0] - 1)
+    t = bar.eps_t * (2 * draws[:, 1] - 1)
+    keep = ((np.abs(rho - bar.front_radius(t)) >= 1e-9 * bar.rho0)
+            & (bar.rho0 - bar.eps < rho) & (rho < bar.rho0 + bar.eps)
+            & (np.abs(t) < bar.eps_t))
+    rho, t = rho[keep], t[keep]
+    val, dt, drho, drho2 = eval_radial_barrier(bar, rho, t)
+    # residual b(phi)_t - F of the extremal operator; b(phi)_t = 0 in the
+    # negative phase
+    eigs = np.repeat((drho / rho)[:, None], op.n_dim, axis=1)
+    eigs[:, -1] = drho2
+    F_env = structural_envelope(eigs, np.abs(drho), val, op.lam, op.Lam,
+                                op.delta1, op.delta0, bar.sign)
+    res = np.where(val > 0, dt, 0.0) - F_env
+    worst = float(np.min(-res if bar.sign == "sub" else res, initial=math.inf))
+    gap = bar.a_hat + bar.b_hat  # |D phi^+| - |D phi^-| of the subsolution
     return MarginReport(family="radial", sense=bar.sign, samples=samples,
-                        worst_margin=float(worst), flux_gap=float(flux_gap),
+                        worst_margin=worst,
+                        flux_gap=float(gap if bar.sign == "sub" else -gap),
                         passed=worst > 0)
 
 
@@ -526,7 +499,8 @@ def _verify_heatkernel(bar: HeatKernelBarrier, samples):
 
 
 def _verify_parabola(bar: ParabolaBarrier, samples, rng):
-    n, lam, Lam, d1, d0 = bar.n_dim, bar.lam, bar.Lam, bar.delta1, bar.delta0
+    op = bar.op
+    n, lam, Lam, d1, d0 = op.n_dim, op.lam, op.Lam, op.delta1, op.delta0
     draws = rng.random((samples, 2))
     if bar.variant == "decr-parabola":
         # support: 4|x|^2 <= 1 - t/(2 gamma) truncated to |x| <= 1/2, t <= 0

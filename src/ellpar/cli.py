@@ -128,6 +128,9 @@ def _cmd_verify_barrier(args):
     cfg = load_config(args.config)
     op = operator_from_config(cfg)
     fam = args.family
+    samples = cfg.get("barrier.samples", 1000)
+    if type(samples) is not int or samples < 1:
+        raise ConfigError(f"barrier.samples = {samples}: need an integer >= 1")
     try:
         if fam == "radial":
             bar = solve_radial_barrier(
@@ -157,7 +160,9 @@ def _cmd_verify_barrier(args):
     except BarrierInfeasible as exc:
         print(json.dumps({"family": fam, "infeasible": str(exc)}))
         return 1
-    rep = verify_subsolution_margin(bar, op, samples=int(cfg.get("barrier.samples", 1000)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{fam} barrier: {exc}") from exc
+    rep = verify_subsolution_margin(bar, samples=samples)
     print(json.dumps(asdict(rep), indent=2))
     return 0 if rep.passed else 1
 

@@ -99,9 +99,9 @@ class HarnackChain:
     k: int
 
 
-def harnack_chain(r: float, s: float, max_len: int = 10_000) -> HarnackChain:
+def harnack_chain(r: float, s: float) -> HarnackChain:
     """Iterate a_{j+1} = cbrt(r a_j^2 + (a_j - s)^3) + s with a_0 = min(s, r/16)
-    and h_{j+1} = h_j - a_j^2 until a_k >= r/2 + s.
+    and h_{j+1} = h_j - a_j^2 until a_k >= r/2 + s (RuntimeError past 10,000).
 
     For s >= r/16 the chain terminates immediately with k = 0.
     """
@@ -121,7 +121,7 @@ def harnack_chain(r: float, s: float, max_len: int = 10_000) -> HarnackChain:
         h.append(h[k] - a[k] ** 2)
         a.append((r * a[k] ** 2 + (a[k] - s) ** 3) ** (1.0 / 3.0) + s)
         k += 1
-        if k > max_len:
+        if k > 10_000:
             raise RuntimeError("harnack chain failed to terminate")
     return HarnackChain(r=r, s=s, a=np.asarray(a), h=np.asarray(h), k=k)
 

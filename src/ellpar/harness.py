@@ -296,16 +296,16 @@ def criterion_4_barriers(ctx=None) -> CriterionResult:
     def body():
         op = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.2,
                           delta1=0.5, delta0=0.2, n_dim=3)
-        rho_c = critical_radius(op.lam, op.Lam, op.delta1, op.n_dim)
+        rho_c = critical_radius(op)
         bar = solve_radial_barrier(op, rho0=1.0, a_hat=1.0, b_hat=-0.5,
                                    omega_hat=0.3)
-        rep = verify_subsolution_margin(bar, op, samples=1000, seed=5)
+        rep = verify_subsolution_margin(bar, samples=1000, seed=5)
         scale = max(1.0, bar.a_hat)
         ok_margin = rep.passed and rep.worst_margin >= 1e-6 * scale
 
         # flux gap from the analytic one-sided slopes at the front
         d1_in = _power_profile(bar.alpha, bar.beta, bar.gamma, bar.rho0, bar.rho0)[1]
-        d1_out = _power_profile(bar.alpha_neg, bar.beta_neg, bar.gamma,
+        d1_out = _power_profile(bar.alpha_neg, bar.beta, bar.gamma,
                                 bar.rho0, bar.rho0)[1]
         flux_err = abs((abs(d1_in) - abs(d1_out)) - (bar.a_hat + bar.b_hat))
         ok_flux = flux_err <= 1e-10
@@ -326,7 +326,7 @@ def criterion_4_barriers(ctx=None) -> CriterionResult:
         psi = PsiSpec("polynomial", (1.0, 0.5))
         logbar = solve_logdiv_barrier(psi, BSpec("positive-part"),
                                       omega=0.5, rho0=1.0, M=1.0, n_dim=3)
-        logrep = verify_subsolution_margin(logbar, op, samples=1000, seed=5)
+        logrep = verify_subsolution_margin(logbar, samples=1000, seed=5)
         ok_log = logrep.passed and logrep.worst_margin >= 1e-6 * logbar.M
 
         ok = ok_margin and ok_flux and ok_crit and ok_log
@@ -627,9 +627,9 @@ ALL_CRITERIA = {
     11: criterion_11_elliptic,
 }
 
-def run_acceptance(criteria=None, out_path: Optional[str] = None,
-                   verbose: bool = True):
-    """Run the acceptance suite; returns (exit_code, report dict).
+def run_acceptance(criteria=None, out_path: Optional[str] = None):
+    """Run the acceptance suite, printing one line per criterion; returns
+    (exit_code, report dict).
 
     exit code 0 on pass, 1 on any criterion failure.
     """
@@ -643,8 +643,7 @@ def run_acceptance(criteria=None, out_path: Optional[str] = None,
     for i in indices:
         res = ALL_CRITERIA[i](ctx)
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     report = {
         "passed": all(r.passed for r in results),
         "total_runtime": time.perf_counter() - t0,

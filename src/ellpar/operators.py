@@ -47,7 +47,9 @@ class OperatorSpec:
     bi_entries is a finite inf-sup family: a list of groups, each group a list
     of (A, drift, zeroth) triples; F = min over groups of max over triples of
     tr(A M) + drift . p + zeroth * z.  Zeroth coefficients must be <= 0 so the
-    operator is proper.
+    operator is proper, and every entry must lie in the class: A symmetric
+    n_dim x n_dim with eigenvalues in [lam, Lam], |drift| <= delta1 and
+    |zeroth| <= delta0.
     """
 
     kind: str = "trace"
@@ -71,12 +73,21 @@ class OperatorSpec:
         if self.kind == "bellman-isaacs":
             if not self.bi_entries:
                 raise ValueError("bellman-isaacs needs at least one entry group")
+            n, tol = self.n_dim, 1e-12  # relative, for rounding in eigvalsh and norm
             for group in self.bi_entries:
                 for A, drift, zeroth in group:
                     if zeroth > 0:
-                        raise ValueError(
-                            "positive zeroth-order coefficient breaks properness"
-                        )
+                        raise ValueError("positive zeroth-order coefficient breaks properness")
+                    A, drift = np.asarray(A, dtype=float), np.asarray(drift, dtype=float)
+                    if A.shape != (n, n) or not np.array_equal(A, A.T):
+                        raise ValueError(f"entry matrix must be symmetric {n}x{n}")
+                    eigs = np.linalg.eigvalsh(A)
+                    if eigs[0] < self.lam * (1 - tol) or eigs[-1] > self.Lam * (1 + tol):
+                        raise ValueError("entry matrix eigenvalues must lie in [lambda, Lambda]")
+                    if drift.shape != (n,) or np.linalg.norm(drift) > self.delta1 * (1 + tol):
+                        raise ValueError(f"entry drift must have length {n} and norm <= delta1")
+                    if abs(zeroth) > self.delta0:
+                        raise ValueError("entry zeroth coefficient must have |c| <= delta0")
         if self.kind == "divergence" and self.psi is None:
             object.__setattr__(self, "psi", PsiSpec("constant", (1.0,)))
 

@@ -204,10 +204,10 @@ class InteriorBallReport:
     passed: bool
 
 
-def interior_ball_check(conv: ConvolvedField, level: str = "Z>=0",
-                        max_nodes: int = 200) -> InteriorBallReport:
-    """For boundary nodes of the level set, verify the translated body around
-    the dual point stays inside the corresponding super/sublevel set.
+def interior_ball_check(conv: ConvolvedField, level: str = "Z>=0") -> InteriorBallReport:
+    """For boundary nodes of the level set (at most 200, evenly strided),
+    verify the translated body around the dual point stays inside the
+    corresponding super/sublevel set.
 
     level "Z>=0" for sup-convolutions, "W<=0" for inf-convolutions.
     """
@@ -221,8 +221,8 @@ def interior_ball_check(conv: ConvolvedField, level: str = "Z>=0",
     out = np.pad(~inset, 1)
     nb = out[:-2, 1:-1] | out[2:, 1:-1] | out[1:-1, :-2] | out[1:-1, 2:]
     boundary = np.argwhere(inset & nb)
-    if boundary.shape[0] > max_nodes:
-        step = boundary.shape[0] // max_nodes + 1
+    if boundary.shape[0] > 200:
+        step = boundary.shape[0] // 200 + 1
         boundary = boundary[::step]
 
     offs = _xi_stencil(conv.r, hx, ht)

@@ -27,10 +27,11 @@ OP = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.2, delta1=0.5,
 
 class TestCriticalRadius:
     def test_formula(self):
-        assert critical_radius(1.0, 1.2, 0.5, 3) == pytest.approx((1 + 2 * 1.2) / 1.0)
+        assert critical_radius(OP) == pytest.approx((1 + 2 * 1.2) / 1.0)
 
     def test_infinite_without_drift(self):
-        assert critical_radius(1.0, 2.0, 0.0, 2) == math.inf
+        op = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=2)
+        assert critical_radius(op) == math.inf
 
 
 class TestRadialBarrier:
@@ -44,7 +45,7 @@ class TestRadialBarrier:
     def test_margin_certificate(self):
         bar = solve_radial_barrier(OP, rho0=1.0, a_hat=1.0, b_hat=-0.5,
                                    omega_hat=0.3)
-        rep = verify_subsolution_margin(bar, OP, samples=500, seed=1)
+        rep = verify_subsolution_margin(bar, samples=500, seed=1)
         assert rep.passed
         assert rep.worst_margin > 0
         assert rep.flux_gap == pytest.approx(bar.a_hat + bar.b_hat)
@@ -52,13 +53,13 @@ class TestRadialBarrier:
     def test_super_sign(self):
         bar = solve_radial_barrier(OP, rho0=1.0, a_hat=1.0, b_hat=-0.5,
                                    omega_hat=0.3, sign="super")
-        rep = verify_subsolution_margin(bar, OP, samples=500, seed=1)
+        rep = verify_subsolution_margin(bar, samples=500, seed=1)
         assert rep.passed
         val, dt, drho, drho2 = eval_radial_barrier(bar, bar.rho0 - bar.eps / 2, 0.0)
         assert val < 0  # negated positive phase
 
     def test_infeasible_beyond_critical_radius(self):
-        rho_c = critical_radius(OP.lam, OP.Lam, OP.delta1, OP.n_dim)
+        rho_c = critical_radius(OP)
         with pytest.raises(BarrierInfeasible):
             solve_radial_barrier(OP, rho0=rho_c * 1.001, a_hat=1.0,
                                  b_hat=-0.5, omega_hat=0.1)
@@ -83,6 +84,14 @@ class TestRadialBarrier:
             val, *_ = eval_radial_barrier(bar, rho_f, t)
             assert val == pytest.approx(0.0, abs=1e-14)
 
+    def test_one_sided_slopes_at_front(self):
+        # d/drho is -a_hat just inside the front and b_hat just outside
+        bar = solve_radial_barrier(OP, rho0=1.0, a_hat=1.0, b_hat=-0.5,
+                                   omega_hat=0.3)
+        inside, outside = eval_radial_barrier(bar, np.array([1.0, 1.0 + 1e-12]), 0.0)[2]
+        assert inside == pytest.approx(-bar.a_hat, rel=1e-9)
+        assert outside == pytest.approx(bar.b_hat, rel=1e-9)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             solve_radial_barrier(OP, rho0=1.0, a_hat=0.4, b_hat=-0.5,
@@ -97,7 +106,7 @@ class TestHeatKernelBarrier:
         op = OperatorSpec(kind="trace", lam=1.0, Lam=1.0, delta1=0.3,
                           delta0=0.1, n_dim=1)
         bar = solve_heatkernel_barrier(op, d=0.5, delta=0.1)
-        rep = verify_subsolution_margin(bar, op, samples=900)
+        rep = verify_subsolution_margin(bar, samples=900)
         assert rep.passed
         assert bar.eps > 0 and bar.eta > 0
 
@@ -127,7 +136,7 @@ class TestLogDivBarrier:
         psi = PsiSpec("polynomial", (1.0, 0.5))
         bar = solve_logdiv_barrier(psi, BSpec(), omega=0.5, rho0=1.0, M=1.0,
                                    n_dim=3)
-        rep = verify_subsolution_margin(bar, OP, samples=500, seed=2)
+        rep = verify_subsolution_margin(bar, samples=500, seed=2)
         assert rep.passed and rep.worst_margin > 0
 
     def test_eval_collar(self):
@@ -144,7 +153,7 @@ class TestParabolaBarriers:
         op = OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=2)
         bar = make_parabola_barrier(op)
         assert bar.gamma == 1 / 32
-        rep = verify_subsolution_margin(bar, op, samples=500, seed=3)
+        rep = verify_subsolution_margin(bar, samples=500, seed=3)
         assert rep.passed
         # gamma must follow Lambda and 2 delta_0 |phi| with phi <= 2; with
         # delta = 0 the margin is 0 in exact arithmetic, and on a non-dyadic
@@ -156,7 +165,7 @@ class TestParabolaBarriers:
                    OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.2, n_dim=3),
                    OperatorSpec(kind="pucci-minus", lam=1.0, Lam=3.45, n_dim=2),
                    tight):
-            rep = verify_subsolution_margin(make_parabola_barrier(op), op,
+            rep = verify_subsolution_margin(make_parabola_barrier(op),
                                             samples=2000, seed=0)
             assert rep.passed, (op, rep.worst_margin)
         assert -1e-12 < rep.worst_margin < 0
@@ -167,14 +176,15 @@ class TestParabolaBarriers:
         with pytest.raises(BarrierInfeasible):
             make_eps_eta_barrier(op, M=1.0, eps=0.5, eta=0.01)
         ok = make_eps_eta_barrier(op, M=1.0, eps=0.01, eta=0.001)
-        rep = verify_subsolution_margin(ok, op, samples=500, seed=3)
+        rep = verify_subsolution_margin(ok, samples=500, seed=3)
         assert rep.passed
 
 
 def _reference_parabola_margin(bar, samples, seed):
     """Worst margin of the parabola barriers, one sample at a time."""
     rng = np.random.default_rng(seed)
-    n, lam, Lam, d1, d0 = bar.n_dim, bar.lam, bar.Lam, bar.delta1, bar.delta0
+    op = bar.op
+    n, lam, Lam, d1, d0 = op.n_dim, op.lam, op.Lam, op.delta1, op.delta0
     worst = math.inf
     A = 4 * bar.M / bar.eps
     for _ in range(samples):
@@ -197,6 +207,28 @@ def _reference_parabola_margin(bar, samples, seed):
     return worst
 
 
+def _reference_radial_margin(bar, samples, seed):
+    """Worst margin of a radial barrier, one sample at a time, and the number
+    of draws rejected next to the front or on the window's edge."""
+    rng = np.random.default_rng(seed)
+    op = bar.op
+    worst, done, rejected = math.inf, 0, 0
+    while done < samples:
+        rho = bar.rho0 + bar.eps * (2 * rng.random() - 1)
+        t = bar.eps_t * (2 * rng.random() - 1)
+        if (abs(rho - bar.front_radius(t)) < 1e-9 * bar.rho0
+                or not (bar.rho0 - bar.eps < rho < bar.rho0 + bar.eps)):
+            rejected += 1
+            continue
+        val, dt, drho, drho2 = (float(v) for v in eval_radial_barrier(bar, rho, t))
+        F_env = structural_envelope([drho / rho] * (op.n_dim - 1) + [drho2], abs(drho),
+                                    val, op.lam, op.Lam, op.delta1, op.delta0, bar.sign)
+        res = (dt if val > 0 else 0.0) - F_env
+        worst = min(worst, -res if bar.sign == "sub" else res)
+        done += 1
+    return worst, rejected
+
+
 def _reference_logdiv_margin(bar, samples, seed):
     """Worst supersolution residual of a log barrier, one sample at a time."""
     rng = np.random.default_rng(seed)
@@ -216,6 +248,49 @@ def _reference_logdiv_margin(bar, samples, seed):
 
 
 class TestBatchedMargins:
+    def test_radial_matches_scalar_reference(self):
+        for op in (OP, OperatorSpec(kind="pucci-plus", lam=0.5, Lam=2.0, delta1=0.1,
+                                    n_dim=1)):
+            for sign in ("sub", "super"):
+                for omega in (0.0, 0.3, 1.0):
+                    bar = solve_radial_barrier(op, rho0=1.0, a_hat=1.0, b_hat=-0.5,
+                                               omega_hat=omega, sign=sign)
+                    for seed in (0, 1, 2):
+                        rep = verify_subsolution_margin(bar, samples=400, seed=seed)
+                        want, rejected = _reference_radial_margin(bar, 400, seed)
+                        # no draw rejected: both evaluate the same 400 points
+                        assert rejected == 0
+                        # numpy's array pow may differ from scalar pow in the
+                        # last ulp
+                        assert rep.worst_margin == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_radial_eval_on_arrays(self):
+        bar = solve_radial_barrier(OP, rho0=1.0, a_hat=1.0, b_hat=-0.5, omega_hat=1.0)
+        rng = np.random.default_rng(4)
+        rho = bar.rho0 + bar.eps * (2 * rng.random(300) - 1)
+        t = bar.eps_t * (2 * rng.random(300) - 1)
+        got = eval_radial_barrier(bar, rho, t)
+        want = np.array([eval_radial_barrier(bar, r, s) for r, s in zip(rho, t)]).T
+        # val and dt are differences of O(1) powers, so an ulp of a power can
+        # be a large relative change of a small result
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-15, atol=1e-13)
+        for bad in (bar.rho0 + bar.eps, bar.rho0 - 2 * bar.eps):
+            with pytest.raises(OutOfWindowError):
+                eval_radial_barrier(bar, np.append(rho, bad), np.append(t, 0.0))
+        with pytest.raises(OutOfWindowError):
+            eval_radial_barrier(bar, rho, np.where(np.arange(t.size) == 7, bar.eps_t, t))
+
+    def test_empty_check_rejected(self):
+        bars = (solve_radial_barrier(OP, rho0=1.0, a_hat=1.0, b_hat=-0.5, omega_hat=0.3),
+                solve_heatkernel_barrier(OP, d=0.5, delta=0.1),
+                solve_logdiv_barrier(PsiSpec(), BSpec(), omega=1.0, rho0=2.0, M=1.0),
+                make_parabola_barrier(OP))
+        for bar in bars:
+            for samples in (0, -1):
+                with pytest.raises(ValueError, match="sample"):
+                    verify_subsolution_margin(bar, samples=samples)
+
     def test_parabola_matches_scalar_reference(self):
         ops = (OP, OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=2),
                OperatorSpec(kind="pucci-plus", lam=0.5, Lam=2.0, delta1=0.1, n_dim=1))
@@ -224,7 +299,7 @@ class TestBatchedMargins:
                     make_eps_eta_barrier(op, M=1.0, eps=0.01, eta=0.001)]
             for bar in bars:
                 for seed in (0, 1, 2):
-                    rep = verify_subsolution_margin(bar, op, samples=400, seed=seed)
+                    rep = verify_subsolution_margin(bar, samples=400, seed=seed)
                     assert rep.worst_margin == _reference_parabola_margin(bar, 400, seed)
 
     def test_logdiv_matches_scalar_reference(self):
@@ -235,7 +310,7 @@ class TestBatchedMargins:
         for psi, bspec, omega in cases:
             bar = solve_logdiv_barrier(psi, bspec, omega=omega, rho0=1.0, M=1.0, n_dim=3)
             for seed in (0, 1, 5):
-                rep = verify_subsolution_margin(bar, None, samples=400, seed=seed)
+                rep = verify_subsolution_margin(bar, samples=400, seed=seed)
                 assert rep.worst_margin == _reference_logdiv_margin(bar, 400, seed)
 
 

@@ -8,6 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ellpar.barriers import (
+    make_parabola_barrier,
+    solve_heatkernel_barrier,
+    solve_logdiv_barrier,
+    solve_radial_barrier,
+    verify_subsolution_margin,
+)
 from ellpar.cli import main, read_field_csv, write_field_csv
 from ellpar.config import (
     ConfigError,
@@ -22,6 +29,7 @@ from ellpar.harness import (
     make_jump_scenario,
     validate_class_P,
 )
+from ellpar.nonlinearity import BSpec, PsiSpec
 from ellpar.regularize import GridField
 from ellpar.solver import Geometry, max_principle_bounds
 
@@ -37,6 +45,19 @@ time.T = 0.1
 time.dt = 0.0025
 g.lo = -1.0
 g.hi = -1.0
+"""
+
+BARRIER_CFG = """
+op.kind = pucci-minus
+op.lambda = 1.0
+op.Lambda = 1.2
+op.delta1 = 0.5
+op.delta0 = 0.2
+op.n_dim = 3
+barrier.rho0 = 1.0
+barrier.a_hat = 1.0
+barrier.b_hat = -0.5
+barrier.omega_hat = 0.3
 """
 
 
@@ -328,15 +349,54 @@ class TestCLI:
         assert main(["compare", "--config", str(p)]) == 2
         assert "time.T" in capsys.readouterr().err
 
-    def test_verify_barrier(self, tmp_path):
+    def test_verify_barrier(self, tmp_path, capsys):
         p = tmp_path / "bar.cfg"
-        p.write_text("op.kind = pucci-minus\nop.lambda = 1.0\nop.Lambda = 1.2\n"
-                     "op.delta1 = 0.5\nop.delta0 = 0.2\nop.n_dim = 3\n"
-                     "barrier.rho0 = 1.0\nbarrier.a_hat = 1.0\n"
-                     "barrier.b_hat = -0.5\nbarrier.omega_hat = 0.3\n")
-        for family in ("radial", "parabola"):
+        p.write_text(BARRIER_CFG)
+        op = operator_from_config(load_config(p))
+        # the barriers the command builds from this config and its defaults
+        bars = {
+            "radial": solve_radial_barrier(op, rho0=1.0, a_hat=1.0, b_hat=-0.5,
+                                           omega_hat=0.3),
+            "heatkernel": solve_heatkernel_barrier(op, d=0.5, delta=0.1),
+            "logdiv": solve_logdiv_barrier(PsiSpec("constant", (1.0,)),
+                                           BSpec("positive-part"), omega=0.0,
+                                           rho0=1.0, M=1.0, n_dim=3),
+            "parabola": make_parabola_barrier(op),
+        }
+        for family, bar in bars.items():
             assert main(["verify-barrier", "--family", family,
                          "--config", str(p)]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            assert printed["family"] == family
+            assert printed["worst_margin"] == verify_subsolution_margin(bar).worst_margin
+
+    @pytest.mark.parametrize("family, line, needle", [
+        ("radial", "barrier.sign = up", "radial barrier"),
+        ("radial", "barrier.b_hat = -1.0", "radial barrier"),
+        ("heatkernel", "barrier.d = -1", "heatkernel barrier"),
+        ("logdiv", "barrier.omega = -0.5", "logdiv barrier"),
+        ("logdiv", "barrier.M = 0", "logdiv barrier"),
+        ("radial", "barrier.samples = 0", "barrier.samples"),
+        ("parabola", "barrier.samples = -1", "barrier.samples"),
+        ("logdiv", "barrier.samples = 0", "barrier.samples"),
+    ])
+    def test_verify_barrier_bad_input_exit_2(self, tmp_path, capsys, family, line,
+                                             needle):
+        p = tmp_path / "bar.cfg"
+        p.write_text(BARRIER_CFG + line + "\n")
+        assert main(["verify-barrier", "--family", family, "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        assert captured.out == ""
+
+    def test_verify_barrier_infeasible_exit_1(self, tmp_path, capsys):
+        # rho0 beyond the critical radius 3.4 of the class
+        p = tmp_path / "bar.cfg"
+        p.write_text(BARRIER_CFG + "barrier.rho0 = 10.0\n")
+        assert main(["verify-barrier", "--family", "radial", "--config", str(p)]) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["family"] == "radial"
+        assert "critical radius" in printed["infeasible"]
 
     @pytest.mark.parametrize("command", [
         "sweep-n --n 4,8", "sweep-n --n 4,x,16", "accept --criteria 99",

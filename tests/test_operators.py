@@ -97,6 +97,28 @@ class TestOperatorFullEval:
                 ((((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), 0.5),),
             ))
 
+    @pytest.mark.parametrize("A, drift, zeroth, match", [
+        (((1.0, 0.5), (0.0, 1.0)), (0.0, 0.0), 0.0, "symmetric"),
+        (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0), 0.0,
+         "symmetric"),
+        (((0.5, 0.0), (0.0, 1.0)), (0.0, 0.0), 0.0, "eigenvalues"),
+        (((1.0, 1.0), (1.0, 1.0)), (0.0, 0.0), 0.0, "eigenvalues"),
+        (((1.0, 0.0), (0.0, 1.0)), (0.0,), 0.0, "drift"),
+        (((1.0, 0.0), (0.0, 1.0)), (0.4, 0.4), 0.0, "drift"),
+        (((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), -0.3, "zeroth"),
+    ])
+    def test_bellman_isaacs_entries_checked_against_class(self, A, drift, zeroth, match):
+        with pytest.raises(ValueError, match=match):
+            OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=2.0, delta1=0.5,
+                         delta0=0.2, n_dim=2, bi_entries=(((A, drift, zeroth),),))
+
+    def test_bellman_isaacs_entry_on_class_edge(self):
+        # eigenvalues lambda and Lambda, |zeroth| = delta0, and |drift| = 0.5
+        # up to rounding in the norm
+        OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=2.0, delta1=0.5,
+                     delta0=0.2, n_dim=2,
+                     bi_entries=(((((1.0, 0.0), (0.0, 2.0)), (0.3, 0.4), -0.2),),))
+
     def test_divergence_expanded_form(self):
         psi = PsiSpec("polynomial", (1.0, 1.0))  # Psi(y) = 1 + y
         op = OperatorSpec(kind="divergence", psi=psi, n_dim=2)
@@ -254,8 +276,13 @@ class TestStructuralEnvelope:
     def test_out_of_class_operator_fails(self):
         # a Bellman-Isaacs entry A = 4I lies outside the class Lambda = 1.2
         A = ((4.0, 0.0), (0.0, 4.0))
-        bad = OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=1.2, n_dim=2,
+        with pytest.raises(ValueError, match="eigenvalues"):
+            OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=1.2, n_dim=2,
+                         bi_entries=(((A, (0.0, 0.0), 0.0),),))
+        # the check itself still reports it: build in class, then narrow Lambda
+        bad = OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=4.0, n_dim=2,
                            bi_entries=(((A, (0.0, 0.0), 0.0),),))
+        object.__setattr__(bad, "Lam", 1.2)
         rep = structural_envelope_check(bad, trials=500, seed=0)
         assert not rep.passed
         assert rep.violations > 0
