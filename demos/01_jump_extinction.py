@@ -20,12 +20,12 @@ import numpy as np
 
 from ellpar.cli import write_field_csv, _write_front_csv
 from ellpar.harness import make_jump_scenario
-from ellpar.solver import SolverPolicy, run
+from ellpar.solver import run
 
 
 def main():
     scenario = make_jump_scenario(grid=401, n=32, T=0.12, dt=2.5e-3)
-    out = run(scenario.spec, SolverPolicy())
+    out = run(scenario.spec)
 
     print("jump scenario: 401 nodes, smoothing index n = 32, dt = 2.5e-3")
     print(f"{'t':>7} {'max u':>9} {'min u':>9} {'fronts':>22}")

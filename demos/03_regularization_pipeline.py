@@ -27,15 +27,15 @@ from ellpar.regularize import (
     interior_ball_check,
     sup_convolve,
 )
-from ellpar.solver import SolverPolicy, run
+from ellpar.solver import run
 
 
 def main():
     base = make_jump_scenario(grid=801, n=32, T=0.3, dt=2.5e-3)
     lower, upper = make_comparison_pair(base, gap=0.5)
     print("solving the ordered pair (801 nodes, separation 0.5) ...")
-    lo = run(lower.spec, SolverPolicy()).to_grid_field()
-    hi = run(upper.spec, SolverPolicy()).to_grid_field()
+    lo = run(lower.spec).to_grid_field()
+    hi = run(upper.spec).to_grid_field()
 
     r = 0.01
     Z = sup_convolve(lo, r)

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -61,12 +62,12 @@ def _int_list(flag, raw):
 
 
 def _cmd_solve(args):
-    from .solver import SolverPolicy, max_principle_bounds, run
+    from .solver import max_principle_bounds, run
 
     spec = problem_from_config(load_config(args.config))
     out = args.out
     os.makedirs(out, exist_ok=True)
-    field = run(spec, SolverPolicy())
+    field = run(spec)
     write_field_csv(os.path.join(out, "field.csv"), field.to_grid_field())
     _write_front_csv(os.path.join(out, "front.csv"), field)
     lower, upper = max_principle_bounds(spec, field.values[0], 0.0)
@@ -97,24 +98,15 @@ def _cmd_sweep_n(args):
         rep = singular_limit_study(spec, n_list)
     except ValueError as exc:
         raise ConfigError(f"--n {args.n}: {exc}") from exc
-    out = {
-        "n_list": rep.n_list,
-        "probe_times": rep.probe_times,
-        "pairwise_sup": rep.pairwise_sup,
-        "extinction_times": rep.extinction_times,
-        "extinction_gaps": rep.extinction_gaps,
-    }
     path = os.path.join(args.out, "convergence.json")
     os.makedirs(args.out, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(out, fh, indent=2)
+        json.dump(asdict(rep), fh, indent=2)
     print(path)
     return 0
 
 
 def _cmd_verify_barrier(args):
-    from dataclasses import asdict
-
     from .barriers import (
         BarrierInfeasible,
         make_parabola_barrier,
@@ -191,7 +183,7 @@ def _cmd_crossing(args):
 
 def _cmd_compare(args):
     from .harness import make_comparison_pair, make_jump_scenario
-    from .solver import SolverPolicy, run
+    from .solver import run
 
     cfg = load_config(args.config, keys={"grid.n", "b.n"}) if args.config else None
     grid = int(cfg.get("grid.n", 401)) if cfg else 401
@@ -201,8 +193,8 @@ def _cmd_compare(args):
         lower, upper = make_comparison_pair(base, args.gap)
     except ValueError as exc:
         raise ConfigError(f"--gap {args.gap}: {exc}") from exc
-    rl = run(lower.spec, SolverPolicy())
-    ru = run(upper.spec, SolverPolicy())
+    rl = run(lower.spec)
+    ru = run(upper.spec)
     worst = float(np.min(ru.values - rl.values))
     ordered = worst >= -1e-9
     print(json.dumps({"gap": args.gap, "worst_order_gap": worst,

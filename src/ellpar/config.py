@@ -67,10 +67,6 @@ class Config:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
-    def section(self, prefix: str) -> dict:
-        p = prefix + "."
-        return {k[len(p):]: v for k, v in self.values.items() if k.startswith(p)}
-
 
 def parse_config(text: str) -> Config:
     values = {}

@@ -1,95 +1,120 @@
-"""The eleven acceptance criteria, one test each, at their stated tolerances.
+"""The eleven acceptance criteria, one test each, at their stated tolerances,
+and the registry that holds them.
 
 Each test prints a single PASS/FAIL line with the measured margin (run pytest
-with -s or look at captured output on failure).  Expensive intermediates are
-shared through a session-scoped context.
+with -s or look at captured output on failure).  Every criterion builds its
+own runs, so the tests share no state.
 """
 
 import pytest
 
-from ellpar.harness import ALL_CRITERIA, AcceptanceContext
+from ellpar import harness
+from ellpar.harness import ALL_CRITERIA, CriterionResult
 
 
-@pytest.fixture(scope="module")
-def ctx():
-    return AcceptanceContext()
-
-
-def _check(index, ctx):
-    result = ALL_CRITERIA[index](ctx)
+def _check(index):
+    result = ALL_CRITERIA[index]()
     print(result.line())
     assert result.passed, result.details
     return result
 
 
-def test_criterion_01_bn_family(ctx):
+def test_registry():
+    assert sorted(ALL_CRITERIA) == list(range(1, 12))
+    names = [fn.name for fn in ALL_CRITERIA.values()]
+    assert len(set(names)) == len(names) == 11
+
+
+def test_registering_an_existing_index_raises():
+    saved = dict(ALL_CRITERIA)
+    try:
+        @harness._criterion(99, "probe")
+        def probe():
+            return True, 0.5, {"k": 1}
+
+        assert ALL_CRITERIA[99] is probe
+        res = probe()
+        assert isinstance(res, CriterionResult)
+        assert (res.index, res.name, res.passed, res.margin, res.details) == (
+            99, "probe", True, 0.5, {"k": 1})
+        assert res.runtime >= 0
+        for index in (99, 6):
+            with pytest.raises(ValueError, match=f"criterion {index} "):
+                harness._criterion(index, "again")
+    finally:
+        ALL_CRITERIA.clear()
+        ALL_CRITERIA.update(saved)
+    assert sorted(ALL_CRITERIA) == list(range(1, 12))
+
+
+def test_criterion_01_bn_family():
     # 0 < b_n' < 1 for n in 1..64; sup error decreasing; oracle match 1e-9
-    r = _check(1, ctx)
+    r = _check(1)
     assert r.runtime < 10
 
 
-def test_criterion_02_pucci_correctness(ctx):
+def test_criterion_02_pucci_correctness():
     # brute-force gap <= 1e-3, duality exact, degenerate trace reduction
-    r = _check(2, ctx)
+    r = _check(2)
     assert r.details["worst_bruteforce_gap"] <= 1e-3
     assert r.details["worst_duality_error"] == 0.0
 
 
-def test_criterion_03_structural_envelope(ctx):
+def test_criterion_03_structural_envelope():
     # all four operator kinds, 1e4 trials, worst margin >= -1e-10
-    r = _check(3, ctx)
+    r = _check(3)
     assert min(r.details.values()) >= -1e-10
 
 
-def test_criterion_04_barrier_certificates(ctx):
+def test_criterion_04_barrier_certificates():
     # margins bounded away from zero, flux gap to 1e-10, critical radius
-    r = _check(4, ctx)
+    r = _check(4)
     assert r.details["flux_gap_error"] <= 1e-10
     assert r.details["infeasibility_behaviour"]
 
 
-def test_criterion_05_harnack_chain(ctx):
+def test_criterion_05_harnack_chain():
     # 50 pairs respect the doubly exponential lower bound and kBound
-    _check(5, ctx)
+    _check(5)
 
 
-def test_criterion_06_discrete_comparison(ctx):
+def test_criterion_06_discrete_comparison():
     # 100 ordered pairs, nodewise order preserved, violations <= 1e-9
-    r = _check(6, ctx)
+    r = _check(6)
     assert r.details["worst_order_gap"] >= -1e-9
     assert r.runtime < 180
 
 
-def test_criterion_07_jump_extinction(ctx):
+def test_criterion_07_jump_extinction():
     # finite extinction, refinement-stable, post-extinction proximity 0.05
-    r = _check(7, ctx)
+    r = _check(7)
     assert r.details["refinement_drift"] <= 2 * (2.5e-3 + 2.0 / 400)
     assert r.details["post_extinction_deviation"] <= 0.05
 
 
-def test_criterion_08_singular_limit(ctx):
+def test_criterion_08_singular_limit():
     # successive sup distances strictly decreasing; extinction times Cauchy
-    r = _check(8, ctx)
+    r = _check(8)
     d = r.details["pairwise_sup"]
     assert all(b < a for a, b in zip(d, d[1:]))
 
 
-def test_criterion_09_bracketing(ctx):
+def test_criterion_09_bracketing():
     # nested sandwiches, gaps shrinking within solver tolerance 1e-3
-    r = _check(9, ctx)
+    r = _check(9)
     assert r.details["ordered"]
 
 
-def test_criterion_10_regularization(ctx):
+def test_criterion_10_regularization():
     # Z >= u, W <= v exactly; duality; dual attainment; interior balls;
     # no crossing on an ordered pair
-    r = _check(10, ctx)
+    r = _check(10)
     assert r.details["crossing_t0"] is None
     assert r.details["interior_ball_violations"] == 0
 
 
-def test_criterion_11_elliptic_hopf(ctx):
+def test_criterion_11_elliptic_hopf():
     # shooting-oracle match to 1e-4; positive Hopf quotient across grids
-    r = _check(11, ctx)
+    r = _check(11)
     assert r.details["oracle_error"] <= 1e-4
     assert min(r.details["hopf_quotients"]) >= r.details["hopf_floor"]

@@ -71,10 +71,6 @@ class TestConfig:
         assert cfg.get("name") == "jump"
         assert cfg.get("list") == (1, 2, 3)
 
-    def test_sections(self):
-        cfg = parse_config("op.kind = trace\nop.lambda = 2\n")
-        assert cfg.section("op") == {"kind": "trace", "lambda": 2}
-
     def test_malformed_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("this is not a key value line\n")
@@ -416,6 +412,9 @@ class TestCLI:
             report = json.load(fh)
         assert report["passed"]
         assert [c["index"] for c in report["criteria"]] == [1, 5]
+        for row in report["criteria"]:
+            assert list(row) == ["index", "name", "passed", "margin",
+                                 "runtime", "details"]
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "ellpar.cli", "--help"],
