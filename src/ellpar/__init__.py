@@ -27,12 +27,10 @@ from .nonlinearity import (
 )
 from .operators import (
     OperatorSpec,
-    RadialProfile,
     apply_operator_1d,
     operator_full_eval,
     pucci_minus,
     pucci_plus,
-    radial_second_order,
     structural_envelope_check,
 )
 from .barriers import (

@@ -23,11 +23,22 @@ __all__ = ["main", "write_field_csv", "read_field_csv"]
 
 def write_field_csv(path, fld: GridField):
     """Header row `t,<x_0>,...,<x_{N-1}>` with node coordinates, then one row
-    per time level."""
+    `t,<u_0>,...,<u_{N-1}>` per time level.
+
+    Every number is written as `%.17g`, which round-trips a double.  Rows
+    are keyed by their bytes, so a row bit-equal to an earlier one (the
+    filled stationary tail of a run) is formatted once and its text reused;
+    -0.0 and 0.0 differ in bytes and keep their own text.
+    """
+    line = ",".join(["%.17g"] * fld.x.size) + "\n"
+    text = {}
     with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"{xi:.17g}" for xi in fld.x) + "\n")
-        for t, row in zip(fld.times, fld.values):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write("t," + line % tuple(fld.x.tolist()))
+        for t, row in zip(fld.times.tolist(), fld.values):
+            key = row.tobytes()
+            if key not in text:
+                text[key] = line % tuple(row.tolist())
+            fh.write("%.17g," % t + text[key])
 
 
 def read_field_csv(path) -> GridField:

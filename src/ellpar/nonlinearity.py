@@ -111,8 +111,8 @@ def bn_derivative(fam: BnFamily, s):
     s = np.asarray(s, dtype=float)
     z = n * n * s - n
     # stable logistic
-    out = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                   np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return out if out.ndim else float(out)
 

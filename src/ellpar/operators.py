@@ -25,11 +25,9 @@ from .nonlinearity import (
 
 __all__ = [
     "OperatorSpec",
-    "RadialProfile",
     "pucci_plus",
     "pucci_minus",
     "operator_full_eval",
-    "radial_second_order",
     "apply_operator_1d",
     "divergence_expanded",
     "structural_envelope",
@@ -160,41 +158,6 @@ def operator_full_eval(op: OperatorSpec, M, p, z, bspec: Optional[BSpec] = None)
         out = divergence_expanded(op.psi, bspec, z, np.trace(M, axis1=-2, axis2=-1),
                                   np.vecdot(p, p))
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """Sampled radial profile psi(rho) with analytic first and second
-    derivatives on an annular grid (rho > 0)."""
-
-    rho: np.ndarray
-    psi: np.ndarray
-    psi_prime: np.ndarray
-    psi_double_prime: np.ndarray
-    n_dim: int
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.rho) <= 0):
-            raise ValueError("radial grids exclude rho = 0")
-
-
-def radial_second_order(profile: RadialProfile, i: int, op: OperatorSpec,
-                        bspec: Optional[BSpec] = None) -> float:
-    """Apply F to the radially symmetric Hessian at node i.
-
-    The Hessian has eigenvalues psi'/rho (multiplicity n-1) and psi'', with
-    the radial eigenvector and the gradient psi' along the first coordinate
-    axis by convention.
-    """
-    rho = float(profile.rho[i])
-    du = float(profile.psi_prime[i])
-    ddu = float(profile.psi_double_prime[i])
-    u = float(profile.psi[i])
-    if op.kind == "divergence":
-        return divergence_expanded(op.psi, bspec, u,
-                                   ddu + (profile.n_dim - 1) * du / rho, du * du)
-    a2, a1, a0 = _active_coefficients(op, ddu, du, u, rho, radial=True)
-    return float(a2 * ddu + a1 * du + a0 * u)
 
 
 # ---------------------------------------------------------------------------

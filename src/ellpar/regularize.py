@@ -74,13 +74,31 @@ class ConvolvedField:
 
 def _xi_stencil(r: float, hx: float, ht: float):
     """Index offsets (dj, di) with (di*hx, dj*ht) in the closed Xi_r, sorted in
-    ascending flat-index order (dj, then di)."""
+    ascending flat-index order (dj, then di).
+
+    Membership depends on |di*hx| and (dj*ht)^2 only and shrinks as either
+    grows, so row dj is |di| <= w(|dj|), and it is empty when (0, dj*ht) is
+    outside.  w starts from the closed form
+    floor((r + (r^2 - (dj*ht)^2)^(1/3)) / hx) and is settled with xi_contains
+    itself, stepping down while w is outside and up while w + 1 is inside:
+    the same offsets as testing every (di, dj) of the bounding box.
+    """
     shape = XiShape(r)
     reach_x = int(math.floor((r + r ** (2.0 / 3.0)) / hx)) + 1
     reach_t = int(math.floor(r / ht)) + 1
-    return np.asarray([(dj, di) for dj in range(-reach_t, reach_t + 1)
-                       for di in range(-reach_x, reach_x + 1)
-                       if xi_contains(shape, di * hx, dj * ht, closed=True)], dtype=int)
+    widths = []
+    for dj in range(reach_t + 1):
+        t = dj * ht
+        if not xi_contains(shape, 0.0, t, closed=True):
+            break
+        w = min(int(math.floor((r + (r * r - t * t) ** (1.0 / 3.0)) / hx)), reach_x)
+        while w > 0 and not xi_contains(shape, w * hx, t, closed=True):
+            w -= 1
+        while w < reach_x and xi_contains(shape, (w + 1) * hx, t, closed=True):
+            w += 1
+        widths.append(w)
+    rows = [(dj, widths[abs(dj)]) for dj in range(1 - len(widths), len(widths))]
+    return np.asarray([(dj, di) for dj, w in rows for di in range(-w, w + 1)], dtype=int)
 
 
 def _rows(offs):

@@ -184,6 +184,26 @@ class TestFieldCSV:
         assert np.array_equal(back.times, fld.times)
         assert np.array_equal(back.values, fld.values)
 
+    def test_bytes_match_per_value_reference(self, tmp_path):
+        # a filled tail (B, B, B), a non-adjacent repeat (A, B, A), 0.0 next
+        # to -0.0, the extreme magnitudes and values that need 17 digits
+        x = np.linspace(-1, 1, 5)
+        a = np.array([0.1, 1 / 3, 2 / 3, 5e-324, 1e308])
+        b = np.array([np.nextafter(1.0, 2.0), -0.1, 1e-300, -1e308, np.pi])
+        zero = np.zeros(5)
+        rows = [a, b, a, zero, -zero, zero, b, b, b]
+        fld = GridField(x, 0.1 * np.arange(len(rows)), np.array(rows))
+        p = tmp_path / "f.csv"
+        write_field_csv(p, fld)
+        ref = "t," + ",".join(f"{v:.17g}" for v in fld.x) + "\n" + "".join(
+            f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+            for t, row in zip(fld.times, fld.values))
+        assert p.read_bytes() == ref.encode()
+        back = read_field_csv(p)
+        for got, want in ((back.x, fld.x), (back.times, fld.times),
+                          (back.values, fld.values)):
+            assert got.tobytes() == want.tobytes()
+
     def test_malformed_is_config_error(self, tmp_path):
         p = tmp_path / "f.csv"
         for body in ("t,0,1\n0,1,nan\n", "t,0,1\n0,1,inf\n", "t,0,nan\n0,1,2\n",

@@ -5,13 +5,11 @@ from ellpar.harness import _bi_operator
 from ellpar.nonlinearity import BSpec, PsiSpec
 from ellpar.operators import (
     OperatorSpec,
-    RadialProfile,
     apply_operator_1d,
     operator_full_eval,
     operator_jacobian_1d,
     pucci_minus,
     pucci_plus,
-    radial_second_order,
     structural_envelope,
     structural_envelope_check,
 )
@@ -145,28 +143,26 @@ def every_kind():
 
 class TestRadialReduction:
     def test_matches_full_eval_on_radial_hessian(self):
+        # apply_operator_1d on a radial grid against F of the full Hessian
+        # and gradient of the radial function at x = rho * e1.  Central
+        # differences of a quadratic profile are exact, so the middle node of
+        # a 3-node grid agrees to rounding for every frozen-coefficient kind;
+        # the divergence kind's flux form is second order (below)
         rng = np.random.default_rng(11)
-        for op in every_kind():
+        h = 0.125
+        for op in every_kind()[:4]:
             n = op.n_dim
             for _ in range(20):
                 rho = rng.uniform(0.2, 2.0)
                 psi, du, ddu = rng.standard_normal(3)
-                prof = RadialProfile(rho=np.array([rho]), psi=np.array([psi]),
-                                     psi_prime=np.array([du]),
-                                     psi_double_prime=np.array([ddu]), n_dim=n)
-                got = radial_second_order(prof, 0, op)
-                # full Hessian and gradient of a radial function at x = rho * e1
+                x = np.array([rho - h, rho, rho + h])
+                u = psi + du * (x - rho) + 0.5 * ddu * (x - rho) ** 2
+                got = apply_operator_1d(op, u, x, radial=True)[0]
                 M = np.diag([ddu] + [du / rho] * (n - 1))
                 p = np.zeros(n)
                 p[0] = du
                 want = operator_full_eval(op, M, p, psi)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12), op.kind
-
-    def test_rho_zero_rejected(self):
-        with pytest.raises(ValueError):
-            RadialProfile(rho=np.array([0.0]), psi=np.array([1.0]),
-                          psi_prime=np.array([0.0]),
-                          psi_double_prime=np.array([0.0]), n_dim=2)
 
 
 class TestFiniteDifferenceAssembly:
@@ -209,6 +205,26 @@ class TestFiniteDifferenceAssembly:
             return (1 + 0.5 * u) * upp + 0.5 * up * up
 
         p1, p2 = self.grid_convergence_order(op, func, ref, False, 1)
+        assert p1 > 1.9 and p2 > 1.9
+
+    def test_divergence_radial_flux_form_accuracy(self):
+        # the conservative radial form against F of the full Hessian and
+        # gradient at each node, Psi = 1 + 2y on the positive phase
+        op = every_kind()[4]
+
+        def func(x):
+            return 1.0 + 0.5 * np.sin(x)
+
+        def ref(x):
+            up, upp = 0.5 * np.cos(x), -0.5 * np.sin(x)
+            M = np.zeros((x.size, 3, 3))
+            M[:, 0, 0] = upp
+            M[:, 1, 1] = M[:, 2, 2] = up / x
+            p = np.zeros((x.size, 3))
+            p[:, 0] = up
+            return operator_full_eval(op, M, p, func(x))
+
+        p1, p2 = self.grid_convergence_order(op, func, ref, True, 3)
         assert p1 > 1.9 and p2 > 1.9
 
     def test_jacobian_matches_directional_difference_trace(self):

@@ -1,8 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ellpar import regularize
 from ellpar.geometry import XiShape, xi_contains
 from ellpar.regularize import (
     GridField,
@@ -106,6 +108,52 @@ def small_random_field(seed=0, nx=41, nt=29):
     x = np.linspace(0.0, 2.0, nx)
     ts = np.linspace(0.0, 1.4, nt)
     return GridField(x, ts, rng.standard_normal((nt, nx)))
+
+
+def full_scan_stencil(r, hx, ht):
+    """Every (dj, di) of the bounding box of Xi_r tested with xi_contains, in
+    ascending (dj, di) order; _xi_stencil must equal it."""
+    shape = XiShape(r)
+    reach_x = int(math.floor((r + r ** (2.0 / 3.0)) / hx)) + 1
+    reach_t = int(math.floor(r / ht)) + 1
+    return np.asarray([(dj, di) for dj in range(-reach_t, reach_t + 1)
+                       for di in range(-reach_x, reach_x + 1)
+                       if xi_contains(shape, di * hx, dj * ht, closed=True)], dtype=int)
+
+
+class TestStencil:
+    def cases(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            r = rng.uniform(0.05, 1.0)
+            yield r, r / rng.uniform(4.0, 16.0), r / rng.uniform(0.8, 16.0)
+        # grid nodes on the boundary of the body: the top row dj*ht = r
+        # (ht = r/m), and di*hx at the lateral boundary of row 1; rounding
+        # puts the closed-form width one off, both up (hx = r/11) and down
+        for r in (0.1, 0.25, 0.3, 1.0):
+            for k in (4, 5, 8, 11):
+                for m in (1, 2, 3, 8):
+                    ht = r / m
+                    yield r, r / k, ht
+                    yield r, (r + (r * r - ht * ht) ** (1.0 / 3.0)) / (4 * k), ht
+
+    def test_equals_full_scan(self):
+        for r, hx, ht in self.cases():
+            got, want = _xi_stencil(r, hx, ht), full_scan_stencil(r, hx, ht)
+            assert got.shape == want.shape and np.array_equal(got, want), (r, hx, ht)
+
+    def test_at_most_three_membership_tests_per_row(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return xi_contains(*args, **kwargs)
+
+        monkeypatch.setattr(regularize, "xi_contains", counting)
+        for r, hx, ht in self.cases():
+            calls.clear()
+            rows = np.unique(_xi_stencil(r, hx, ht)[:, 0]).size
+            assert len(calls) <= 3 * rows + 1, (r, hx, ht)
 
 
 class TestConvolution:
