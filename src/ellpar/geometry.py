@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "harnack_chain",
     "harnack_lower_bound",
     "edge_zeros",
+    "WindowMaxTable",
     "window_max",
 ]
 
@@ -165,22 +167,73 @@ def edge_zeros(x, i, a, b):
     return np.where(a == 0, x0, np.where(b == 0, x1, z))
 
 
+def _level(n: int) -> int:
+    """2^floor(log2 n), the table level that answers length-n windows."""
+    return 1 << (int(n).bit_length() - 1)
+
+
+def _max2(m, idx, left, right):
+    """Maximum of m[left] and m[right] and, with idx, its leftmost argmax:
+    right is taken only where strictly greater.  Without idx the values are
+    np.maximum's, signed zeros included."""
+    lo, hi = m[left], m[right]
+    if idx is None:
+        return np.maximum(lo, hi), None
+    take = hi > lo
+    return np.where(take, hi, lo), np.where(take, idx[right], idx[left])
+
+
+class WindowMaxTable:
+    """Sparse table of window maxima along the last axis of a (Bender &
+    Farach-Colton 2000), for the window lengths in sizes.
+
+    Level p holds max(a[..., k:k+p]) for every k and, with arg, its leftmost
+    argmax as an index into the last axis of a.  The levels are built by
+    doubling, once; only the levels p = 2^floor(log2 n) of the requested
+    lengths n are kept.  A length-n window is the maximum of the two length-p
+    windows at its ends, which overlap unless n = p; the right one wins only
+    where it is strictly greater, so the argmax stays leftmost.
+    """
+
+    def __init__(self, a, sizes, arg: bool = False):
+        m = np.asarray(a)
+        sizes = [int(n) for n in sizes]
+        if not sizes or min(sizes) < 1 or max(sizes) > m.shape[-1]:
+            raise ValueError("window lengths must lie in [1, a.shape[-1]]")
+        keep = {_level(n) for n in sizes}
+        idx = np.broadcast_to(np.arange(m.shape[-1]), m.shape) if arg else None
+        self.levels = {}  # p -> (max, argmax or None) of the length-p windows
+        p = 1
+        while True:
+            if p in keep:
+                self.levels[p] = (m, idx)
+            if 2 * p > max(keep):
+                break
+            m, idx = _max2(m, idx, (..., slice(None, -p)), (..., slice(p, None)))
+            p *= 2
+
+    def query(self, n: int, lead=(), start: int = 0, count: Optional[int] = None):
+        """Maxima (and leftmost argmaxes, if the table has them) of the
+        length-n windows of a[lead] that start at start, ..., start+count-1
+        along the last axis; count defaults to every window from start."""
+        p = _level(n)
+        if p not in self.levels:
+            raise ValueError(f"window length {n} was not requested")
+        m, idx = self.levels[p]
+        if count is None:
+            count = m.shape[-1] - (n - p) - start
+        k = start + n - p
+        out = _max2(m, idx, (*lead, ..., slice(start, start + count)),
+                    (*lead, ..., slice(k, k + count)))
+        return out if idx is not None else out[0]
+
+
 def window_max(a, n: int, arg: bool = False):
     """Maximum of every length-n window along the last axis: out[..., k] =
-    max(a[..., k:k+n]), by doubling the covered window (O(log n) passes).
-    With arg, also the leftmost argmax as an index into the last axis of a.
-    The one windowed extremum behind the Xi_r convolutions, the essential
-    envelopes and the front shift; minima are -window_max(-a)."""
-    m = np.asarray(a)
-    idx = np.broadcast_to(np.arange(m.shape[-1]), m.shape) if arg else None
-    c = 1  # m[..., k] = max(a[..., k:k+c])
-    while c < n:
-        s = min(c, n - c)
-        lo, hi = m[..., :-s], m[..., s:]
-        if arg:
-            take = hi > lo  # ties keep the left, hence the leftmost argmax
-            m, idx = np.where(take, hi, lo), np.where(take, idx[..., s:], idx[..., :-s])
-        else:
-            m = np.maximum(lo, hi)
-        c += s
-    return (m, idx) if arg else m
+    max(a[..., k:k+n]); with arg, also the leftmost argmax as an index into
+    the last axis of a.  One query on a WindowMaxTable: the two length-p
+    windows at the ends of each window, p = 2^floor(log2 n), overlap, and the
+    right one wins only where strictly greater.  The table is the one
+    windowed extremum behind the Xi_r convolutions, the essential envelopes
+    and the front shift; minima are -window_max(-a)."""
+    return WindowMaxTable(a, (n,), arg).query(n)

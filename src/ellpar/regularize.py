@@ -5,8 +5,8 @@ envelopes.
 Fields are node-major matrices of finite samples: values[j, i] is at time
 times[j] and space node x[i], on uniform grids.  Xi_r and the envelopes' disc
 are unions of centred rows |di| <= w at time offsets dj, so each body extremum
-is a maximum over rows of running window maxima (geometry.window_max), exactly
-the brute-force maximum over in-body samples.
+is a maximum over rows of window maxima, exactly the brute-force maximum over
+in-body samples.  One geometry.WindowMaxTable per field answers every row.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import XiShape, window_max, xi_contains
+from .geometry import WindowMaxTable, XiShape, xi_contains
 
 __all__ = [
     "GridField",
@@ -97,13 +97,20 @@ def _xi_stencil(r: float, hx: float, ht: float):
         while w < reach_x and xi_contains(shape, (w + 1) * hx, t, closed=True):
             w += 1
         widths.append(w)
-    rows = [(dj, widths[abs(dj)]) for dj in range(1 - len(widths), len(widths))]
-    return np.asarray([(dj, di) for dj, w in rows for di in range(-w, w + 1)], dtype=int)
+    dj = np.arange(1 - len(widths), len(widths))
+    w = np.asarray(widths)[np.abs(dj)]
+    size = 2 * w + 1
+    # di runs from -w to w in each row: the running position minus the row's
+    # start, minus w
+    di = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size + w, size)
+    return np.stack([np.repeat(dj, size), di], axis=1)
 
 
 def _rows(offs):
-    """(dj, w) in ascending dj for a stencil whose row dj is |di| <= w."""
-    return [(dj, offs[offs[:, 0] == dj, 1].max()) for dj in np.unique(offs[:, 0])]
+    """(dj, w) in ascending dj for a stencil sorted by dj whose row dj is
+    |di| <= w."""
+    dj, start = np.unique(offs[:, 0], return_index=True)
+    return list(zip(dj.tolist(), np.maximum.reduceat(offs[:, 1], start).tolist()))
 
 
 def _convolve(field: GridField, r: float, kind: str) -> ConvolvedField:
@@ -125,16 +132,19 @@ def _convolve(field: GridField, r: float, kind: str) -> ConvolvedField:
     t_slice = slice(it[0], it[-1] + 1)
 
     work = vals if kind == "sup" else -vals
+    rows = _rows(_xi_stencil(r, hx, ht))
+    table = WindowMaxTable(work, [2 * w + 1 for _, w in rows], arg=True)
+    row_start = (it[0] + np.arange(it.size))[:, None] * nx  # flat index at dj = 0
     best = np.full((it.size, ix.size), -np.inf)
     dual = np.zeros((it.size, ix.size), dtype=np.int64)
     # rows in ascending dj, leftmost argmax within a row, and updates only
     # where strictly greater: the dual is the smallest flat index attaining it
-    for dj, w in _rows(_xi_stencil(r, hx, ht)):
-        j, i = it[0] + dj, ix[0] - w
-        m, k = window_max(work[j:j + it.size, i:i + ix.size + 2 * w], 2 * w + 1, arg=True)
+    for dj, w in rows:
+        j = it[0] + dj
+        m, k = table.query(2 * w + 1, (slice(j, j + it.size),), ix[0] - w, ix.size)
         up = m > best
-        best = np.where(up, m, best)
-        dual = np.where(up, (j + np.arange(it.size))[:, None] * nx + i + k, dual)
+        np.copyto(best, m, where=up)
+        np.copyto(dual, row_start + dj * nx + k, where=up)
     return ConvolvedField(base=field, r=r, kind=kind, x=x[x_slice],
                           times=times[t_slice], values=vals.ravel()[dual],
                           dual_index=dual, x_slice=x_slice, t_slice=t_slice)
@@ -205,10 +215,12 @@ def essential_envelopes(field: GridField, radii) -> tuple:
         # max and -min of the field at once; -inf pads cut windows at the edge
         both = np.pad(np.stack([vals, -vals]), ((0, 0), (rt, rt), (rx, rx)),
                       constant_values=-np.inf)
+        rows = _rows(offs)
+        table = WindowMaxTable(both, [2 * w + 1 for _, w in rows])
         acc = np.full((2, nt, nx), -np.inf)
-        for dj, w in _rows(offs):
-            win = both[:, rt + dj:rt + dj + nt, rx - w:rx + nx + w]
-            acc = np.maximum(acc, window_max(win, 2 * w + 1))
+        for dj, w in rows:
+            lead = (slice(None), slice(rt + dj, rt + dj + nt))
+            np.maximum(acc, table.query(2 * w + 1, lead, rx - w, nx), out=acc)
         np.minimum(upper, acc[0], out=upper)
         np.maximum(lower, -acc[1], out=lower)
     v = np.maximum(np.minimum(vals, upper), lower)

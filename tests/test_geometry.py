@@ -6,6 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ellpar.geometry import (
     HarnackChain,
+    WindowMaxTable,
     XiShape,
     harnack_chain,
     harnack_chain_k_bound,
@@ -175,3 +176,85 @@ class TestWindowMax:
         m, k = window_max(np.zeros(9), 4, arg=True)
         assert np.array_equal(m, np.zeros(6))
         assert np.array_equal(k, np.arange(6))
+
+
+def doubling_window_max(a, n, arg=False):
+    """The doubling window maximum that the sparse table replaced: O(log n)
+    passes over overlapping windows, ties keeping the left operand."""
+    m = np.asarray(a)
+    idx = np.broadcast_to(np.arange(m.shape[-1]), m.shape) if arg else None
+    c = 1  # m[..., k] = max(a[..., k:k+c])
+    while c < n:
+        s = min(c, n - c)
+        lo, hi = m[..., :-s], m[..., s:]
+        if arg:
+            take = hi > lo
+            m, idx = np.where(take, hi, lo), np.where(take, idx[..., s:], idx[..., :-s])
+        else:
+            m = np.maximum(lo, hi)
+        c += s
+    return (m, idx) if arg else m
+
+
+def _assert_same(got, want):
+    """Bit-equal values (signed zeros included) and equal argmaxes."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestWindowMaxTable:
+    # 1, powers of two, and 2^k + 1, where the two halves overlap the most
+    SIZES = (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33)
+
+    @pytest.mark.parametrize("shape", [(40,), (3, 41), (2, 3, 37)], ids=["1d", "2d", "3d"])
+    def test_queries_match_doubling(self, shape):
+        rng = np.random.default_rng(11)
+        for levels in ([-1.0, 0.0, 1.0], [-0.0, 0.0, 2.0], [-np.inf, 0.0]):
+            a = rng.choice(levels, shape)
+            sizes = [n for n in self.SIZES if n <= shape[-1]]
+            arg_table = WindowMaxTable(a, sizes, arg=True)
+            table = WindowMaxTable(a, sizes)
+            for n in sizes:
+                _assert_same(arg_table.query(n), doubling_window_max(a, n, arg=True))
+                _assert_same(window_max(a, n, arg=True), doubling_window_max(a, n, arg=True))
+                _assert_same((table.query(n),), (doubling_window_max(a, n),))
+                _assert_same((window_max(a, n),), (doubling_window_max(a, n),))
+
+    def test_leading_index_start_and_count(self):
+        rng = np.random.default_rng(12)
+        a = rng.integers(-2, 3, (2, 9, 30)).astype(float)
+        table = WindowMaxTable(a, (3, 5, 9), arg=True)
+        for n in (3, 5, 9):
+            for start, count in ((0, 1), (4, 10), (30 - n, 1), (2, 30 - n - 1)):
+                lead = (slice(None), slice(2, 7))
+                window = a[lead][..., start:start + count + n - 1]
+                m, k = doubling_window_max(window, n, arg=True)
+                _assert_same(table.query(n, lead, start, count), (m, k + start))
+
+    def test_tie_across_the_halves_takes_the_left(self):
+        # n = 5 uses the length-4 windows at k and k+1; the maximum 1 sits in
+        # their overlap and again in the right half only
+        a = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+        m, k = WindowMaxTable(a, (5,), arg=True).query(5)
+        assert np.array_equal(m, [1.0, 1.0]) and np.array_equal(k, [1, 1])
+        a = np.array([1.0, 0.0, 0.0, 0.0, 1.0])
+        m, k = WindowMaxTable(a, (5,), arg=True).query(5)
+        assert np.array_equal(m, [1.0]) and np.array_equal(k, [0])
+        # the right half wins only where it is strictly greater
+        a = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        assert WindowMaxTable(a, (5,), arg=True).query(5)[1].tolist() == [4]
+
+    def test_keeps_only_requested_levels(self):
+        a = np.arange(40.0)
+        assert sorted(WindowMaxTable(a, (3, 5, 7, 9, 33)).levels) == [2, 4, 8, 32]
+        assert sorted(WindowMaxTable(a, (1,)).levels) == [1]
+        table = WindowMaxTable(a, (17,))
+        assert sorted(table.levels) == [16]
+        with pytest.raises(ValueError, match="not requested"):
+            table.query(9)
+
+    def test_rejects_bad_lengths(self):
+        for sizes in ((), (0,), (41,)):
+            with pytest.raises(ValueError):
+                WindowMaxTable(np.zeros(40), sizes)

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from ellpar.harness import jump_initial, make_jump_scenario
+from ellpar.harness import _pucci_radial_exact, jump_initial, make_jump_scenario
 from ellpar.nonlinearity import BnFamily, BSpec
 from ellpar.operators import OperatorSpec
 from ellpar.solver import (
@@ -56,17 +56,42 @@ class TestElliptic:
         F = apply_operator_1d(spec.op, u, spec.nodes(), radial=True)
         assert np.max(np.abs(F)) <= 1e-10
 
-    def test_shooting_cross_check(self):
-        from ellpar.harness import _shooting_oracle
+    @pytest.mark.parametrize("kind, Lam, n_dim, g_lo, g_hi", [
+        ("pucci-minus", 1.7, 2, 1.0, -1.0),
+        ("pucci-plus", 1.4, 3, 1.0, -1.0),
+        ("pucci-minus", 1.7, 3, -1.0, 1.0),
+    ], ids=["minus-n2-decreasing", "plus-n3-decreasing", "minus-n3-increasing"])
+    def test_order_against_closed_form(self, kind, Lam, n_dim, g_lo, g_hi):
+        # second order in h against the exact radial Pucci solution
+        op = OperatorSpec(kind=kind, lam=1.0, Lam=Lam, n_dim=n_dim)
+        errs = [_closed_form_error(op, g_lo, g_hi, grid) for grid in (51, 101, 201, 401)]
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert min(orders) >= 1.9, (errs, orders)
 
-        op = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=1.4, n_dim=2)
-        spec = ProblemSpec(geometry=Geometry("radial-annulus", 0.5, 1.5),
-                           op=op, g_lo=1.0, g_hi=-1.0, grid=201)
-        u = solve_elliptic(spec)
-        x = spec.nodes()
-        oracle = _shooting_oracle(op, 0.5, 1.5, 1.0, -1.0, x,
-                                  max_step=(x[1] - x[0]) / 10)
-        assert np.max(np.abs(u - oracle)) < 1e-4
+    def test_scheme_exact_for_inverse_square_slope(self):
+        # Pucci-plus, Lam/lam = 2, n = 2, increasing data: gamma = 2, and
+        # central differences reproduce psi' ~ rho^-2 to rounding
+        op = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=2)
+        for grid in (51, 101, 201, 401):
+            assert _closed_form_error(op, -1.0, 1.0, grid) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["pucci-plus", "pucci-minus"])
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    @pytest.mark.parametrize("g_lo, g_hi", [(1.0, -1.0), (-0.5, 2.0)])
+    def test_closed_form_matches_shooting(self, kind, n_dim, g_lo, g_hi):
+        op = OperatorSpec(kind=kind, lam=1.0, Lam=1.7, n_dim=n_dim)
+        _assert_matches_shooting(op, 0.5, 1.5, g_lo, g_hi)
+
+    def test_closed_form_log_branch(self):
+        # gamma = (n-1) lam/Lam = 1: psi is affine in log rho
+        op = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=3)
+        _assert_matches_shooting(op, 0.5, 1.5, 1.0, -1.0)
+
+    def test_closed_form_constant_data(self):
+        op = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.7, n_dim=3)
+        x = np.linspace(0.5, 1.5, 11)
+        assert np.array_equal(_pucci_radial_exact(op, 0.5, 1.5, 0.3, 0.3, x), np.full(11, 0.3))
+        np.testing.assert_allclose(_shooting(op, 0.5, 1.5, 0.3, 0.3, x), 0.3, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("op", [
         OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=3),
@@ -79,6 +104,59 @@ class TestElliptic:
                            op=op, g_lo=5.0, g_hi=-1.0, grid=96)
         u = solve_elliptic(spec)
         assert np.max(np.abs(u + 1.0)) < 1e-12
+
+
+def _pucci_radial_ode(op):
+    """psi'' = G(rho, psi') of the radial Pucci equation F = 0, choosing the
+    coefficients from the signs of psi'/rho and psi'' at every point."""
+    cpos, cneg = (op.Lam, op.lam) if op.kind == "pucci-plus" else (op.lam, op.Lam)
+
+    def rhs(rho, y):
+        e1 = y[1] / rho
+        c1 = cpos if e1 > 0 else cneg
+        s = -(op.n_dim - 1) * c1 * e1
+        return [y[1], s / cpos if s > 0 else s / cneg]
+
+    return rhs
+
+
+def _shooting(op, lo, hi, g_lo, g_hi, x):
+    """Independent reference: shoot from (lo, g_lo) on the slope, root-find
+    psi(hi) = g_hi, and integrate the ODE to the radii x."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
+    rhs = _pucci_radial_ode(op)
+    opts = dict(rtol=1e-12, atol=1e-13)
+
+    def end_value(slope):
+        return solve_ivp(rhs, (lo, hi), [g_lo, slope], **opts).y[0, -1] - g_hi
+
+    if g_hi == g_lo:
+        slope = 0.0
+    else:
+        naive = (g_hi - g_lo) / (hi - lo)
+        slope = brentq(end_value, min(naive * 16, naive / 16),
+                       max(naive * 16, naive / 16), xtol=1e-14)
+    sol = solve_ivp(rhs, (lo, hi), [g_lo, slope], dense_output=True, **opts)
+    return sol.sol(x)[0]
+
+
+def _assert_matches_shooting(op, lo, hi, g_lo, g_hi):
+    x = np.linspace(lo, hi, 41)
+    exact = _pucci_radial_exact(op, lo, hi, g_lo, g_hi, x)
+    assert exact[0] == g_lo and abs(exact[-1] - g_hi) <= 1e-15
+    assert np.max(np.abs(exact - _shooting(op, lo, hi, g_lo, g_hi, x))) <= 1e-9
+
+
+def _closed_form_error(op, g_lo, g_hi, grid):
+    """Sup error of solve_elliptic on the annulus [0.5, 1.5] against the
+    closed-form radial Pucci solution."""
+    spec = ProblemSpec(geometry=Geometry("radial-annulus", 0.5, 1.5), op=op,
+                       g_lo=g_lo, g_hi=g_hi, grid=grid)
+    x = spec.nodes()
+    exact = _pucci_radial_exact(op, 0.5, 1.5, g_lo, g_hi, x)
+    return float(np.max(np.abs(solve_elliptic(spec) - exact)))
 
 
 class TestStepParabolic:
