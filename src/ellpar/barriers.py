@@ -349,8 +349,6 @@ def solve_logdiv_barrier(psi: PsiSpec, bspec: BSpec, omega: float, rho0: float,
     psi_eta = math.log(a * k * eta + 1.0) / k
     if not (a > 1.0 and 2 * M < psi_eta < 3 * M):
         raise BarrierInfeasible("amplitude selection failed re-verification")
-    if not ((k - k2) / (k * k1) - 1.0 / k > eta and math.log((k - k2) / k1) / k < 2 * M):
-        raise BarrierInfeasible("k selection failed re-verification")
     return LogDivBarrier(k1=k1, k2=k2, k=k, a=a, eta=eta, omega=omega,
                          rho0=rho0, M=M, n_dim=n_dim, psi_spec=psi, bspec=bspec)
 

@@ -46,6 +46,7 @@ from .regularize import (
 from .solver import (
     Geometry,
     ProblemSpec,
+    _check_front_inside,
     bracket_maximal_minimal,
     perturb_initial_data,
     run,
@@ -117,15 +118,16 @@ def validate_class_P(scn: Scenario, tol: float = 1e-9) -> bool:
 def make_comparison_pair(base: Scenario, gap: float):
     """Strictly separated ordered pair: the upper problem's front is shifted
     outward by gap, values lifted by gap/2, and the lateral boundary data
-    raised by gap/2 so separation is strict on the whole parabolic boundary."""
+    raised by gap/2 so separation is strict on the whole parabolic boundary.
+    Raises ValueError if the shifted datum is positive next to a Dirichlet
+    node (`ProblemSpec.dirichlet`; on the punctured ball, the outer one only)."""
     if gap <= 0:
         raise ValueError("gap must be positive")
     spec = base.spec
     x = spec.nodes()
     u0 = spec.initial_values()
-    up = perturb_initial_data(u0, x, gap, "up", lift_factor=0.0) + gap / 2
-    if up[1] > 0 or up[-2] > 0:
-        raise ValueError("front shift exits the domain")
+    up = perturb_initial_data(u0, x, gap, "up", lift_factor=0.5)
+    _check_front_inside(spec, up)
     g_up = spec.boundary(0.0)
     upper_spec = replace(spec, u0=up,
                          g_lo=g_up[0] + gap / 2, g_hi=g_up[1] + gap / 2)
@@ -180,19 +182,22 @@ def _criterion(index: int, name: str):
 
 @_criterion(1, "bn-family")
 def criterion_1_bn_family():
-    """Smoothing family: derivative bounds, monotone approximation error,
-    stable extreme evaluation against an extended-precision oracle."""
+    """Smoothing family: derivative bounds, b_n' against a central difference
+    of b_n, monotone approximation error, stable extreme evaluation against an
+    extended-precision oracle."""
     import mpmath
 
     s = np.linspace(-10.0, 10.0, 1000)
+    h = 1e-6
     sup_err = []
-    worst_der = math.inf
+    der_err = 0.0
     for n in range(1, 65):
         fam = BnFamily(n)
         d = bn_derivative(fam, s)
-        worst_der = min(worst_der, float(np.min(d)), 1.0 - float(np.max(d)))
         if not (np.all(d > 0) and np.all(d < 1)):
             return False, -1.0, {"failed_at_n": n}
+        central = (bn_eval(fam, s + h) - bn_eval(fam, s - h)) / (2 * h)
+        der_err = max(der_err, float(np.max(np.abs(d - central))))
         sup_err.append(float(np.max(np.abs(bn_eval(fam, s) - np.maximum(s, 0)))))
     decreasing = all(b < a for a, b in zip(sup_err, sup_err[1:]))
 
@@ -207,9 +212,9 @@ def criterion_1_bn_family():
         if not math.isfinite(got):
             return False, -1.0, {"nonfinite_at": sv}
         oracle_err = max(oracle_err, abs(got - float(ref)))
-    ok = decreasing and oracle_err <= 1e-9
-    margin = min(worst_der, 1e-9 - oracle_err)
-    return ok, margin, {"oracle_err": oracle_err,
+    ok = decreasing and der_err <= 1e-6 and oracle_err <= 1e-9
+    margin = min(1e-6 - der_err, 1e-9 - oracle_err)
+    return ok, margin, {"derivative_err": der_err, "oracle_err": oracle_err,
                         "sup_err_first_last": [sup_err[0], sup_err[-1]],
                         "decreasing": decreasing}
 

@@ -139,14 +139,9 @@ class ProblemSpec:
 
 
 @dataclass
-class NewtonPolicy:
-    max_iters: int = 40
-    abs_tol: float = 1e-10
-
-
-@dataclass
 class SolverPolicy:
-    newton: NewtonPolicy = field(default_factory=NewtonPolicy)
+    max_iters: int = 40  # Newton iterations per implicit solve
+    abs_tol: float = 1e-10  # Newton residual tolerance (max norm)
     max_substep_depth: int = 20
     max_principle_tol: float = 1e-9
 
@@ -177,7 +172,7 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _newton(residual_fn, jacobian_fn, u_free, policy: NewtonPolicy):
+def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
     """Damped semismooth Newton on the free nodes; returns (solution,
     iterations, residual history).
 
@@ -256,12 +251,12 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
         bd = np.asarray(bder(u_free))
         return -dt * lower, bd - dt * diag, -dt * upper
 
-    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy.newton)
+    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy)
     base[free] = sol_free
     return base, iters
 
 
-def solve_elliptic(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> np.ndarray:
+def solve_elliptic(spec: ProblemSpec) -> np.ndarray:
     """Stationary solve F(D^2 u, Du, u) = 0 with the Dirichlet data at t = 0:
     the implicit system with b = 0 and dt = 1, by Newton from the affine
     interpolant of the data to residual 1e-10."""
@@ -269,7 +264,7 @@ def solve_elliptic(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> 
     glo, ghi = spec.boundary(0.0)
     start = glo + (ghi - glo) * (x - x[0]) / (x[-1] - x[0])
     u, _ = _implicit_solve(spec, start, 0.0, 1.0, np.zeros_like, np.zeros_like,
-                           policy or SolverPolicy())
+                           SolverPolicy())
     return u
 
 
@@ -391,15 +386,13 @@ class SingularLimitReport:
 
 
 def singular_limit_study(spec: ProblemSpec, n_list: Sequence[int],
-                         policy: Optional[SolverPolicy] = None,
                          probe_times: Optional[Sequence[float]] = None) -> SingularLimitReport:
     """Run the problem for each smoothing index on a fixed grid and report
     successive sup-norm distances at probe times plus extinction diagnostics."""
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need at least 3 strictly increasing smoothing indices")
-    policy = policy or SolverPolicy()
-    runs = [run(replace(spec, bn=BnFamily(n)), policy) for n in n_list]
+    runs = [run(replace(spec, bn=BnFamily(n))) for n in n_list]
     probe_times, probe_idx = _probe_rows(spec, runs[0].times, probe_times)
     pairwise = []
     for a, b in zip(runs, runs[1:]):
@@ -416,10 +409,11 @@ def singular_limit_study(spec: ProblemSpec, n_list: Sequence[int],
 def perturb_initial_data(u0: np.ndarray, x: np.ndarray, eps: float,
                          direction: str, lift_factor: float = 0.1) -> np.ndarray:
     """Outward front shift by eps via a running window extremum, plus a value
-    lift, clamped back to the boundary data at the endpoints.
+    lift of lift_factor * eps.
 
-    direction "up" builds data strictly above u0 in the interior; "down"
-    strictly below.
+    direction "up" builds data strictly above u0; "down" strictly below.
+    The Dirichlet nodes keep no special value here: a run takes them from
+    the boundary data (`ProblemSpec.initial_values`).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -428,14 +422,16 @@ def perturb_initial_data(u0: np.ndarray, x: np.ndarray, eps: float,
     lift = lift_factor * eps
     padded = np.pad(u0, w, mode="edge")
     if direction == "up":
-        out = window_max(padded, 2 * w + 1) + lift
-    else:
-        out = -window_max(-padded, 2 * w + 1) - lift
-    out[0] = u0[0]
-    out[-1] = u0[-1]
-    if direction == "up" and (out[1] > 0 or out[-2] > 0):
+        return window_max(padded, 2 * w + 1) + lift
+    return -window_max(-padded, 2 * w + 1) - lift
+
+
+def _check_front_inside(spec: ProblemSpec, u: np.ndarray) -> None:
+    """Raise ValueError if u is positive next to a Dirichlet node of spec:
+    a front shifted that far has left the domain.  A reflecting inner end
+    carries no data, so a positive phase may reach it."""
+    if any(u[1 if i == 0 else -2] > 0 for i in spec.dirichlet(0.0)):
         raise ValueError("front shift exits the domain")
-    return out
 
 
 @dataclass
@@ -449,35 +445,34 @@ class BracketReport:
 
 
 def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
-                            policy: Optional[SolverPolicy] = None,
                             probe_times: Optional[Sequence[float]] = None) -> BracketReport:
     """Sandwich the solution between runs from raised/outward-shifted and
     lowered/inward-shifted initial data and report the shrinking gap."""
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or any(e <= 0 for e in eps_list):
         raise ValueError("eps_list must be positive and strictly decreasing")
-    policy = policy or SolverPolicy()
+    tol = SolverPolicy().max_principle_tol
     x = spec.nodes()
     u0 = spec.initial_values()
     runs_up, runs_dn = [], []
     for eps in eps_list:
-        up = replace(spec, u0=perturb_initial_data(u0, x, eps, "up"))
-        dn = replace(spec, u0=perturb_initial_data(u0, x, eps, "down"))
-        runs_up.append(run(up, policy))
-        runs_dn.append(run(dn, policy))
+        up = perturb_initial_data(u0, x, eps, "up")
+        _check_front_inside(spec, up)
+        runs_up.append(run(replace(spec, u0=up)))
+        runs_dn.append(run(replace(spec, u0=perturb_initial_data(u0, x, eps, "down"))))
     probe_times, probe_idx = _probe_rows(spec, runs_up[0].times, probe_times)
     gaps = []
     ordered = True
     for ru, rd in zip(runs_up, runs_dn):
         d = [float(np.max(ru.values[j] - rd.values[j])) for j in probe_idx]
         gaps.append(max(d))
-        if np.any(ru.values - rd.values < -policy.max_principle_tol):
+        if np.any(ru.values - rd.values < -tol):
             ordered = False
     # nesting across eps levels
     for i in range(len(eps_list) - 1):
-        if np.any(runs_up[i + 1].values - runs_up[i].values > policy.max_principle_tol * 10):
+        if np.any(runs_up[i + 1].values - runs_up[i].values > tol * 10):
             ordered = False
-        if np.any(runs_dn[i].values - runs_dn[i + 1].values > policy.max_principle_tol * 10):
+        if np.any(runs_dn[i].values - runs_dn[i + 1].values > tol * 10):
             ordered = False
     return BracketReport(eps_list=eps_list, probe_times=probe_times,
                          gaps=gaps, ordered=ordered,

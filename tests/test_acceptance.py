@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ellpar
@@ -53,9 +54,28 @@ def test_registering_an_existing_index_raises():
 
 
 def test_criterion_01_bn_family():
-    # 0 < b_n' < 1 for n in 1..64; sup error decreasing; oracle match 1e-9
+    # 0 < b_n' < 1 and within 1e-6 of a central difference of b_n for n in
+    # 1..64; sup error decreasing; oracle match 1e-9
     r = _check(1)
+    assert r.details["derivative_err"] <= 1e-6
+    assert r.margin == min(1e-6 - r.details["derivative_err"],
+                           1e-9 - r.details["oracle_err"]) > 0
     assert r.runtime < 10
+
+
+def test_criterion_01_fails_on_a_shifted_derivative(monkeypatch):
+    # sigmoid(n^2 s + n) in place of sigmoid(n^2 s - n): still strictly in
+    # (0, 1), but not the derivative of b_n
+    def shifted(fam, s):
+        z = fam.n * fam.n * np.asarray(s, dtype=float) + fam.n
+        return np.clip(0.5 * (1.0 + np.tanh(0.5 * z)),
+                       np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+    monkeypatch.setattr(harness, "bn_derivative", shifted)
+    r = ALL_CRITERIA[1]()
+    assert not r.passed
+    assert r.details["derivative_err"] > 0.4
+    assert r.margin < 0
 
 
 def test_criterion_02_pucci_correctness():

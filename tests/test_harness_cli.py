@@ -30,8 +30,9 @@ from ellpar.harness import (
     validate_class_P,
 )
 from ellpar.nonlinearity import BSpec, PsiSpec
+from ellpar.operators import OperatorSpec
 from ellpar.regularize import GridField
-from ellpar.solver import Geometry, max_principle_bounds
+from ellpar.solver import Geometry, max_principle_bounds, run
 
 JUMP_CFG = """
 # jump scenario
@@ -164,6 +165,18 @@ class TestScenarios:
         glo_l, _ = lower.spec.boundary(0.0)
         glo_u, _ = upper.spec.boundary(0.0)
         assert glo_u - glo_l == pytest.approx(0.025)
+
+    @pytest.mark.parametrize("kind, Lam", [("trace", 1.0), ("pucci-minus", 2.0)])
+    def test_comparison_pair_on_punctured_ball(self, kind, Lam):
+        # the shifted positive phase reaches the free inner node
+        base = make_jump_scenario(grid=201, n=32, T=0.2)
+        base.spec = replace(
+            base.spec, geometry=Geometry("radial-ball-punctured", 0.05, 1.0),
+            op=OperatorSpec(kind=kind, lam=1.0, Lam=Lam, n_dim=3),
+            u0=lambda r: np.where(r < 0.4, 0.5 * (0.4 - r) / 0.35, -(r - 0.4) / 0.6))
+        lower, upper = make_comparison_pair(base, 0.05)
+        rl, ru = run(lower.spec), run(upper.spec)
+        assert float(np.min(ru.values - rl.values)) >= -1e-9
 
     def test_comparison_pair_infeasible(self):
         base = make_jump_scenario(grid=201, n=16)

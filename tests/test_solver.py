@@ -10,10 +10,10 @@ from ellpar.operators import OperatorSpec
 from ellpar.solver import (
     Geometry,
     NewtonFailure,
-    NewtonPolicy,
     ProblemSpec,
     SolverPolicy,
     _advance,
+    _check_front_inside,
     _front_locations,
     bracket_maximal_minimal,
     perturb_initial_data,
@@ -283,7 +283,7 @@ class TestRun:
 
     def test_underflow_carries_newton_history(self):
         spec = make_jump_scenario(grid=201, n=32, T=0.01).spec
-        policy = SolverPolicy(newton=NewtonPolicy(max_iters=1), max_substep_depth=0)
+        policy = SolverPolicy(max_iters=1, max_substep_depth=0)
         with pytest.raises(NewtonFailure, match="underflow") as info:
             run(spec, policy)
         assert len(info.value.history) > 0
@@ -350,6 +350,17 @@ def _reference_run(spec, policy):
     extinct = [t for t, u in zip(times, values) if u.max() < 0.0]
     extinction = float(extinct[0]) if extinct else None
     return values, _front_locations(x, values), extinction, iters, steps
+
+
+def punctured_ball_bracket_spec():
+    """A positive phase at the reflecting inner node of the punctured ball,
+    affine in rho down to the outer Dirichlet value -1."""
+    return ProblemSpec(
+        geometry=Geometry("radial-ball-punctured", 0.05, 1.0),
+        op=OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=3),
+        b=BSpec("positive-part"), bn=BnFamily(32), g_lo=-1.0, g_hi=-1.0,
+        u0=lambda r: np.where(r < 0.4, 0.5 * (0.4 - r) / 0.35, -(r - 0.4) / 0.6),
+        T=0.2, grid=201, dt=2.5e-3)
 
 
 def _punctured_ball_spec():
@@ -468,15 +479,33 @@ class TestPerturbations:
                     np.max(u0[max(i - w, 0):i + w + 1]) + 0.1 * eps if direction == "up"
                     else np.min(u0[max(i - w, 0):i + w + 1]) - 0.1 * eps
                     for i in range(101)])
-                want[0], want[-1] = u0[0], u0[-1]
                 got = perturb_initial_data(u0, x, eps, direction)
                 assert np.array_equal(got, want)
 
-    def test_exiting_domain_raises(self):
-        x = np.linspace(-1, 1, 201)
-        u0 = 0.9 - np.abs(x)
-        with pytest.raises(ValueError):
-            perturb_initial_data(u0, x, 0.2, "up")
+    def test_front_check_reads_the_dirichlet_nodes(self):
+        interval = interval_spec()
+        ball = punctured_ball_bracket_spec()
+        u = np.full(interval.grid, -1.0)
+        _check_front_inside(interval, u)
+        _check_front_inside(ball, u)
+        for i in (1, -2):
+            v = u.copy()
+            v[i] = 0.5
+            with pytest.raises(ValueError, match="exits the domain"):
+                _check_front_inside(interval, v)
+        # the reflecting inner end carries no data: a positive phase may
+        # reach it, but not the node next to the outer end
+        v = u.copy()
+        v[:3] = 0.5
+        _check_front_inside(ball, v)
+        v[-2] = 0.5
+        with pytest.raises(ValueError, match="exits the domain"):
+            _check_front_inside(ball, v)
+
+    def test_exiting_front_raises_in_the_studies(self):
+        spec = interval_spec(u0=lambda x: 0.9 - np.abs(x))
+        with pytest.raises(ValueError, match="exits the domain"):
+            bracket_maximal_minimal(spec, [0.2, 0.1])
 
 
 class TestStudies:
@@ -492,6 +521,17 @@ class TestStudies:
         for eps_list in ([0.02, 0.04], [0.04, 0.04], [0.04, 0.0], [0.04, -0.02]):
             with pytest.raises(ValueError):
                 bracket_maximal_minimal(spec, eps_list)
+
+    def test_bracket_on_punctured_ball(self):
+        # the inner node is free, so the shifted data may stay positive there
+        spec = punctured_ball_bracket_spec()
+        rep = bracket_maximal_minimal(spec, [0.1, 0.05, 0.025],
+                                      probe_times=[0.01, 0.02, 0.04])
+        base = run(spec).extinction_time
+        assert rep.ordered
+        assert None not in rep.extinction_upper + rep.extinction_lower
+        assert max(rep.extinction_lower) <= base <= min(rep.extinction_upper)
+        assert all(g2 <= g1 for g1, g2 in zip(rep.gaps, rep.gaps[1:]))
 
     def test_bracket_small(self):
         spec = make_jump_scenario(grid=201, n=16, T=0.2).spec
