@@ -46,7 +46,7 @@ def main():
 
         outdir = sys.argv[1]
         os.makedirs(outdir, exist_ok=True)
-        write_field_csv(os.path.join(outdir, "field.csv"), out.to_grid_field())
+        write_field_csv(os.path.join(outdir, "field.csv"), out)
         _write_front_csv(os.path.join(outdir, "front.csv"), out)
         print(f"wrote field.csv and front.csv to {outdir}")
 

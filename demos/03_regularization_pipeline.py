@@ -34,8 +34,8 @@ def main():
     base = make_jump_scenario(grid=801, n=32, T=0.3, dt=2.5e-3)
     lower, upper = make_comparison_pair(base, gap=0.5)
     print("solving the ordered pair (801 nodes, separation 0.5) ...")
-    lo = run(lower.spec).to_grid_field()
-    hi = run(upper.spec).to_grid_field()
+    lo = run(lower.spec)
+    hi = run(upper.spec)
 
     r = 0.01
     Z = sup_convolve(lo, r)

@@ -309,13 +309,12 @@ def solve_logdiv_barrier(psi: PsiSpec, bspec: BSpec, omega: float, rho0: float,
         raise ValueError("need omega >= 0, rho0 > 0, M > 0")
 
     def g1(s):
-        y = b_eval(bspec, s)
-        return omega * b_derivative(bspec, s) / psi_eval(psi, np.maximum(y, 0))
+        return omega * b_derivative(bspec, s) / psi_eval(psi, b_eval(bspec, s))
 
     def g2(s):
         y = b_eval(bspec, s)
-        return (np.abs(psi_derivative(psi, np.maximum(y, 0)))
-                * b_derivative(bspec, s) / psi_eval(psi, np.maximum(y, 0)))
+        return (np.abs(psi_derivative(psi, y)) * b_derivative(bspec, s)
+                / psi_eval(psi, y))
 
     k1 = _sampled_max(g1, 0.0, 3 * M) + 2.0 * (n_dim - 1) / rho0
     k2 = _sampled_max(g2, 0.0, 3 * M)

@@ -79,7 +79,7 @@ def _cmd_solve(args):
     out = args.out
     os.makedirs(out, exist_ok=True)
     field = run(spec)
-    write_field_csv(os.path.join(out, "field.csv"), field.to_grid_field())
+    write_field_csv(os.path.join(out, "field.csv"), field)
     _write_front_csv(os.path.join(out, "front.csv"), field)
     lower, upper = max_principle_bounds(spec, field.values[0], 0.0)
     summary = {
@@ -103,6 +103,9 @@ def _cmd_sweep_n(args):
     from .solver import singular_limit_study
 
     spec = problem_from_config(load_config(args.config))
+    if spec.b.kind != "positive-part":
+        raise ConfigError(f"b.kind = {spec.b.kind}: sweep-n runs b_n, which "
+                          f"smooths the positive part only")
     n_list = _int_list("--n", args.n)
     try:
         # the study checks its indices before it runs anything
@@ -177,7 +180,7 @@ def _cmd_envelope(args):
         conv = convolve(fld, args.r)
     except ValueError as exc:
         raise ConfigError(f"--r {args.r}: {exc}") from exc
-    write_field_csv(args.out, GridField(conv.x, conv.times, conv.values))
+    write_field_csv(args.out, conv)
     return 0
 
 

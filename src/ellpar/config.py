@@ -18,15 +18,13 @@ than a silent default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .nonlinearity import BnFamily, BSpec, PsiSpec
 from .operators import OperatorSpec
 from .solver import Geometry, ProblemSpec
 
-__all__ = ["ConfigError", "Config", "parse_config", "load_config",
+__all__ = ["ConfigError", "parse_config", "load_config",
            "problem_from_config", "operator_from_config"]
 
 
@@ -60,15 +58,8 @@ def _coerce(raw: str):
     return raw
 
 
-@dataclass
-class Config:
-    values: dict = field(default_factory=dict)
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-
-def parse_config(text: str) -> Config:
+def parse_config(text: str) -> dict:
+    """The {key: value} pairs of a config text, values coerced."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -81,32 +72,32 @@ def parse_config(text: str) -> Config:
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
         values[key] = _coerce(raw)
-    return Config(values)
+    return values
 
 
-def load_config(path, keys=KNOWN_KEYS) -> Config:
+def load_config(path, keys=KNOWN_KEYS) -> dict:
     try:
         with open(path) as fh:
             cfg = parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    unknown = sorted(set(cfg.values) - keys)
+    unknown = sorted(set(cfg) - keys)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {', '.join(unknown)}")
     return cfg
 
 
-def _floats(cfg: Config, key: str, default: tuple) -> tuple:
+def _floats(cfg: dict, key: str, default: tuple) -> tuple:
     """A scalar or comma-separated value as a tuple of floats."""
     v = cfg.get(key, default)
     return tuple(float(c) for c in (v if isinstance(v, tuple) else (v,)))
 
 
-def _psi_from_config(cfg: Config) -> PsiSpec:
+def _psi_from_config(cfg: dict) -> PsiSpec:
     return PsiSpec(cfg.get("psi.kind", "constant"), _floats(cfg, "psi.coeffs", (1.0,)))
 
 
-def operator_from_config(cfg: Config) -> OperatorSpec:
+def operator_from_config(cfg: dict) -> OperatorSpec:
     kind = cfg.get("op.kind", "trace")
     kwargs = dict(
         kind=kind,
@@ -127,7 +118,7 @@ def operator_from_config(cfg: Config) -> OperatorSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _bspec_from_config(cfg: Config) -> BSpec:
+def _bspec_from_config(cfg: dict) -> BSpec:
     kind = cfg.get("b.kind", "positive-part")
     if kind == "lipschitz-table":
         return BSpec(kind, _floats(cfg, "b.breakpoints", (0.0,)),
@@ -135,7 +126,7 @@ def _bspec_from_config(cfg: Config) -> BSpec:
     return BSpec(kind)
 
 
-def problem_from_config(cfg: Config) -> ProblemSpec:
+def problem_from_config(cfg: dict) -> ProblemSpec:
     try:
         geom = Geometry(
             kind=cfg.get("geometry.kind", "interval"),

@@ -473,8 +473,8 @@ def criterion_10_regularization():
     lo_scn, up_scn = make_comparison_pair(base, 0.5)
     rl, ru = run(lo_scn.spec), run(up_scn.spec)
     rr = 0.01
-    Zs = sup_convolve(rl.to_grid_field(), rr)
-    Wi = inf_convolve(ru.to_grid_field(), rr)
+    Zs = sup_convolve(rl, rr)
+    Wi = inf_convolve(ru, rr)
     cross = crossing_time(Zs, Wi)
     ok_cross = cross.t0 is None
     det["crossing_t0"] = cross.t0

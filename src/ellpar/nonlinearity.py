@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "BSpec",
@@ -119,10 +120,9 @@ def bn_derivative(fam: BnFamily, s):
 
 @dataclass(frozen=True)
 class PsiSpec:
-    """Positive C^1 coefficient Psi on [0, infinity).
-
-    kind "constant" uses coeffs = (value,); kind "polynomial" stores
-    coefficients in increasing-degree order.
+    """Positive C^1 coefficient Psi on [0, infinity): a polynomial with
+    coefficients in increasing-degree order.  kind "constant" is the
+    degree-0 polynomial, coeffs = (value,).
     """
 
     kind: str = "constant"
@@ -142,11 +142,8 @@ def psi_eval(spec: PsiSpec, y):
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("Psi is only defined for nonnegative arguments")
-    if spec.kind == "constant":
-        out = np.full_like(y, spec.coeffs[0], dtype=float)
-    else:
-        out = np.polynomial.polynomial.polyval(y, np.asarray(spec.coeffs, dtype=float))
-        out = np.asarray(out, dtype=float)
+    # a constant c evaluates to c + y*0 = c, bit for bit, at every finite y
+    out = np.asarray(P.polyval(y, np.asarray(spec.coeffs, dtype=float)), dtype=float)
     if np.any(out <= 0.0):
         raise ValueError("Psi must be positive; spec violated at evaluation")
     return out if out.ndim else float(out)
@@ -155,13 +152,6 @@ def psi_eval(spec: PsiSpec, y):
 def psi_derivative(spec: PsiSpec, y):
     """Psi'(y) for y >= 0."""
     y = np.asarray(y, dtype=float)
-    if spec.kind == "constant":
-        out = np.zeros_like(y)
-    else:
-        c = np.asarray(spec.coeffs, dtype=float)
-        dc = c[1:] * np.arange(1, c.size)
-        if dc.size == 0:
-            out = np.zeros_like(y)
-        else:
-            out = np.asarray(np.polynomial.polynomial.polyval(y, dc), dtype=float)
+    dc = P.polyder(np.asarray(spec.coeffs, dtype=float))
+    out = np.asarray(P.polyval(y, dc), dtype=float)
     return out if out.ndim else float(out)

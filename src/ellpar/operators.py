@@ -129,16 +129,15 @@ def _inf_sup(groups, entry):
     return outer
 
 
-def divergence_expanded(psi: PsiSpec, bspec: Optional[BSpec], z, laplacian, grad_sq):
+def divergence_expanded(psi: PsiSpec, bspec: BSpec, z, laplacian, grad_sq):
     """Expanded conservative form Psi(b(z)) lap u + Psi'(b(z)) b'(z) |Du|^2 of
     div(Psi(b(u)) Du); elementwise over broadcast arguments."""
-    bspec = bspec or BSpec("positive-part")
     y = b_eval(bspec, z)
     return (psi_eval(psi, y) * laplacian
             + psi_derivative(psi, y) * b_derivative(bspec, z) * grad_sq)
 
 
-def operator_full_eval(op: OperatorSpec, M, p, z, bspec: Optional[BSpec] = None):
+def operator_full_eval(op: OperatorSpec, M, p, z, bspec: BSpec = BSpec()):
     """Evaluate F(M, p, z) on symmetric matrices M (..., n, n), gradients
     p (..., n) and values z (...), broadcast over the leading axes: a float
     for one argument, an array of the leading shape for a stack."""
@@ -207,10 +206,8 @@ def _differences(u, h):
 def _divergence_fluxes(op: OperatorSpec, u, x, bspec, radial):
     """Face coefficients c_{i+1/2} and node weights for the conservative form
     F_i = (c_{i+1/2}(u_{i+1}-u_i) - c_{i-1/2}(u_i-u_{i-1})) / (h^2 w_i)."""
-    bspec = bspec or BSpec("positive-part")
     n = op.n_dim
-    psi_nodes = psi_eval(op.psi, np.maximum(b_eval(bspec, u), 0.0))
-    psi_nodes = np.atleast_1d(psi_nodes)
+    psi_nodes = psi_eval(op.psi, b_eval(bspec, u))
     faces = 0.5 * (psi_nodes[1:] + psi_nodes[:-1])
     if radial:
         rho_face = 0.5 * (x[1:] + x[:-1])
@@ -221,7 +218,7 @@ def _divergence_fluxes(op: OperatorSpec, u, x, bspec, radial):
     return faces, w
 
 
-def apply_operator_1d(op: OperatorSpec, u, x, bspec: Optional[BSpec] = None,
+def apply_operator_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
                       radial: bool = False) -> np.ndarray:
     """Nodewise F(D^2 u, Du, u) at interior nodes of a uniform 1D grid.
 
@@ -245,7 +242,7 @@ def apply_operator_1d(op: OperatorSpec, u, x, bspec: Optional[BSpec] = None,
     return a2 * d2 + a1 * d1 + a0 * u[1:-1]
 
 
-def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: Optional[BSpec] = None,
+def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
                          radial: bool = False):
     """Tridiagonal (lower, diag, upper) of the frozen-coefficient linearization
     of apply_operator_1d at the interior nodes."""

@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass
 class GridField:
-    """A sampled space-time field on a uniform tensor grid."""
+    """A sampled space-time field on a uniform tensor grid, runs and convolutions included."""
 
     x: np.ndarray
     times: np.ndarray
@@ -60,13 +60,12 @@ class GridField:
 
 
 @dataclass
-class ConvolvedField:
+class ConvolvedField(GridField):
+    """A sup- or inf-convolution of base, on its shrunk grid (x_slice, t_slice)."""
+
     base: GridField
     r: float
     kind: str  # "sup" | "inf"
-    x: np.ndarray
-    times: np.ndarray
-    values: np.ndarray
     dual_index: np.ndarray  # flat index into base.values, same shape as values
     x_slice: slice
     t_slice: slice
@@ -175,9 +174,9 @@ def crossing_time(Z, W) -> CrossingReport:
     """First time level at which min(W - Z) <= 0, with the arg-node contact
     set; t0 is None if W stays strictly above Z through the horizon.
 
-    Z and W are any two fields (GridField or ConvolvedField) on one grid,
-    typically a sup-convolution Z and an inf-convolution W; a ValueError
-    reports fields on different grids."""
+    Z and W are any two GridFields on one grid, typically a sup-convolution
+    Z and an inf-convolution W; a ValueError reports fields on different
+    grids."""
     if not (np.array_equal(Z.x, W.x) and np.array_equal(Z.times, W.times)):
         raise ValueError("fields live on different grids")
     gap = W.values - Z.values

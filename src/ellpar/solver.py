@@ -21,6 +21,7 @@ from scipy.linalg import solve_banded
 from .geometry import edge_zeros, window_max
 from .nonlinearity import BnFamily, BSpec, b_derivative, b_eval, bn_derivative, bn_eval
 from .operators import OperatorSpec, apply_operator_1d, operator_jacobian_1d
+from .regularize import GridField
 
 __all__ = [
     "Geometry",
@@ -90,6 +91,9 @@ class ProblemSpec:
                 and abs(self.steps * self.dt - self.T) <= 1e-9 * max(self.T, 1.0)):
             raise ValueError(f"need dt > 0 and T a whole number of steps: "
                              f"T = {self.T}, dt = {self.dt}")
+        if self.bn is not None and self.b.kind != "positive-part":
+            # Psi(b(u)) would read the table while the time term reads b_n
+            raise ValueError(f"b_n smooths the positive part only, not b.kind = {self.b.kind}")
 
     @property
     def steps(self) -> int:
@@ -147,10 +151,9 @@ class SolverPolicy:
 
 
 @dataclass
-class SpaceTimeField:
-    x: np.ndarray
-    times: np.ndarray
-    values: np.ndarray  # (n_times, n_x)
+class SpaceTimeField(GridField):
+    """A run: the sampled field u(t_k, x_i) with its fronts and counts."""
+
     fronts: list  # per time level, list of zero-crossing locations
     extinction_time: Optional[float]
     newton_iterations: int = 0  # over the solved steps
@@ -158,9 +161,9 @@ class SpaceTimeField:
     repeated_steps: int = 0  # macro steps filled from a fixed point
 
     def to_grid_field(self):
-        from .regularize import GridField
-
-        return GridField(self.x, self.times, self.values)
+        """The run itself, which is a GridField.  Kept only because the
+        benchmark's workloads (perfbench/workloads.py) call it."""
+        return self
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):

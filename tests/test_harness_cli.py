@@ -71,6 +71,7 @@ class TestConfig:
         assert cfg.get("flag") is True
         assert cfg.get("name") == "jump"
         assert cfg.get("list") == (1, 2, 3)
+        assert type(cfg) is dict and len(cfg) == 5
 
     def test_malformed_rejected(self):
         with pytest.raises(ConfigError):
@@ -205,17 +206,19 @@ class TestFieldCSV:
         b = np.array([np.nextafter(1.0, 2.0), -0.1, 1e-300, -1e308, np.pi])
         zero = np.zeros(5)
         rows = [a, b, a, zero, -zero, zero, b, b, b]
-        fld = GridField(x, 0.1 * np.arange(len(rows)), np.array(rows))
-        p = tmp_path / "f.csv"
-        write_field_csv(p, fld)
-        ref = "t," + ",".join(f"{v:.17g}" for v in fld.x) + "\n" + "".join(
-            f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n"
-            for t, row in zip(fld.times, fld.values))
-        assert p.read_bytes() == ref.encode()
-        back = read_field_csv(p)
-        for got, want in ((back.x, fld.x), (back.times, fld.times),
-                          (back.values, fld.values)):
-            assert got.tobytes() == want.tobytes()
+        # a run, with its filled stationary tail, is written as a field is
+        for fld in (GridField(x, 0.1 * np.arange(len(rows)), np.array(rows)),
+                    run(make_jump_scenario(grid=101, n=16, T=0.1).spec)):
+            p = tmp_path / "f.csv"
+            write_field_csv(p, fld)
+            ref = "t," + ",".join(f"{v:.17g}" for v in fld.x) + "\n" + "".join(
+                f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n"
+                for t, row in zip(fld.times, fld.values))
+            assert p.read_bytes() == ref.encode()
+            back = read_field_csv(p)
+            for got, want in ((back.x, fld.x), (back.times, fld.times),
+                              (back.values, fld.values)):
+                assert got.tobytes() == want.tobytes()
 
     def test_malformed_is_config_error(self, tmp_path):
         p = tmp_path / "f.csv"
@@ -278,6 +281,25 @@ class TestCLI:
         out = tmp_path / "o"
         assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_bn_needs_positive_part_exit_2(self, tmp_path, capsys):
+        # b_n smooths s_+ only: with a table b, Psi(b(u)) and the time term
+        # would read two different b
+        table = ("b.kind = lipschitz-table\nb.breakpoints = 0, 0.5\n"
+                 "b.slopes = 1, 4\n")
+        p = tmp_path / "table.cfg"
+        p.write_text(JUMP_CFG.replace("b.kind = positive-part\n", table))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
+        assert "b.kind" in capsys.readouterr().err and not out.exists()
+        p.write_text(JUMP_CFG.replace("b.kind = positive-part\nb.n = 16\n", table))
+        assert problem_from_config(load_config(p)).bn is None
+        assert main(["sweep-n", "--config", str(p), "--n", "4,8,16",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "b.kind" in err and "--n" not in err and not out.exists()
+        with pytest.raises(ValueError, match="b.kind"):
+            replace(make_jump_scenario(grid=101).spec, b=BSpec("lipschitz-table", (0.0,), (2.0,)))
 
     def test_front_csv_one_row_per_step(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

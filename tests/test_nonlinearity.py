@@ -119,6 +119,16 @@ class TestPsi:
         spec = PsiSpec()
         assert psi_eval(spec, 3.0) == 1.0
         assert psi_derivative(spec, 3.0) == 0.0
+        # a constant is the degree-0 polynomial, bit for bit, also at the
+        # signed zero and the extreme magnitudes; a scalar stays a float
+        y = np.array([0.0, -0.0, 1e-300, 1e300, 3.0])
+        const, poly = PsiSpec("constant", (2.5,)), PsiSpec("polynomial", (2.5,))
+        for fn, want in ((psi_eval, 2.5), (psi_derivative, 0.0)):
+            got = fn(const, y)
+            assert got.tobytes() == fn(poly, y).tobytes()
+            assert got.tobytes() == np.full(y.shape, want).tobytes()
+            for s in y:
+                assert type(fn(const, float(s))) is float
 
     def test_polynomial(self):
         spec = PsiSpec("polynomial", (1.0, 2.0, 0.5))  # 1 + 2y + y^2/2

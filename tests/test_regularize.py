@@ -6,6 +6,7 @@ import pytest
 
 from ellpar import regularize
 from ellpar.geometry import XiShape, xi_contains
+from ellpar.harness import make_jump_scenario
 from ellpar.regularize import (
     GridField,
     _xi_stencil,
@@ -15,6 +16,7 @@ from ellpar.regularize import (
     interior_ball_check,
     sup_convolve,
 )
+from ellpar.solver import run
 
 
 def _offset_masks(nt, nx, member):
@@ -180,11 +182,15 @@ class TestConvolution:
 
     def test_rejects_non_finite_samples(self):
         fld = small_random_field()
-        for bad in (np.nan, np.inf, -np.inf):
-            vals = fld.values.copy()
-            vals[3, 4] = bad
-            with pytest.raises(ValueError):
-                GridField(fld.x, fld.times, vals)
+        conv = sup_convolve(fld, 0.2)
+        out = run(make_jump_scenario(grid=101, n=16, T=0.01).spec)
+        # a run and a convolution are checked as any GridField is
+        for f in (fld, conv, out):
+            for bad in (np.nan, np.inf, -np.inf):
+                vals = f.values.copy()
+                vals[1, 4] = bad
+                with pytest.raises(ValueError):
+                    replace(f, values=vals)
 
     def test_constant_field(self):
         x = np.linspace(0, 1, 41)
@@ -198,6 +204,7 @@ class TestConvolution:
         r = 0.2
         Z = sup_convolve(fld, r)
         W = inf_convolve(fld, r)
+        assert isinstance(Z, GridField) and isinstance(W, GridField)
         base = fld.values[Z.t_slice, Z.x_slice]
         assert np.all(Z.values >= base)
         assert np.all(W.values <= base)
@@ -219,7 +226,7 @@ class TestConvolution:
         fld = small_random_field(5, nx=161, nt=113)
         r = 0.06
         Z = sup_convolve(fld, r)
-        ZZ = sup_convolve(GridField(Z.x, Z.times, Z.values), r)
+        ZZ = sup_convolve(Z, r)
         inner = Z.values[ZZ.t_slice, ZZ.x_slice]
         assert np.all(ZZ.values >= inner)
 

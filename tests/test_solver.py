@@ -7,6 +7,7 @@ import pytest
 from ellpar.harness import _pucci_radial_exact, jump_initial, make_jump_scenario
 from ellpar.nonlinearity import BnFamily, BSpec
 from ellpar.operators import OperatorSpec
+from ellpar.regularize import GridField
 from ellpar.solver import (
     Geometry,
     NewtonFailure,
@@ -292,6 +293,7 @@ class TestRun:
 
     def test_jump_extinction_and_fronts(self):
         out = run(interval_spec(T=0.2), SolverPolicy())
+        assert isinstance(out, GridField) and out.to_grid_field() is out
         assert out.extinction_time is not None
         assert 0 < out.extinction_time < 0.2
         # two fronts initially, near +-0.3
