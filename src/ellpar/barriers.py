@@ -12,7 +12,7 @@ barrier for every operator in the class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -218,16 +218,16 @@ class HeatKernelBarrier:
         return self.alpha_scale * (np.maximum(phi0, 0) - 0.5 * np.maximum(-phi0, 0))
 
 
-def _heatkernel_bracket(bar: HeatKernelBarrier, x1, t):
-    k, op = bar.k, bar.op
+def _heatkernel_bracket(k, op: OperatorSpec, x1, t):
+    """Residual bracket of the kernel with diffusion k; < 0 certifies op's class."""
     return ((x1**2 - 2 * k * t) * (k - op.lam) / (4 * k**2 * t**2)
             + op.delta1 * np.abs(x1) / (2 * k * t) + op.delta0)
 
 
-def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float,
-                             c: float = 1.0) -> HeatKernelBarrier:
+def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float) -> HeatKernelBarrier:
     """Pick k << min(d^2/(4 delta), lambda) so the parabolic residual bracket
-    is negative on [d, 2d] x (0, 2 delta], then solve the eta/eps squeeze."""
+    is negative on [d, 2d] x (0, 2 delta], solve the eta/eps squeeze, and
+    scale to sup |phi| = 1/2 there."""
     if d <= 0 or delta <= 0:
         raise ValueError("need positive diameter and horizon")
     k = min(d * d / (4 * delta), op.lam)
@@ -235,9 +235,7 @@ def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float,
     ts = np.linspace(1e-9, 2 * delta, 401)
     X, T = np.meshgrid(x1, ts)
     for _ in range(200):
-        probe = HeatKernelBarrier(k=k, eps=0.0, eta=0.0, alpha_scale=1.0,
-                                  d=d, delta=delta, op=op)
-        if np.max(_heatkernel_bracket(probe, X, T)) < 0:
+        if np.max(_heatkernel_bracket(k, op, X, T)) < 0:
             break
         k *= 0.5
     else:
@@ -254,12 +252,9 @@ def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float,
         raise BarrierInfeasible("eta squeeze failed")
     eps = math.sqrt(lhs * rhs)
 
-    probe = HeatKernelBarrier(k=k, eps=eps, eta=eta, alpha_scale=1.0,
-                              d=d, delta=delta, op=op)
-    sup = float(np.max(np.abs(probe.eval(X, T - 1e-9))))
-    alpha_scale = c / (2.0 * max(sup, 1e-300))
-    return HeatKernelBarrier(k=k, eps=eps, eta=eta, alpha_scale=alpha_scale,
-                             d=d, delta=delta, op=op)
+    bar = HeatKernelBarrier(k=k, eps=eps, eta=eta, alpha_scale=1.0, d=d, delta=delta, op=op)
+    sup = float(np.max(np.abs(bar.eval(X, T - 1e-9))))
+    return replace(bar, alpha_scale=1.0 / (2.0 * max(sup, 1e-300)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +299,8 @@ def _sampled_max(fun, lo, hi):
 def solve_logdiv_barrier(psi: PsiSpec, bspec: BSpec, omega: float, rho0: float,
                          M: float, n_dim: int = 2) -> LogDivBarrier:
     """Compute k1, k2 by sampled maximization over [0, 3M], then the smallest
-    doubling k and the amplitude a placing psi(eta) strictly in (2M, 3M)."""
+    doubling k and the amplitude a = expm1(2.5 M k) / (k eta), the inverse of
+    psi(eta) = log(a k eta + 1) / k = 2.5 M, the middle of (2M, 3M)."""
     if omega < 0 or rho0 <= 0 or M <= 0:
         raise ValueError("need omega >= 0, rho0 > 0, M > 0")
 
@@ -333,18 +329,7 @@ def solve_logdiv_barrier(psi: PsiSpec, bspec: BSpec, omega: float, rho0: float,
     else:
         raise BarrierInfeasible("no admissible k found")
 
-    # a from 2M < log(a k eta + 1)/k < 3M by bisection on the monotone map
-    target = 2.5 * M
-    lo, hi = 1.0, 2.0
-    while math.log(hi * k * eta + 1.0) / k < target:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.log(mid * k * eta + 1.0) / k < target:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
+    a = math.expm1(2.5 * M * k) / (k * eta)
     psi_eta = math.log(a * k * eta + 1.0) / k
     if not (a > 1.0 and 2 * M < psi_eta < 3 * M):
         raise BarrierInfeasible("amplitude selection failed re-verification")
@@ -441,6 +426,14 @@ def verify_subsolution_margin(bar, samples: int = 1000, seed: int = 0) -> Margin
     raise TypeError(f"unknown barrier type {type(bar).__name__}")
 
 
+def _envelope_margin(op: OperatorSpec, sense, val, dt, eigs, grad_norm):
+    """Worst margin of the residual b(phi)_t - F_env against the envelope of
+    the class of op, with b(phi)_t = dt where phi = val > 0 and 0 in the
+    negative phase; oriented so positive = strict sub/supersolution."""
+    res = np.where(val > 0, dt, 0.0) - structural_envelope(op, eigs, grad_norm, val, sense)
+    return float(np.min(-res if sense == "sub" else res, initial=math.inf))
+
+
 def _verify_radial(bar: RadialPowerBarrier, samples, rng):
     op = bar.op
     draws = rng.random((samples, 2))
@@ -455,10 +448,7 @@ def _verify_radial(bar: RadialPowerBarrier, samples, rng):
     # negative phase
     eigs = np.repeat((drho / rho)[:, None], op.n_dim, axis=1)
     eigs[:, -1] = drho2
-    F_env = structural_envelope(eigs, np.abs(drho), val, op.lam, op.Lam,
-                                op.delta1, op.delta0, bar.sign)
-    res = np.where(val > 0, dt, 0.0) - F_env
-    worst = float(np.min(-res if bar.sign == "sub" else res, initial=math.inf))
+    worst = _envelope_margin(op, bar.sign, val, dt, eigs, np.abs(drho))
     gap = bar.a_hat + bar.b_hat  # |D phi^+| - |D phi^-| of the subsolution
     return MarginReport(family="radial", sense=bar.sign, samples=samples,
                         worst_margin=worst,
@@ -467,8 +457,7 @@ def _verify_radial(bar: RadialPowerBarrier, samples, rng):
 
 
 def _verify_logdiv(bar: LogDivBarrier, samples, rng):
-    psi, bspec = bar.psi_spec, bar.bspec
-    n = bar.n_dim
+    psi, bspec, n = bar.psi_spec, bar.bspec, bar.n_dim
     tau = bar.rho0 / (2 * bar.omega) if bar.omega > 0 else 1.0
     draws = rng.random((samples, 2))
     s = bar.eta * draws[:, 0]
@@ -490,14 +479,14 @@ def _verify_heatkernel(bar: HeatKernelBarrier, samples):
     x1 = np.linspace(bar.d, 2 * bar.d, m)
     ts = np.linspace(1e-9, 2 * bar.delta, m)
     X, T = np.meshgrid(x1, ts)
-    worst = -float(np.max(_heatkernel_bracket(bar, X, T)))
+    worst = -float(np.max(_heatkernel_bracket(bar.k, bar.op, X, T)))
     return MarginReport(family="heatkernel", sense="sub", samples=m * m,
                         worst_margin=worst, flux_gap=None, passed=worst > 0)
 
 
 def _verify_parabola(bar: ParabolaBarrier, samples, rng):
     op = bar.op
-    n, lam, Lam, d1, d0 = op.n_dim, op.lam, op.Lam, op.delta1, op.delta0
+    n, Lam = op.n_dim, op.Lam
     draws = rng.random((samples, 2))
     if bar.variant == "decr-parabola":
         # support: 4|x|^2 <= 1 - t/(2 gamma) truncated to |x| <= 1/2, t <= 0
@@ -505,10 +494,8 @@ def _verify_parabola(bar: ParabolaBarrier, samples, rng):
         t = -2 * bar.gamma * draws[:, 1]
         val = -t / (2 * bar.gamma) - 4 * x * x + 1
         keep = val > 0
-        F_env = structural_envelope([-8.0] * n, 8 * x[keep], val[keep],
-                                    lam, Lam, d1, d0, "sub")
-        res = -1.0 / (2 * bar.gamma) - F_env
-        worst = float(np.min(-res, initial=math.inf))
+        worst = _envelope_margin(op, "sub", val[keep], -1.0 / (2 * bar.gamma),
+                                 [-8.0] * n, 8 * x[keep])
         # gamma makes the inequality tight at x = 0 when delta1 = delta0 = 0,
         # so rounding alone can leave the margin a few ulps below zero
         return MarginReport(family="parabola", sense="sub", samples=samples,
@@ -520,10 +507,8 @@ def _verify_parabola(bar: ParabolaBarrier, samples, rng):
     t = -bar.eps / (8 * n * Lam) * draws[:, 1]
     val = A * (4 * n * Lam * t + x * x + bar.eta)
     keep = val > 0
-    dt = A * 4 * n * Lam
-    F_env = structural_envelope([2 * A] * n, 2 * A * x[keep], val[keep],
-                                lam, Lam, d1, d0, "super")
-    worst = float(np.min(dt - F_env, initial=math.inf))
+    worst = _envelope_margin(op, "super", val[keep], A * 4 * n * Lam,
+                             [2 * A] * n, 2 * A * x[keep])
     return MarginReport(family="parabola", sense="super", samples=samples,
                         worst_margin=worst, flux_gap=None,
                         passed=worst > 0)

@@ -197,7 +197,7 @@ def _cmd_crossing(args):
 
 def _cmd_compare(args):
     from .harness import make_comparison_pair, make_jump_scenario
-    from .solver import run
+    from .solver import ORDER_TOL, run
 
     cfg = load_config(args.config, keys={"grid.n", "b.n"}) if args.config else None
     grid = int(cfg.get("grid.n", 401)) if cfg else 401
@@ -210,7 +210,7 @@ def _cmd_compare(args):
     rl = run(lower.spec)
     ru = run(upper.spec)
     worst = float(np.min(ru.values - rl.values))
-    ordered = worst >= -1e-9
+    ordered = worst >= -ORDER_TOL
     print(json.dumps({"gap": args.gap, "worst_order_gap": worst,
                       "ordered": ordered}))
     return 0 if ordered else 1

@@ -228,12 +228,10 @@ class WindowMaxTable:
         return out if idx is not None else out[0]
 
 
-def window_max(a, n: int, arg: bool = False):
+def window_max(a, n: int):
     """Maximum of every length-n window along the last axis: out[..., k] =
-    max(a[..., k:k+n]); with arg, also the leftmost argmax as an index into
-    the last axis of a.  One query on a WindowMaxTable: the two length-p
-    windows at the ends of each window, p = 2^floor(log2 n), overlap, and the
-    right one wins only where strictly greater.  The table is the one
+    max(a[..., k:k+n]).  One query on a WindowMaxTable, which is the one
     windowed extremum behind the Xi_r convolutions, the essential envelopes
-    and the front shift; minima are -window_max(-a)."""
-    return WindowMaxTable(a, (n,), arg).query(n)
+    and the front shift (WindowMaxTable(a, (n,), arg=True).query(n) adds the
+    leftmost argmaxes); minima are -window_max(-a)."""
+    return WindowMaxTable(a, (n,)).query(n)

@@ -44,6 +44,7 @@ from .regularize import (
     sup_convolve,
 )
 from .solver import (
+    ORDER_TOL,
     Geometry,
     ProblemSpec,
     _check_front_inside,
@@ -381,7 +382,7 @@ def criterion_6_comparison():
         rl = run(lower_spec)
         ru = run(upper_scn.spec)
         worst = min(worst, float(np.min(ru.values - rl.values)))
-    return worst >= -1e-9, worst + 1e-9, {"worst_order_gap": worst, "pairs": 100}
+    return worst >= -ORDER_TOL, worst + ORDER_TOL, {"worst_order_gap": worst, "pairs": 100}
 
 
 @_criterion(7, "jump-extinction")
@@ -485,10 +486,9 @@ def criterion_10_regularization():
 
 def _pucci_radial_exact(op: OperatorSpec, lo, hi, g_lo, g_hi, x):
     """The radial solution of the Pucci equation F = 0 on the annulus
-    lo <= rho <= hi with psi(lo) = g_lo and psi(hi) = g_hi, at the radii x."""
-    if op.kind not in ("pucci-plus", "pucci-minus"):
-        raise ValueError("the closed form covers the Pucci kinds")
-    cpos, cneg = (op.Lam, op.lam) if op.kind == "pucci-plus" else (op.lam, op.Lam)
+    lo <= rho <= hi with psi(lo) = g_lo and psi(hi) = g_hi, at the radii x;
+    a ValueError for an operator that is not Pucci."""
+    cpos, cneg = op.pucci_weights
     if g_hi == g_lo:
         return np.full(np.shape(x), float(g_lo))
     gamma = (op.n_dim - 1) * (cneg / cpos if g_hi < g_lo else cpos / cneg)

@@ -9,7 +9,7 @@ psi'', so every operator evaluation reduces to a 1D computation on an annulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -89,6 +89,13 @@ class OperatorSpec:
         if self.kind == "divergence" and self.psi is None:
             object.__setattr__(self, "psi", PsiSpec("constant", (1.0,)))
 
+    @property
+    def pucci_weights(self):
+        """Eigenvalue weights (c+, c-): (Lam, lam) for M+, (lam, Lam) for M-."""
+        if self.kind not in ("pucci-plus", "pucci-minus"):
+            raise ValueError(f"{self.kind} is not a Pucci operator")
+        return (self.Lam, self.lam) if self.kind == "pucci-plus" else (self.lam, self.Lam)
+
 
 def _pucci(eigs, lam, Lam, cpos, cneg):
     """cpos * (sum of positive eigenvalues) + cneg * (sum of negative ones)
@@ -144,8 +151,7 @@ def operator_full_eval(op: OperatorSpec, M, p, z, bspec: BSpec = BSpec()):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if op.kind in ("pucci-plus", "pucci-minus"):
-        f = pucci_plus if op.kind == "pucci-plus" else pucci_minus
-        out = f(np.linalg.eigvalsh(M), op.lam, op.Lam)
+        out = _pucci(np.linalg.eigvalsh(M), op.lam, op.Lam, *op.pucci_weights)
     elif op.kind == "bellman-isaacs":
         def entry(A, drift, zeroth):
             return (np.trace(A @ M, axis1=-2, axis2=-1) + np.vecdot(drift, p) + zeroth * z,)
@@ -175,7 +181,7 @@ def _active_coefficients(op: OperatorSpec, d2, d1, u, rho, radial):
         a1 = op.lam * (n - 1) / rho if radial else zeros
         return np.full_like(d2, op.lam), a1, zeros
     if op.kind in ("pucci-plus", "pucci-minus"):
-        cpos, cneg = (op.Lam, op.lam) if op.kind == "pucci-plus" else (op.lam, op.Lam)
+        cpos, cneg = op.pucci_weights
 
         def coef(e):
             return np.where(e > 0, cpos, np.where(e < 0, cneg, op.lam))
@@ -277,16 +283,16 @@ class StructuralReport:
     violations: int = 0
 
 
-def structural_envelope(eigs, grad_norm, z, lam, Lam, delta1, delta0, sense):
+def structural_envelope(op: OperatorSpec, eigs, grad_norm, z, sense):
     """Extremal operator of the structural class (lam, Lam, delta1, delta0)
-    at Hessian eigenvalues eigs (..., n), gradient norms |p| (...) and values
-    z (...): the lower envelope M^-(eigs) - (delta1 |p| + delta0 |z|) for
-    sense "sub", the upper envelope M^+(eigs) + (delta1 |p| + delta0 |z|) for
-    sense "super"; broadcast over the leading axes."""
-    slack = delta1 * grad_norm + delta0 * abs(z)
+    of op at Hessian eigenvalues eigs (..., n), gradient norms |p| (...) and
+    values z (...): the lower envelope M^-(eigs) - (delta1 |p| + delta0 |z|)
+    for sense "sub", the upper envelope M^+(eigs) + (delta1 |p| + delta0 |z|)
+    for sense "super"; broadcast over the leading axes."""
+    slack = op.delta1 * grad_norm + op.delta0 * abs(z)
     if sense == "sub":
-        return pucci_minus(eigs, lam, Lam) - slack
-    return pucci_plus(eigs, lam, Lam) + slack
+        return pucci_minus(eigs, op.lam, op.Lam) - slack
+    return pucci_plus(eigs, op.lam, op.Lam) + slack
 
 
 def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,
@@ -305,7 +311,7 @@ def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     n = op.n_dim
-    lam, Lam = (op.lam, op.lam) if op.kind == "trace" else (op.lam, op.Lam)
+    env = replace(op, Lam=op.lam) if op.kind == "trace" else op  # lam tr(M): class [lam, lam]
     draws = rng.standard_normal((trials, 2 * n * n + 2 * n + 2))
     M, N = draws[:, :2 * n * n].reshape(trials, 2, n, n).swapaxes(0, 1)
     M, N = 0.5 * (M + M.swapaxes(-1, -2)), 0.5 * (N + N.swapaxes(-1, -2))
@@ -313,8 +319,7 @@ def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,
     z, w = draws[:, -2], draws[:, -1]
     dF = operator_full_eval(op, M, p, z) - operator_full_eval(op, N, q, w)
     # np.vecdot keeps the per-row rounding of np.linalg.norm
-    gap = (np.linalg.eigvalsh(M - N), np.sqrt(np.vecdot(p - q, p - q)), z - w,
-           lam, Lam, op.delta1, op.delta0)
+    gap = (env, np.linalg.eigvalsh(M - N), np.sqrt(np.vecdot(p - q, p - q)), z - w)
     margin = np.minimum(dF - structural_envelope(*gap, "sub"),
                         structural_envelope(*gap, "super") - dF)
     violations = int(np.count_nonzero(margin < -1e-10))

@@ -65,7 +65,6 @@ class ConvolvedField(GridField):
 
     base: GridField
     r: float
-    kind: str  # "sup" | "inf"
     dual_index: np.ndarray  # flat index into base.values, same shape as values
     x_slice: slice
     t_slice: slice
@@ -144,7 +143,7 @@ def _convolve(field: GridField, r: float, kind: str) -> ConvolvedField:
         up = m > best
         np.copyto(best, m, where=up)
         np.copyto(dual, row_start + dj * nx + k, where=up)
-    return ConvolvedField(base=field, r=r, kind=kind, x=x[x_slice],
+    return ConvolvedField(base=field, r=r, x=x[x_slice],
                           times=times[t_slice], values=vals.ravel()[dual],
                           dual_index=dual, x_slice=x_slice, t_slice=t_slice)
 

@@ -142,12 +142,16 @@ class ProblemSpec:
         return (lambda s: b_eval(bspec, s)), (lambda s: b_derivative(bspec, s))
 
 
+NEWTON_TOL = 1e-10  # Newton residual tolerance (max norm)
+# slack of the discrete maximum and comparison principles: how far a step may
+# leave its max-principle bounds, and an ordered pair its order
+ORDER_TOL = 1e-9
+
+
 @dataclass
 class SolverPolicy:
     max_iters: int = 40  # Newton iterations per implicit solve
-    abs_tol: float = 1e-10  # Newton residual tolerance (max norm)
     max_substep_depth: int = 20
-    max_principle_tol: float = 1e-9
 
 
 @dataclass
@@ -192,7 +196,7 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
     hist.append(norm)
     stalls = 0
     for it in range(policy.max_iters):
-        if norm <= policy.abs_tol:
+        if norm <= NEWTON_TOL:
             return u, it, hist
         lower, diag, upper = jacobian_fn(u)
         du = _solve_tridiagonal(lower, diag, upper, -r)
@@ -202,7 +206,7 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
             norm_try = float(np.max(np.abs(r_try)))
             if trial == 0:
                 u_full, r_full, norm_full = u_try, r_try, norm_try
-            if norm_try < norm or norm_try <= policy.abs_tol:
+            if norm_try < norm or norm_try <= NEWTON_TOL:
                 u, r, norm = u_try, r_try, norm_try
                 break
             du *= 0.5
@@ -213,7 +217,7 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
                 raise NewtonFailure("line search stalled", hist)
             u, r, norm = u_full, r_full, norm_full
         hist.append(norm)
-    if norm <= policy.abs_tol:
+    if norm <= NEWTON_TOL:
         return u, policy.max_iters, hist
     raise NewtonFailure("no convergence within the iteration budget", hist)
 
@@ -312,8 +316,7 @@ def _advance(spec, u, t, dt, policy, depth=0):
     try:
         u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
         lo, hi = max_principle_bounds(spec, u, t + dt)
-        tol = policy.max_principle_tol
-        if np.all(u_new >= lo - tol) and np.all(u_new <= hi + tol):
+        if np.all(u_new >= lo - ORDER_TOL) and np.all(u_new <= hi + ORDER_TOL):
             return u_new, iters, 1
     except NewtonFailure as exc:
         failure = exc
@@ -454,7 +457,6 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or any(e <= 0 for e in eps_list):
         raise ValueError("eps_list must be positive and strictly decreasing")
-    tol = SolverPolicy().max_principle_tol
     x = spec.nodes()
     u0 = spec.initial_values()
     runs_up, runs_dn = [], []
@@ -469,13 +471,13 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
     for ru, rd in zip(runs_up, runs_dn):
         d = [float(np.max(ru.values[j] - rd.values[j])) for j in probe_idx]
         gaps.append(max(d))
-        if np.any(ru.values - rd.values < -tol):
+        if np.any(ru.values - rd.values < -ORDER_TOL):
             ordered = False
     # nesting across eps levels
     for i in range(len(eps_list) - 1):
-        if np.any(runs_up[i + 1].values - runs_up[i].values > tol * 10):
+        if np.any(runs_up[i + 1].values - runs_up[i].values > ORDER_TOL * 10):
             ordered = False
-        if np.any(runs_dn[i].values - runs_dn[i + 1].values > tol * 10):
+        if np.any(runs_dn[i].values - runs_dn[i + 1].values > ORDER_TOL * 10):
             ordered = False
     return BracketReport(eps_list=eps_list, probe_times=probe_times,
                          gaps=gaps, ordered=ordered,

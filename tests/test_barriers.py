@@ -130,7 +130,8 @@ class TestLogDivBarrier:
         assert bar.eta == pytest.approx(0.25)
         assert bar.k == pytest.approx(8.0)
         psi_eta = math.log(bar.a * bar.k * bar.eta + 1) / bar.k
-        assert 2.0 < psi_eta < 3.0
+        # a = expm1(2.5 M k) / (k eta) puts psi(eta) at the middle of (2M, 3M)
+        assert psi_eta == pytest.approx(2.5, rel=1e-12, abs=0.0)
 
     def test_margin_positive(self):
         psi = PsiSpec("polynomial", (1.0, 0.5))
@@ -184,7 +185,7 @@ def _reference_parabola_margin(bar, samples, seed):
     """Worst margin of the parabola barriers, one sample at a time."""
     rng = np.random.default_rng(seed)
     op = bar.op
-    n, lam, Lam, d1, d0 = op.n_dim, op.lam, op.Lam, op.delta1, op.delta0
+    n, Lam = op.n_dim, op.Lam
     worst = math.inf
     A = 4 * bar.M / bar.eps
     for _ in range(samples):
@@ -194,7 +195,7 @@ def _reference_parabola_margin(bar, samples, seed):
             val = -t / (2 * bar.gamma) - 4 * x * x + 1
             if val <= 0:
                 continue
-            F_env = structural_envelope([-8.0] * n, 8 * x, val, lam, Lam, d1, d0, "sub")
+            F_env = structural_envelope(op, [-8.0] * n, 8 * x, val, "sub")
             worst = min(worst, -(-1.0 / (2 * bar.gamma) - F_env))
         else:
             x = math.sqrt(bar.eps) * rng.random()
@@ -202,7 +203,7 @@ def _reference_parabola_margin(bar, samples, seed):
             val = A * (4 * n * Lam * t + x * x + bar.eta)
             if val <= 0:
                 continue
-            F_env = structural_envelope([2 * A] * n, 2 * A * x, val, lam, Lam, d1, d0, "super")
+            F_env = structural_envelope(op, [2 * A] * n, 2 * A * x, val, "super")
             worst = min(worst, A * 4 * n * Lam - F_env)
     return worst
 
@@ -221,8 +222,8 @@ def _reference_radial_margin(bar, samples, seed):
             rejected += 1
             continue
         val, dt, drho, drho2 = (float(v) for v in eval_radial_barrier(bar, rho, t))
-        F_env = structural_envelope([drho / rho] * (op.n_dim - 1) + [drho2], abs(drho),
-                                    val, op.lam, op.Lam, op.delta1, op.delta0, bar.sign)
+        F_env = structural_envelope(op, [drho / rho] * (op.n_dim - 1) + [drho2], abs(drho),
+                                    val, bar.sign)
         res = (dt if val > 0 else 0.0) - F_env
         worst = min(worst, -res if bar.sign == "sub" else res)
         done += 1

@@ -160,7 +160,7 @@ class TestWindowMax:
             n = int(rng.integers(1, length + 1))
             a = rng.integers(-2, 3, (3, 2, length)).astype(float)
             windows = sliding_window_view(a, n, axis=-1)
-            m, k = window_max(a, n, arg=True)
+            m, k = WindowMaxTable(a, (n,), arg=True).query(n)
             assert np.array_equal(m, windows.max(axis=-1))
             assert np.array_equal(k, windows.argmax(axis=-1) + np.arange(length - n + 1))
             assert np.array_equal(window_max(a, n), m)
@@ -168,12 +168,12 @@ class TestWindowMax:
 
     def test_window_of_one_is_identity(self):
         a = np.array([[3.0, -1.0, 3.0], [0.0, 0.0, -2.0]])
-        m, k = window_max(a, 1, arg=True)
+        m, k = WindowMaxTable(a, (1,), arg=True).query(1)
         assert np.array_equal(m, a)
         assert np.array_equal(k, [[0, 1, 2], [0, 1, 2]])
 
     def test_all_ties_take_the_window_start(self):
-        m, k = window_max(np.zeros(9), 4, arg=True)
+        m, k = WindowMaxTable(np.zeros(9), (4,), arg=True).query(4)
         assert np.array_equal(m, np.zeros(6))
         assert np.array_equal(k, np.arange(6))
 
@@ -217,7 +217,8 @@ class TestWindowMaxTable:
             table = WindowMaxTable(a, sizes)
             for n in sizes:
                 _assert_same(arg_table.query(n), doubling_window_max(a, n, arg=True))
-                _assert_same(window_max(a, n, arg=True), doubling_window_max(a, n, arg=True))
+                _assert_same(WindowMaxTable(a, (n,), arg=True).query(n),
+                             doubling_window_max(a, n, arg=True))
                 _assert_same((table.query(n),), (doubling_window_max(a, n),))
                 _assert_same((window_max(a, n),), (doubling_window_max(a, n),))
 

@@ -86,6 +86,9 @@ class TestConfig:
         assert spec.op.kind == "trace"
         u0 = spec.initial_values()
         assert u0[0] == -1.0 and u0[-1] == -1.0
+        const = JUMP_CFG.replace("u0.kind = jump", "u0.kind = constant\nu0.value = -0.25")
+        spec = problem_from_config(parse_config(const))
+        assert np.array_equal(spec.initial_datum(), np.full(201, -0.25))
 
     def test_bad_operator_is_config_error(self):
         with pytest.raises(ConfigError):
@@ -259,10 +262,13 @@ class TestCLI:
                  open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read()
 
-    def test_bad_config_exit_2(self, tmp_path):
+    def test_bad_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("op.kind = nonsense\n")
         assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
+        p.write_text(JUMP_CFG.replace("u0.kind = jump", "u0.kind = sine"))
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "u0.kind" in capsys.readouterr().err
         assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == 2
 
@@ -392,6 +398,12 @@ class TestCLI:
         assert (bounds["lower_bound"], bounds["upper_bound"]) == \
             max_principle_bounds(spec, u0, 0.0) == (-1.0, float(u0.max()))
         assert bounds["upper_bound"] < 5.0
+
+    def test_compare_ordered_pair(self, capsys):
+        assert main(["compare", "--gap", "0.05"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["gap"] == 0.05 and printed["ordered"] is True
+        assert printed["worst_order_gap"] >= -1e-9
 
     def test_compare_rejects_keys_it_does_not_read(self, tmp_path, capsys):
         # compare reads only grid.n and b.n; time.T would be silently ignored

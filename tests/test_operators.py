@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -311,7 +313,7 @@ class TestStructuralEnvelope:
         def reference(op, trials, seed):
             rng = np.random.default_rng(seed)
             n = op.n_dim
-            lam, Lam = (op.lam, op.lam) if op.kind == "trace" else (op.lam, op.Lam)
+            cls = replace(op, Lam=op.lam) if op.kind == "trace" else op
             worst, violations = np.inf, 0
             for _ in range(trials):
                 M, N = (0.5 * (A + A.T) for A in (rng.standard_normal((n, n)),
@@ -320,8 +322,7 @@ class TestStructuralEnvelope:
                 q = rng.standard_normal(n)
                 z, w = rng.standard_normal(2)
                 dF = operator_full_eval(op, M, p, z) - operator_full_eval(op, N, q, w)
-                gap = (np.linalg.eigvalsh(M - N), np.linalg.norm(p - q), z - w,
-                       lam, Lam, op.delta1, op.delta0)
+                gap = (cls, np.linalg.eigvalsh(M - N), np.linalg.norm(p - q), z - w)
                 margin = min(dF - structural_envelope(*gap, "sub"),
                              structural_envelope(*gap, "super") - dF)
                 worst = min(worst, margin)
@@ -365,7 +366,11 @@ class TestBatched:
         e = rng.standard_normal((60, 3))
         e[::7, 1] = 0.0
         lam, Lam = 1.0, 2.5
-        for f, cpos, cneg in ((pucci_plus, Lam, lam), (pucci_minus, lam, Lam)):
+        with pytest.raises(ValueError, match="not a Pucci"):
+            OperatorSpec(kind="trace", lam=lam, Lam=Lam).pucci_weights
+        for f, kind, cpos, cneg in ((pucci_plus, "pucci-plus", Lam, lam),
+                                    (pucci_minus, "pucci-minus", lam, Lam)):
+            assert OperatorSpec(kind=kind, lam=lam, Lam=Lam).pucci_weights == (cpos, cneg)
             got = f(e, lam, Lam)
             assert got.shape == (60,)
             for k, row in enumerate(e):

@@ -1,11 +1,11 @@
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from ellpar.harness import _pucci_radial_exact, jump_initial, make_jump_scenario
-from ellpar.nonlinearity import BnFamily, BSpec
+from ellpar.nonlinearity import BnFamily, BSpec, PsiSpec, b_eval, psi_eval
 from ellpar.operators import OperatorSpec
 from ellpar.regularize import GridField
 from ellpar.solver import (
@@ -290,6 +290,8 @@ class TestRun:
         assert len(info.value.history) > 0
         assert isinstance(info.value.__cause__, NewtonFailure)
         assert info.value.history == info.value.__cause__.history
+        # the Newton and ordering tolerances are constants, not settings
+        assert [f.name for f in fields(SolverPolicy)] == ["max_iters", "max_substep_depth"]
 
     def test_jump_extinction_and_fronts(self):
         out = run(interval_spec(T=0.2), SolverPolicy())
@@ -385,6 +387,27 @@ def _pucci_annulus_spec():
         T=0.2, grid=121, dt=2.5e-3)
 
 
+def _jump_spec():
+    return make_jump_scenario(grid=401, n=32, T=1.0).spec
+
+
+def _richards_spec(geometry, n_dim, g_lo):
+    """The Richards case b(u)_t = div(Psi(b(u)) Du), Psi(y) = 1 + 2y, from the
+    jump datum."""
+    op = OperatorSpec(kind="divergence", n_dim=n_dim, psi=PsiSpec("polynomial", (1.0, 2.0)))
+    return replace(make_jump_scenario(grid=401, n=32, T=0.2).spec, geometry=geometry, op=op,
+                   g_lo=g_lo)
+
+
+def _richards_interval_spec():
+    return _richards_spec(Geometry("interval", -1.0, 1.0), 1, -1.0)
+
+
+def _richards_annulus_spec():
+    # the inner circle at u = 0.5 keeps a positive phase and a flux through it
+    return _richards_spec(Geometry("radial-annulus", 0.2, 1.0), 3, 0.5)
+
+
 class TestStationaryTail:
     @pytest.mark.parametrize("make_spec", [
         lambda: make_jump_scenario(grid=401, n=32, T=1.0).spec,
@@ -418,15 +441,17 @@ class TestStationaryTail:
 
     def test_totals_count_the_solved_macro_steps(self, monkeypatch):
         # the sums over top-level _advance calls, as a tracer wrapping it
-        # sees them, equal the field's totals
+        # sees them, equal the field's totals, substeps included
         from ellpar import solver
 
         advance = solver._advance
         depth = [0]
+        deepest = [0]
         macro = []
 
         def counting(*args, **kwargs):
             depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
             try:
                 res = advance(*args, **kwargs)
             finally:
@@ -435,27 +460,53 @@ class TestStationaryTail:
                 macro.append(res[1:])
             return res
 
+        def totals(spec, policy):
+            macro.clear()
+            deepest[0] = 0
+            out = run(spec, policy)
+            assert sum(it for it, _ in macro) == out.newton_iterations
+            assert sum(st for _, st in macro) == out.steps
+            assert len(macro) + out.repeated_steps == spec.steps
+            return out
+
         monkeypatch.setattr(solver, "_advance", counting)
         spec = make_jump_scenario(grid=401, n=32, T=1.0).spec
-        out = run(spec)
-        assert sum(it for it, _ in macro) == out.newton_iterations
-        assert sum(st for _, st in macro) == out.steps
-        assert len(macro) + out.repeated_steps == spec.steps == 400
-        assert len(macro) <= 40
+        out = totals(spec, SolverPolicy())
+        assert spec.steps == 400 and len(macro) <= 40
+        assert deepest[0] == 1 and out.steps == len(macro)
+        # four Newton iterations are too few for some steps: they halve, and
+        # each half counts as a step
+        spec = make_jump_scenario(grid=201, n=32, T=0.1).spec
+        out = totals(spec, SolverPolicy(max_iters=4))
+        assert deepest[0] > 1 and out.steps > len(macro)
+        default = run(spec)
+        assert out.extinction_time == default.extinction_time
+        assert np.max(np.abs(out.values - default.values)) <= 0.02
 
-    @pytest.mark.parametrize("bn", [BnFamily(32), None], ids=["b_32", "b"])
-    def test_discrete_mass_balance(self, bn):
-        # lam = Lam = 1: F is the second difference, so summing the implicit
-        # step over the interior nodes leaves the boundary fluxes at u^{k+1}
-        spec = replace(make_jump_scenario(grid=401, n=32, T=1.0).spec, bn=bn)
+    @pytest.mark.parametrize("make_spec, bn", [
+        (_jump_spec, BnFamily(32)), (_jump_spec, None),
+        (_richards_interval_spec, BnFamily(32)), (_richards_interval_spec, None),
+        (_richards_annulus_spec, BnFamily(32)), (_richards_annulus_spec, None),
+    ], ids=["b_32", "b", "richards-interval-b_32", "richards-interval-b",
+            "richards-annulus-b_32", "richards-annulus-b"])
+    def test_discrete_mass_balance(self, make_spec, bn):
+        # F in flux form, (c_{i+1/2} (u_{i+1} - u_i) - c_{i-1/2} (u_i - u_{i-1}))
+        # / (h^2 rho_i^(n-1)): summing the implicit step times h rho_i^(n-1)
+        # over the interior nodes leaves the boundary fluxes at u^{k+1}.  The
+        # trace operator with lam = 1 is the flux form with Psi = 1.
+        spec = replace(make_spec(), bn=bn)
         out = run(spec)
         assert out.repeated_steps > 0
         x = spec.nodes()
         h = x[1] - x[0]
+        n = spec.op.n_dim if spec.geometry.radial else 1
         b = spec.b_pair()[0](out.values)[:, 1:-1]
-        stored = h * np.sum(b[1:] - b[:-1], axis=1)
+        stored = h * np.sum(x[1:-1] ** (n - 1) * (b[1:] - b[:-1]), axis=1)
         u = out.values[1:]
-        flux = spec.dt * ((u[:, -1] - u[:, -2]) - (u[:, 1] - u[:, 0])) / h
+        psi = psi_eval(spec.op.psi or PsiSpec(), b_eval(spec.b, u))
+        faces = 0.5 * (psi[:, 1:] + psi[:, :-1]) * (0.5 * (x[1:] + x[:-1])) ** (n - 1)
+        flux = spec.dt * (faces[:, -1] * (u[:, -1] - u[:, -2])
+                          - faces[:, 0] * (u[:, 1] - u[:, 0])) / h
         assert np.max(np.abs(stored - flux)) <= 1e-9
 
 
