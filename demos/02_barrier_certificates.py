@@ -56,8 +56,8 @@ def main():
     print(f"worst squeeze margin: {rep.worst_margin:.3e}  passed: {rep.passed}")
 
     print("\n== divergence-form logarithmic barrier ==")
-    ld = solve_logdiv_barrier(PsiSpec(), BSpec(), omega=1.0, rho0=2.0, M=1.0,
-                              n_dim=2)
+    div = OperatorSpec(kind="divergence", n_dim=2, psi=PsiSpec())
+    ld = solve_logdiv_barrier(div, BSpec(), omega=1.0, rho0=2.0, M=1.0)
     print(f"k1 = {ld.k1:.4f}, k2 = {ld.k2:.4f}, eta = {ld.eta:.4f}, "
           f"k = {ld.k:.4f}, a = {ld.a:.6f}")
     rep = verify_subsolution_margin(ld)

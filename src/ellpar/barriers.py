@@ -12,7 +12,7 @@ barrier for every operator in the class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,6 @@ import numpy as np
 from .geometry import edge_zeros
 from .nonlinearity import (
     BSpec,
-    PsiSpec,
     b_derivative,
     b_eval,
     psi_derivative,
@@ -263,8 +262,8 @@ def solve_heatkernel_barrier(op: OperatorSpec, d: float, delta: float) -> HeatKe
 
 @dataclass(frozen=True)
 class LogDivBarrier:
-    """Supersolution phi(x,t) = psi(|x| - omega t - rho0) of the divergence
-    problem, with psi(s) = log(a k s + 1) / k on [0, eta]."""
+    """Supersolution phi(x,t) = psi(|x| - omega t - rho0) of the problem with
+    divergence operator op, with psi(s) = log(a k s + 1) / k on [0, eta]."""
 
     k1: float
     k2: float
@@ -274,9 +273,8 @@ class LogDivBarrier:
     omega: float
     rho0: float
     M: float
-    n_dim: int = 2
-    psi_spec: PsiSpec = field(default_factory=PsiSpec)
-    bspec: BSpec = field(default_factory=BSpec)
+    op: OperatorSpec
+    bspec: BSpec
 
     def profile(self, s):
         s = np.asarray(s, dtype=float)
@@ -296,23 +294,26 @@ def _sampled_max(fun, lo, hi):
     return float(max(np.max(v), np.max(fun(s2))))
 
 
-def solve_logdiv_barrier(psi: PsiSpec, bspec: BSpec, omega: float, rho0: float,
-                         M: float, n_dim: int = 2) -> LogDivBarrier:
-    """Compute k1, k2 by sampled maximization over [0, 3M], then the smallest
-    doubling k and the amplitude a = expm1(2.5 M k) / (k eta), the inverse of
-    psi(eta) = log(a k eta + 1) / k = 2.5 M, the middle of (2M, 3M)."""
+def solve_logdiv_barrier(op: OperatorSpec, bspec: BSpec, omega: float, rho0: float,
+                         M: float) -> LogDivBarrier:
+    """For the divergence operator op: k1, k2 by sampled maximization over
+    [0, 3M], the smallest doubling k, and a = expm1(2.5 M k) / (k eta), which
+    solves psi(eta) = log(a k eta + 1) / k = 2.5 M, the middle of (2M, 3M)."""
+    if op.kind != "divergence":
+        raise ValueError(f"op.kind = {op.kind}: the log barrier needs a divergence operator")
     if omega < 0 or rho0 <= 0 or M <= 0:
-        raise ValueError("need omega >= 0, rho0 > 0, M > 0")
+        raise ValueError(f"need omega >= 0, rho0 > 0, M > 0, not omega = {omega}, "
+                         f"rho0 = {rho0}, M = {M}")
 
     def g1(s):
-        return omega * b_derivative(bspec, s) / psi_eval(psi, b_eval(bspec, s))
+        return omega * b_derivative(bspec, s) / psi_eval(op.psi, b_eval(bspec, s))
 
     def g2(s):
         y = b_eval(bspec, s)
-        return (np.abs(psi_derivative(psi, y)) * b_derivative(bspec, s)
-                / psi_eval(psi, y))
+        return (np.abs(psi_derivative(op.psi, y)) * b_derivative(bspec, s)
+                / psi_eval(op.psi, y))
 
-    k1 = _sampled_max(g1, 0.0, 3 * M) + 2.0 * (n_dim - 1) / rho0
+    k1 = _sampled_max(g1, 0.0, 3 * M) + 2.0 * (op.n_dim - 1) / rho0
     k2 = _sampled_max(g2, 0.0, 3 * M)
     if k1 <= 0:
         raise BarrierInfeasible("k1 must be positive")
@@ -334,7 +335,7 @@ def solve_logdiv_barrier(psi: PsiSpec, bspec: BSpec, omega: float, rho0: float,
     if not (a > 1.0 and 2 * M < psi_eta < 3 * M):
         raise BarrierInfeasible("amplitude selection failed re-verification")
     return LogDivBarrier(k1=k1, k2=k2, k=k, a=a, eta=eta, omega=omega,
-                         rho0=rho0, M=M, n_dim=n_dim, psi_spec=psi, bspec=bspec)
+                         rho0=rho0, M=M, op=op, bspec=bspec)
 
 
 def eval_logdiv_barrier(bar: LogDivBarrier, x_norm: float, t: float):
@@ -457,7 +458,7 @@ def _verify_radial(bar: RadialPowerBarrier, samples, rng):
 
 
 def _verify_logdiv(bar: LogDivBarrier, samples, rng):
-    psi, bspec, n = bar.psi_spec, bar.bspec, bar.n_dim
+    bspec, n = bar.bspec, bar.op.n_dim
     tau = bar.rho0 / (2 * bar.omega) if bar.omega > 0 else 1.0
     draws = rng.random((samples, 2))
     s = bar.eta * draws[:, 0]
@@ -466,7 +467,7 @@ def _verify_logdiv(bar: LogDivBarrier, samples, rng):
     t = tau * (2 * draws[keep, 1] - 1) * 0.5
     rho = bar.rho0 + bar.omega * t + s
     val, d1v, d2v = bar.profile(s)
-    F = divergence_expanded(psi, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
+    F = divergence_expanded(bar.op, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
     residual = -bar.omega * b_derivative(bspec, val) * d1v - F
     worst = float(np.min(residual, initial=math.inf))
     return MarginReport(family="logdiv", sense="super", samples=samples,

@@ -129,7 +129,7 @@ def _cmd_verify_barrier(args):
         solve_radial_barrier,
         verify_subsolution_margin,
     )
-    from .config import _bspec_from_config, _psi_from_config
+    from .config import _bspec_from_config
 
     cfg = load_config(args.config)
     op = operator_from_config(cfg)
@@ -155,11 +155,10 @@ def _cmd_verify_barrier(args):
             )
         elif fam == "logdiv":
             bar = solve_logdiv_barrier(
-                _psi_from_config(cfg), _bspec_from_config(cfg),
+                op, _bspec_from_config(cfg),
                 omega=float(cfg.get("barrier.omega", 0.0)),
                 rho0=float(cfg.get("barrier.rho0", 1.0)),
                 M=float(cfg.get("barrier.M", 1.0)),
-                n_dim=op.n_dim,
             )
         else:
             bar = make_parabola_barrier(op)

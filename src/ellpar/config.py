@@ -10,10 +10,10 @@ Example::
     grid.n = 401
     time.T = 1.0
 
-Values are parsed leniently: ints, floats, booleans, comma-separated lists,
-and bare strings.  `load_config` rejects a key that its caller does not read
-(by default, that no subcommand reads), so a misspelt key is an error rather
-than a silent default.
+Values are parsed leniently: ints, floats, comma-separated lists, and bare
+strings; a number must be finite.  `load_config` rejects a key that its
+caller does not read (by default, that no subcommand reads), so a misspelt
+key is an error rather than a silent default.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ def _coerce(raw: str):
     raw = raw.strip()
     if "," in raw:
         return tuple(_coerce(part) for part in raw.split(","))
-    low = raw.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
     for cast in (int, float):
         try:
             return cast(raw)
@@ -59,7 +54,8 @@ def _coerce(raw: str):
 
 
 def parse_config(text: str) -> dict:
-    """The {key: value} pairs of a config text, values coerced."""
+    """The {key: value} pairs of a config text, values coerced; a
+    non-finite number is a ConfigError naming its key and line."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -71,7 +67,11 @@ def parse_config(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        values[key] = _coerce(raw)
+        value = _coerce(raw)
+        if any(isinstance(v, float) and not np.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"line {lineno}: {key} = {raw.strip()}: need a finite number")
+        values[key] = value
     return values
 
 
@@ -93,28 +93,25 @@ def _floats(cfg: dict, key: str, default: tuple) -> tuple:
     return tuple(float(c) for c in (v if isinstance(v, tuple) else (v,)))
 
 
-def _psi_from_config(cfg: dict) -> PsiSpec:
-    return PsiSpec(cfg.get("psi.kind", "constant"), _floats(cfg, "psi.coeffs", (1.0,)))
-
-
 def operator_from_config(cfg: dict) -> OperatorSpec:
+    """The operator of a config, and the one reader of the psi.* keys."""
     kind = cfg.get("op.kind", "trace")
-    kwargs = dict(
-        kind=kind,
-        lam=float(cfg.get("op.lambda", 1.0)),
-        Lam=float(cfg.get("op.Lambda", cfg.get("op.lambda", 1.0))),
-        delta1=float(cfg.get("op.delta1", 0.0)),
-        delta0=float(cfg.get("op.delta0", 0.0)),
-        n_dim=int(cfg.get("op.n_dim", 1)),
-    )
-    if kind == "divergence":
-        kwargs["psi"] = _psi_from_config(cfg)
     if kind == "bellman-isaacs":
         raise ConfigError("op.bi.entries: inf-sup families are not expressible "
                           "in flat config files; construct OperatorSpec in code")
     try:
-        return OperatorSpec(**kwargs)
-    except ValueError as exc:
+        psi = (PsiSpec(cfg.get("psi.kind", "constant"), _floats(cfg, "psi.coeffs", (1.0,)))
+               if kind == "divergence" else None)
+        return OperatorSpec(
+            kind=kind,
+            lam=float(cfg.get("op.lambda", 1.0)),
+            Lam=float(cfg.get("op.Lambda", cfg.get("op.lambda", 1.0))),
+            delta1=float(cfg.get("op.delta1", 0.0)),
+            delta0=float(cfg.get("op.delta0", 0.0)),
+            n_dim=int(cfg.get("op.n_dim", 1)),
+            psi=psi,
+        )
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -62,15 +62,13 @@ def xi_contains(shape: XiShape, dx, dt: float, closed: bool = False) -> bool:
 
 
 def xi_slice_radius(shape: XiShape, t: float) -> float:
-    """Radius of the open ball Xi_r|_t for |t| < r.
-
-    Returns 0.0 for |t| >= r (empty slice, apart from |t| = r where the slice
-    is the closed disk boundary case, which we do not distinguish here).
-    """
+    """Radius r + (r^2 - t^2)^(1/3) of the slice of the closed body Xi_r at
+    time t, which is r at |t| = r; a ValueError for |t| > r (t^2 > r^2, the
+    closed membership test of (0, t)), where the slice is empty."""
     r = shape.r
     gap = r * r - t * t
-    if gap <= 0.0:
-        return 0.0
+    if gap < 0.0:
+        raise ValueError(f"the slice of Xi_{r} at t = {t} is empty")
     return r + gap ** (1.0 / 3.0)
 
 

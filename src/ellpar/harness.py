@@ -224,7 +224,8 @@ def criterion_1_bn_family():
 def criterion_2_pucci():
     """Eigenvalue formula vs brute-force extremization over sampled matrices
     in [lam I, Lam I]; duality; degenerate reduction to lam * trace."""
-    lam, Lam = 1.0, 2.5
+    op = OperatorSpec("pucci-plus", lam=1.0, Lam=2.5, n_dim=2)
+    lam, Lam = op.lam, op.Lam
     rng = np.random.default_rng(11)
     n_A = 10_000
     theta = rng.uniform(0.0, math.pi, n_A)
@@ -244,17 +245,17 @@ def criterion_2_pucci():
         M = rng.standard_normal((2, 2))
         M = 0.5 * (M + M.T)
         eigs = np.linalg.eigvalsh(M)
-        plus = pucci_plus(eigs, lam, Lam)
-        minus = pucci_minus(eigs, lam, Lam)
+        plus = pucci_plus(op, eigs)
+        minus = pucci_minus(op, eigs)
         tr_samples = np.einsum("kij,ji->k", A, M)
         sup_s, inf_s = float(tr_samples.max()), float(tr_samples.min())
         # sampled extrema must sit inside [minus, plus], within 1e-3 of them
         worst_onesided = max(worst_onesided, sup_s - plus, minus - inf_s)
         worst_gap = max(worst_gap, plus - sup_s, inf_s - minus)
         worst_dual = max(worst_dual,
-                         abs(minus - (-pucci_plus(-eigs, lam, Lam))))
-        worst_degen = max(worst_degen,
-                          abs(pucci_plus(eigs, lam, lam) - lam * float(eigs.sum())))
+                         abs(minus - (-pucci_plus(op, -eigs))))
+        worst_degen = max(worst_degen, abs(pucci_plus(replace(op, Lam=op.lam), eigs)
+                                           - lam * float(eigs.sum())))
     ok = (worst_gap <= 1e-3 and worst_onesided <= 1e-10
           and worst_dual == 0.0 and worst_degen <= 1e-12)
     return ok, 1e-3 - worst_gap, {
@@ -326,9 +327,8 @@ def criterion_4_barriers():
     except BarrierInfeasible:
         ok_crit = False
 
-    psi = PsiSpec("polynomial", (1.0, 0.5))
-    logbar = solve_logdiv_barrier(psi, BSpec("positive-part"),
-                                  omega=0.5, rho0=1.0, M=1.0, n_dim=3)
+    div = OperatorSpec("divergence", n_dim=3, psi=PsiSpec("polynomial", (1.0, 0.5)))
+    logbar = solve_logdiv_barrier(div, BSpec("positive-part"), omega=0.5, rho0=1.0, M=1.0)
     logrep = verify_subsolution_margin(logbar, samples=1000, seed=5)
     ok_log = logrep.passed and logrep.worst_margin >= 1e-6 * logbar.M
 

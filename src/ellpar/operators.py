@@ -97,25 +97,23 @@ class OperatorSpec:
         return (self.Lam, self.lam) if self.kind == "pucci-plus" else (self.lam, self.Lam)
 
 
-def _pucci(eigs, lam, Lam, cpos, cneg):
+def _pucci(eigs, cpos, cneg):
     """cpos * (sum of positive eigenvalues) + cneg * (sum of negative ones)
     over the last axis of eigs (..., n); a float for one eigenvalue vector."""
-    if lam > Lam:
-        raise ValueError("need lambda <= Lambda")
     e = np.asarray(eigs, dtype=float)
     out = cpos * np.where(e > 0, e, 0.0).sum(-1) + cneg * np.where(e < 0, e, 0.0).sum(-1)
     return out if out.ndim else float(out)
 
 
-def pucci_plus(eigs, lam: float, Lam: float):
-    """Maximal Pucci operator: Lam * sum of positive eigenvalues plus
-    lam * sum of negative ones, over the last axis of eigs (..., n)."""
-    return _pucci(eigs, lam, Lam, Lam, lam)
+def pucci_plus(op: OperatorSpec, eigs):
+    """Maximal Pucci operator of op's class: Lam * sum of positive eigenvalues
+    plus lam * sum of negative ones, over the last axis of eigs (..., n)."""
+    return _pucci(eigs, op.Lam, op.lam)
 
 
-def pucci_minus(eigs, lam: float, Lam: float):
-    """Minimal Pucci operator; satisfies pucci_minus(e) = -pucci_plus(-e)."""
-    return _pucci(eigs, lam, Lam, lam, Lam)
+def pucci_minus(op: OperatorSpec, eigs):
+    """Minimal Pucci operator of op's class: pucci_minus(op, e) = -pucci_plus(op, -e)."""
+    return _pucci(eigs, op.lam, op.Lam)
 
 
 def _inf_sup(groups, entry):
@@ -136,12 +134,12 @@ def _inf_sup(groups, entry):
     return outer
 
 
-def divergence_expanded(psi: PsiSpec, bspec: BSpec, z, laplacian, grad_sq):
+def divergence_expanded(op: OperatorSpec, bspec: BSpec, z, laplacian, grad_sq):
     """Expanded conservative form Psi(b(z)) lap u + Psi'(b(z)) b'(z) |Du|^2 of
-    div(Psi(b(u)) Du); elementwise over broadcast arguments."""
+    div(Psi(b(u)) Du) with Psi = op.psi; elementwise over broadcast arguments."""
     y = b_eval(bspec, z)
-    return (psi_eval(psi, y) * laplacian
-            + psi_derivative(psi, y) * b_derivative(bspec, z) * grad_sq)
+    return (psi_eval(op.psi, y) * laplacian
+            + psi_derivative(op.psi, y) * b_derivative(bspec, z) * grad_sq)
 
 
 def operator_full_eval(op: OperatorSpec, M, p, z, bspec: BSpec = BSpec()):
@@ -151,7 +149,7 @@ def operator_full_eval(op: OperatorSpec, M, p, z, bspec: BSpec = BSpec()):
     M = np.atleast_2d(np.asarray(M, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if op.kind in ("pucci-plus", "pucci-minus"):
-        out = _pucci(np.linalg.eigvalsh(M), op.lam, op.Lam, *op.pucci_weights)
+        out = _pucci(np.linalg.eigvalsh(M), *op.pucci_weights)
     elif op.kind == "bellman-isaacs":
         def entry(A, drift, zeroth):
             return (np.trace(A @ M, axis1=-2, axis2=-1) + np.vecdot(drift, p) + zeroth * z,)
@@ -160,7 +158,7 @@ def operator_full_eval(op: OperatorSpec, M, p, z, bspec: BSpec = BSpec()):
     elif op.kind == "trace":
         out = op.lam * np.trace(M, axis1=-2, axis2=-1)
     else:
-        out = divergence_expanded(op.psi, bspec, z, np.trace(M, axis1=-2, axis2=-1),
+        out = divergence_expanded(op, bspec, z, np.trace(M, axis1=-2, axis2=-1),
                                   np.vecdot(p, p))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -291,8 +289,8 @@ def structural_envelope(op: OperatorSpec, eigs, grad_norm, z, sense):
     for sense "super"; broadcast over the leading axes."""
     slack = op.delta1 * grad_norm + op.delta0 * abs(z)
     if sense == "sub":
-        return pucci_minus(eigs, op.lam, op.Lam) - slack
-    return pucci_plus(eigs, op.lam, op.Lam) + slack
+        return pucci_minus(op, eigs) - slack
+    return pucci_plus(op, eigs) + slack
 
 
 def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,

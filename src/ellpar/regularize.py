@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import WindowMaxTable, XiShape, xi_contains
+from .geometry import WindowMaxTable, XiShape, xi_contains, xi_slice_radius
 
 __all__ = [
     "GridField",
@@ -76,10 +76,10 @@ def _xi_stencil(r: float, hx: float, ht: float):
 
     Membership depends on |di*hx| and (dj*ht)^2 only and shrinks as either
     grows, so row dj is |di| <= w(|dj|), and it is empty when (0, dj*ht) is
-    outside.  w starts from the closed form
-    floor((r + (r^2 - (dj*ht)^2)^(1/3)) / hx) and is settled with xi_contains
-    itself, stepping down while w is outside and up while w + 1 is inside:
-    the same offsets as testing every (di, dj) of the bounding box.
+    outside.  w starts from floor(xi_slice_radius(dj*ht) / hx) and is settled
+    with xi_contains itself, stepping down while w is outside and up while
+    w + 1 is inside: the same offsets as testing every (di, dj) of the
+    bounding box.
     """
     shape = XiShape(r)
     reach_x = int(math.floor((r + r ** (2.0 / 3.0)) / hx)) + 1
@@ -89,7 +89,7 @@ def _xi_stencil(r: float, hx: float, ht: float):
         t = dj * ht
         if not xi_contains(shape, 0.0, t, closed=True):
             break
-        w = min(int(math.floor((r + (r * r - t * t) ** (1.0 / 3.0)) / hx)), reach_x)
+        w = min(int(math.floor(xi_slice_radius(shape, t) / hx)), reach_x)
         while w > 0 and not xi_contains(shape, w * hx, t, closed=True):
             w -= 1
         while w < reach_x and xi_contains(shape, (w + 1) * hx, t, closed=True):
@@ -208,12 +208,14 @@ def essential_envelopes(field: GridField, radii) -> tuple:
     for r in radii:
         rx = int(math.floor(r / hx))
         rt = int(math.floor(r / ht))
-        offs = np.array([(dj, di) for dj in range(-rt, rt + 1) for di in range(-rx, rx + 1)
-                         if (di * hx) ** 2 + (dj * ht) ** 2 <= r * r])
+        # the grid disc (di*hx)^2 + (dj*ht)^2 <= r^2 of the bounding box;
+        # row dj is |di| <= w, so its count is 2w + 1
+        dj, di = np.ogrid[-rt:rt + 1, -rx:rx + 1]
+        count = ((di * hx) ** 2 + (dj * ht) ** 2 <= r * r).sum(axis=1).tolist()
+        rows = [(j, (c - 1) // 2) for j, c in zip(range(-rt, rt + 1), count) if c]
         # max and -min of the field at once; -inf pads cut windows at the edge
         both = np.pad(np.stack([vals, -vals]), ((0, 0), (rt, rt), (rx, rx)),
                       constant_values=-np.inf)
-        rows = _rows(offs)
         table = WindowMaxTable(both, [2 * w + 1 for _, w in rows])
         acc = np.full((2, nt, nx), -np.inf)
         for dj, w in rows:

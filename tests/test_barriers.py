@@ -25,6 +25,10 @@ OP = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=1.2, delta1=0.5,
                   delta0=0.2, n_dim=3)
 
 
+def div_op(psi=PsiSpec(), n_dim=2):
+    return OperatorSpec(kind="divergence", n_dim=n_dim, psi=psi)
+
+
 class TestCriticalRadius:
     def test_formula(self):
         assert critical_radius(OP) == pytest.approx((1 + 2 * 1.2) / 1.0)
@@ -123,8 +127,7 @@ class TestLogDivBarrier:
     def test_worked_example_constants(self):
         # Psi = 1, b = positive part, omega = 1, rho0 = 2, M = 1, n = 2:
         # k2 = 0, k1 = 1 + 2/2 = 2, eta = 1/4, smallest doubling k = 8
-        bar = solve_logdiv_barrier(PsiSpec(), BSpec(), omega=1.0, rho0=2.0,
-                                   M=1.0, n_dim=2)
+        bar = solve_logdiv_barrier(div_op(), BSpec(), omega=1.0, rho0=2.0, M=1.0)
         assert bar.k2 == pytest.approx(0.0)
         assert bar.k1 == pytest.approx(2.0)
         assert bar.eta == pytest.approx(0.25)
@@ -135,14 +138,18 @@ class TestLogDivBarrier:
 
     def test_margin_positive(self):
         psi = PsiSpec("polynomial", (1.0, 0.5))
-        bar = solve_logdiv_barrier(psi, BSpec(), omega=0.5, rho0=1.0, M=1.0,
-                                   n_dim=3)
+        bar = solve_logdiv_barrier(div_op(psi, 3), BSpec(), omega=0.5, rho0=1.0, M=1.0)
         rep = verify_subsolution_margin(bar, samples=500, seed=2)
         assert rep.passed and rep.worst_margin > 0
 
+    def test_needs_a_divergence_operator(self):
+        # the barrier certifies div(Psi(b(u)) Du) only: another kind is refused
+        for op in (OP, OperatorSpec(kind="trace", n_dim=2)):
+            with pytest.raises(ValueError, match=f"op.kind = {op.kind}"):
+                solve_logdiv_barrier(op, BSpec(), omega=1.0, rho0=2.0, M=1.0)
+
     def test_eval_collar(self):
-        bar = solve_logdiv_barrier(PsiSpec(), BSpec(), omega=1.0, rho0=2.0,
-                                   M=1.0, n_dim=2)
+        bar = solve_logdiv_barrier(div_op(), BSpec(), omega=1.0, rho0=2.0, M=1.0)
         val, dt, d1, d2 = eval_logdiv_barrier(bar, 2.0 + bar.eta / 2, 0.0)
         assert val > 0 and d1 > 0 and d2 < 0
         with pytest.raises(OutOfWindowError):
@@ -233,7 +240,7 @@ def _reference_radial_margin(bar, samples, seed):
 def _reference_logdiv_margin(bar, samples, seed):
     """Worst supersolution residual of a log barrier, one sample at a time."""
     rng = np.random.default_rng(seed)
-    psi, bspec, n = bar.psi_spec, bar.bspec, bar.n_dim
+    bspec, n = bar.bspec, bar.op.n_dim
     tau = bar.rho0 / (2 * bar.omega) if bar.omega > 0 else 1.0
     worst = math.inf
     for _ in range(samples):
@@ -243,7 +250,7 @@ def _reference_logdiv_margin(bar, samples, seed):
             continue
         rho = bar.rho0 + bar.omega * t + s
         val, d1v, d2v = (float(v) for v in bar.profile(s))
-        F = divergence_expanded(psi, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
+        F = divergence_expanded(bar.op, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
         worst = min(worst, -bar.omega * float(b_derivative(bspec, val)) * d1v - F)
     return worst
 
@@ -285,7 +292,7 @@ class TestBatchedMargins:
     def test_empty_check_rejected(self):
         bars = (solve_radial_barrier(OP, rho0=1.0, a_hat=1.0, b_hat=-0.5, omega_hat=0.3),
                 solve_heatkernel_barrier(OP, d=0.5, delta=0.1),
-                solve_logdiv_barrier(PsiSpec(), BSpec(), omega=1.0, rho0=2.0, M=1.0),
+                solve_logdiv_barrier(div_op(), BSpec(), omega=1.0, rho0=2.0, M=1.0),
                 make_parabola_barrier(OP))
         for bar in bars:
             for samples in (0, -1):
@@ -309,7 +316,7 @@ class TestBatchedMargins:
                  (PsiSpec("polynomial", (1.0, 0.3, 0.2)),
                   BSpec("lipschitz-table", (0.0, 0.5), (1.0, 2.0)), 0.5))
         for psi, bspec, omega in cases:
-            bar = solve_logdiv_barrier(psi, bspec, omega=omega, rho0=1.0, M=1.0, n_dim=3)
+            bar = solve_logdiv_barrier(div_op(psi, 3), bspec, omega=omega, rho0=1.0, M=1.0)
             for seed in (0, 1, 5):
                 rep = verify_subsolution_margin(bar, samples=400, seed=seed)
                 assert rep.worst_margin == _reference_logdiv_margin(bar, 400, seed)

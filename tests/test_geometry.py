@@ -71,8 +71,13 @@ class TestXiShape:
         shape = XiShape(0.5)
         # t = 0: r + (r^2)^(1/3)
         assert xi_slice_radius(shape, 0.0) == pytest.approx(0.5 + 0.25 ** (1 / 3))
-        assert xi_slice_radius(shape, 0.5) == 0.0
-        assert xi_slice_radius(shape, 0.7) == 0.0
+        # the closed body: at |t| = r the slice is the disc of radius r,
+        # beyond it the slice is empty
+        assert xi_slice_radius(shape, 0.5) == xi_slice_radius(shape, -0.5) == 0.5
+        assert xi_contains(shape, 0.5, 0.5, closed=True)
+        for t in (0.7, -0.5000001):
+            with pytest.raises(ValueError, match="empty"):
+                xi_slice_radius(shape, t)
         # consistency: points just inside the slice radius are members
         for t in (0.1, 0.3, -0.25):
             rho = xi_slice_radius(shape, t)

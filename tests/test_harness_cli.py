@@ -64,11 +64,12 @@ barrier.omega_hat = 0.3
 
 class TestConfig:
     def test_parse_types(self):
+        # no key reads a boolean, so true/yes/on stay strings
         cfg = parse_config("a.x = 1\na.y = 2.5\nflag = true\nname = jump\n"
                            "list = 1,2,3\n")
         assert cfg.get("a.x") == 1
         assert cfg.get("a.y") == 2.5
-        assert cfg.get("flag") is True
+        assert cfg.get("flag") == "true"
         assert cfg.get("name") == "jump"
         assert cfg.get("list") == (1, 2, 3)
         assert type(cfg) is dict and len(cfg) == 5
@@ -78,6 +79,9 @@ class TestConfig:
             parse_config("this is not a key value line\n")
         with pytest.raises(ConfigError):
             parse_config("= 3\n")
+        for text in ("a = 1\ng.lo = nan\n", "a = 1\ng.lo = -inf\n", "a = 1\ng.lo = 1, inf\n"):
+            with pytest.raises(ConfigError, match="line 2: g.lo = .*finite"):
+                parse_config(text)
 
     def test_problem_roundtrip(self):
         spec = problem_from_config(parse_config(JUMP_CFG))
@@ -271,6 +275,18 @@ class TestCLI:
         assert "u0.kind" in capsys.readouterr().err
         assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == 2
+        # booleans are not numbers, and a number must be finite
+        capsys.readouterr()
+        for line in ("op.lambda = yes", "b.n = true", "grid.n = on", "g.lo = nan",
+                     "op.lambda = inf", "time.T = inf"):
+            p.write_text(JUMP_CFG + line + "\n")
+            out = tmp_path / "o"
+            assert main(["solve", "--config", str(p), "--out", str(out)]) == 2, line
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("config error:"), line
+            if line.endswith(("nan", "inf")):
+                assert line in err
 
     def test_unknown_key_exit_2(self, tmp_path):
         p = tmp_path / "typo.cfg"
@@ -416,19 +432,22 @@ class TestCLI:
         p = tmp_path / "bar.cfg"
         p.write_text(BARRIER_CFG)
         op = operator_from_config(load_config(p))
-        # the barriers the command builds from this config and its defaults
+        div = tmp_path / "div.cfg"
+        div.write_text(BARRIER_CFG + "op.kind = divergence\n")
+        div_op = operator_from_config(load_config(div))
+        assert div_op.psi == PsiSpec("constant", (1.0,)) and div_op.n_dim == 3
+        # the barriers the command builds from these configs and their defaults
         bars = {
-            "radial": solve_radial_barrier(op, rho0=1.0, a_hat=1.0, b_hat=-0.5,
-                                           omega_hat=0.3),
-            "heatkernel": solve_heatkernel_barrier(op, d=0.5, delta=0.1),
-            "logdiv": solve_logdiv_barrier(PsiSpec("constant", (1.0,)),
-                                           BSpec("positive-part"), omega=0.0,
-                                           rho0=1.0, M=1.0, n_dim=3),
-            "parabola": make_parabola_barrier(op),
+            "radial": (p, solve_radial_barrier(op, rho0=1.0, a_hat=1.0, b_hat=-0.5,
+                                               omega_hat=0.3)),
+            "heatkernel": (p, solve_heatkernel_barrier(op, d=0.5, delta=0.1)),
+            "logdiv": (div, solve_logdiv_barrier(div_op, BSpec("positive-part"),
+                                                 omega=0.0, rho0=1.0, M=1.0)),
+            "parabola": (p, make_parabola_barrier(op)),
         }
-        for family, bar in bars.items():
+        for family, (path, bar) in bars.items():
             assert main(["verify-barrier", "--family", family,
-                         "--config", str(p)]) == 0
+                         "--config", str(path)]) == 0
             printed = json.loads(capsys.readouterr().out)
             assert printed["family"] == family
             assert printed["worst_margin"] == verify_subsolution_margin(bar).worst_margin
@@ -442,14 +461,22 @@ class TestCLI:
         ("radial", "barrier.samples = 0", "barrier.samples"),
         ("parabola", "barrier.samples = -1", "barrier.samples"),
         ("logdiv", "barrier.samples = 0", "barrier.samples"),
+        # the log barrier is built for the config's own operator only
+        ("logdiv", "op.kind = pucci-minus", "op.kind = pucci-minus"),
     ])
     def test_verify_barrier_bad_input_exit_2(self, tmp_path, capsys, family, line,
                                              needle):
         p = tmp_path / "bar.cfg"
-        p.write_text(BARRIER_CFG + line + "\n")
+        # a divergence operator, so that a logdiv case fails on its own key
+        # and not on op.kind; a case may still set op.kind after it
+        kind = "op.kind = divergence\n" if family == "logdiv" else ""
+        p.write_text(BARRIER_CFG + kind + line + "\n")
         assert main(["verify-barrier", "--family", family, "--config", str(p)]) == 2
         captured = capsys.readouterr()
         assert needle in captured.err
+        if family == "logdiv":
+            # the message names the key's value, e.g. "omega = -0.5"
+            assert line.removeprefix("barrier.") in captured.err
         assert captured.out == ""
 
     def test_verify_barrier_infeasible_exit_1(self, tmp_path, capsys):

@@ -34,14 +34,14 @@ def brute_force_pucci(M, lam, Lam, n_samples=4000, seed=0):
 class TestPucci:
     def test_against_brute_force(self):
         rng = np.random.default_rng(2)
-        lam, Lam = 1.0, 2.0
+        op = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=2)
         for _ in range(20):
             M = rng.standard_normal((2, 2))
             M = 0.5 * (M + M.T)
             eigs = np.linalg.eigvalsh(M)
-            plus = pucci_plus(eigs, lam, Lam)
-            minus = pucci_minus(eigs, lam, Lam)
-            sup, inf = brute_force_pucci(M, lam, Lam)
+            plus = pucci_plus(op, eigs)
+            minus = pucci_minus(op, eigs)
+            sup, inf = brute_force_pucci(M, op.lam, op.Lam)
             assert sup <= plus + 1e-10
             assert inf >= minus - 1e-10
             assert plus - sup < 5e-3
@@ -49,17 +49,20 @@ class TestPucci:
 
     def test_duality(self):
         rng = np.random.default_rng(4)
+        op = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.5, n_dim=3)
         for _ in range(100):
             eigs = rng.standard_normal(3)
-            assert pucci_minus(eigs, 1.0, 2.5) == -pucci_plus(-eigs, 1.0, 2.5)
+            assert pucci_minus(op, eigs) == -pucci_plus(op, -eigs)
 
     def test_degenerate_reduces_to_trace(self):
         eigs = np.array([1.7, -0.3, 0.1])
-        assert pucci_plus(eigs, 2.0, 2.0) == pytest.approx(2.0 * eigs.sum())
+        op = OperatorSpec(kind="pucci-plus", lam=2.0, Lam=2.0, n_dim=3)
+        assert pucci_plus(op, eigs) == pytest.approx(2.0 * eigs.sum())
 
     def test_monotone_in_matrix_argument(self):
         # adding a PSD perturbation never decreases either operator
         rng = np.random.default_rng(6)
+        op = OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=3)
         for _ in range(50):
             M = rng.standard_normal((3, 3))
             M = 0.5 * (M + M.T)
@@ -67,12 +70,13 @@ class TestPucci:
             P = P @ P.T
             e0 = np.linalg.eigvalsh(M)
             e1 = np.linalg.eigvalsh(M + P)
-            assert pucci_plus(e1, 1.0, 2.0) >= pucci_plus(e0, 1.0, 2.0) - 1e-10
-            assert pucci_minus(e1, 1.0, 2.0) >= pucci_minus(e0, 1.0, 2.0) - 1e-10
+            assert pucci_plus(op, e1) >= pucci_plus(op, e0) - 1e-10
+            assert pucci_minus(op, e1) >= pucci_minus(op, e0) - 1e-10
 
     def test_order_validation(self):
-        with pytest.raises(ValueError):
-            pucci_plus([1.0], 2.0, 1.0)
+        # the class is checked once, where it is built
+        with pytest.raises(ValueError, match="lambda <= Lambda"):
+            OperatorSpec(kind="pucci-plus", lam=2.0, Lam=1.0)
 
 
 class TestOperatorFullEval:
@@ -286,7 +290,7 @@ class TestStructuralEnvelope:
             dF = (operator_full_eval(bad, M, np.zeros(2), 0.0)
                   - operator_full_eval(bad, N, np.zeros(2), 0.0))
             eigs = np.linalg.eigvalsh(M - N)
-            if dF > pucci_plus(eigs, worse.lam, worse.Lam) + 1e-10:
+            if dF > pucci_plus(worse, eigs) + 1e-10:
                 violated = True
                 break
         assert violated
@@ -370,10 +374,11 @@ class TestBatched:
             OperatorSpec(kind="trace", lam=lam, Lam=Lam).pucci_weights
         for f, kind, cpos, cneg in ((pucci_plus, "pucci-plus", Lam, lam),
                                     (pucci_minus, "pucci-minus", lam, Lam)):
-            assert OperatorSpec(kind=kind, lam=lam, Lam=Lam).pucci_weights == (cpos, cneg)
-            got = f(e, lam, Lam)
+            op = OperatorSpec(kind=kind, lam=lam, Lam=Lam, n_dim=3)
+            assert op.pucci_weights == (cpos, cneg)
+            got = f(op, e)
             assert got.shape == (60,)
             for k, row in enumerate(e):
-                one = f(row, lam, Lam)
+                one = f(op, row)
                 assert type(one) is float
                 assert one == got[k] == cpos * row[row > 0].sum() + cneg * row[row < 0].sum()

@@ -340,6 +340,21 @@ class TestEnvelopes:
                 assert np.array_equal(up.values, want_up)
                 assert np.array_equal(lo.values, want_lo)
                 assert np.array_equal(v.values, vals)
+        # one more input: a unit spike on random grids, whose upper envelope
+        # is 1 exactly on the disc around it, against the bounding-box loop
+        for _ in range(300):
+            r, hx, ht = rng.uniform(0.05, 1.0), rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3)
+            rx, rt = int(math.floor(r / hx)), int(math.floor(r / ht))
+            disc = np.zeros((2 * rt + 1, 2 * rx + 1), dtype=bool)
+            for dj in range(-rt, rt + 1):
+                for di in range(-rx, rx + 1):
+                    disc[dj + rt, di + rx] = (di * hx) ** 2 + (dj * ht) ** 2 <= r * r
+            disc = np.pad(disc, 1)  # a margin keeps two nodes on each axis
+            spike = np.zeros(disc.shape)
+            spike[rt + 1, rx + 1] = 1.0
+            fld = GridField(hx * np.arange(2 * rx + 3), ht * np.arange(2 * rt + 3), spike)
+            up = essential_envelopes(fld, [r])[0]
+            assert np.array_equal(up.values == 1.0, disc), (r, hx, ht)
 
 
 class TestInteriorBall:
