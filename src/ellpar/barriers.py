@@ -34,7 +34,9 @@ __all__ = [
     "HeatKernelBarrier",
     "LogDivBarrier",
     "ParabolaBarrier",
+    "EpsEtaBarrier",
     "MarginReport",
+    "critical_radius",
     "solve_radial_barrier",
     "eval_radial_barrier",
     "solve_heatkernel_barrier",
@@ -354,41 +356,42 @@ def eval_logdiv_barrier(bar: LogDivBarrier, x_norm: float, t: float):
 
 @dataclass(frozen=True)
 class ParabolaBarrier:
-    """variant "decr-parabola": phi = (-t/(2 gamma) - 4 |x|^2 + 1)_+ with
+    """Decreasing parabola phi = (-t/(2 gamma) - 4 |x|^2 + 1)_+ with
     gamma = min(1/(16 n Lam + 8 d1 + 4 d0), 1); a parabolic-problem
     subsolution.  On the verified window |x| <= 1/2, -2 gamma <= t <= 0,
     phi <= 2 and M^-(D^2 phi) = M^-(-8 I) = -8 n Lam, so phi_t = -1/(2 gamma)
     stays below the lower envelope when 1/(2 gamma) >= 8 n Lam + 4 d1 + 2 d0.
-
-    variant "eps-eta": psi = (4 M / eps)(4 n Lam t + |x|^2 + eta); a
-    parabolic-problem supersolution on its positivity set.
     """
 
-    variant: str
     op: OperatorSpec
-    gamma: float = 0.0
-    M: float = 1.0
-    eps: float = 0.1
-    eta: float = 0.01
+    gamma: float
+
+
+@dataclass(frozen=True)
+class EpsEtaBarrier:
+    """psi = (4 M / eps)(4 n Lam t + |x|^2 + eta); a parabolic-problem
+    supersolution on its positivity set."""
+
+    op: OperatorSpec
+    M: float
+    eps: float
+    eta: float
 
 
 def make_parabola_barrier(op: OperatorSpec) -> ParabolaBarrier:
     gamma = min(1.0 / (16 * op.n_dim * op.Lam + 8 * op.delta1 + 4 * op.delta0), 1.0)
-    return ParabolaBarrier(variant="decr-parabola", op=op, gamma=gamma)
+    return ParabolaBarrier(op=op, gamma=gamma)
 
 
-def make_eps_eta_barrier(op: OperatorSpec, M: float, eps: float, eta: float,
-                         r: Optional[float] = None) -> ParabolaBarrier:
-    """Constructor enforces the smallness conditions on eps; raises
+def make_eps_eta_barrier(op: OperatorSpec, M: float, eps: float, eta: float) -> EpsEtaBarrier:
+    """Constructor enforces the smallness condition on eps; raises
     BarrierInfeasible when violated."""
     if not (0 < eta < eps):
         raise ValueError("need 0 < eta < eps")
     nL = op.n_dim * op.Lam
     if op.delta0 + op.delta1 > 0 and not math.sqrt(eps) < 2 * nL / (3 * (op.delta0 + op.delta1)):
         raise BarrierInfeasible("eps too large for the drift/zeroth constants")
-    if r is not None and not (r * eps / (8 * nL)) ** (1 / 3) > math.sqrt(eps):
-        raise BarrierInfeasible("eps too large for the body radius")
-    return ParabolaBarrier(variant="eps-eta", op=op, M=M, eps=eps, eta=eta)
+    return EpsEtaBarrier(op=op, M=M, eps=eps, eta=eta)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +427,8 @@ def verify_subsolution_margin(bar, samples: int = 1000, seed: int = 0) -> Margin
         return _verify_heatkernel(bar, samples)
     if isinstance(bar, ParabolaBarrier):
         return _verify_parabola(bar, samples, rng)
+    if isinstance(bar, EpsEtaBarrier):
+        return _verify_eps_eta(bar, samples, rng)
     raise TypeError(f"unknown barrier type {type(bar).__name__}")
 
 
@@ -486,29 +491,30 @@ def _verify_heatkernel(bar: HeatKernelBarrier, samples):
 
 
 def _verify_parabola(bar: ParabolaBarrier, samples, rng):
-    op = bar.op
-    n, Lam = op.n_dim, op.Lam
     draws = rng.random((samples, 2))
-    if bar.variant == "decr-parabola":
-        # support: 4|x|^2 <= 1 - t/(2 gamma) truncated to |x| <= 1/2, t <= 0
-        x = 0.5 * draws[:, 0]
-        t = -2 * bar.gamma * draws[:, 1]
-        val = -t / (2 * bar.gamma) - 4 * x * x + 1
-        keep = val > 0
-        worst = _envelope_margin(op, "sub", val[keep], -1.0 / (2 * bar.gamma),
-                                 [-8.0] * n, 8 * x[keep])
-        # gamma makes the inequality tight at x = 0 when delta1 = delta0 = 0,
-        # so rounding alone can leave the margin a few ulps below zero
-        return MarginReport(family="parabola", sense="sub", samples=samples,
-                            worst_margin=worst, flux_gap=None,
-                            passed=worst >= -1e-10)
-    # eps-eta supersolution
+    # support: 4|x|^2 <= 1 - t/(2 gamma) truncated to |x| <= 1/2, t <= 0
+    x = 0.5 * draws[:, 0]
+    t = -2 * bar.gamma * draws[:, 1]
+    val = -t / (2 * bar.gamma) - 4 * x * x + 1
+    keep = val > 0
+    worst = _envelope_margin(bar.op, "sub", val[keep], -1.0 / (2 * bar.gamma),
+                             [-8.0] * bar.op.n_dim, 8 * x[keep])
+    # gamma makes the inequality tight at x = 0 when delta1 = delta0 = 0,
+    # so rounding alone can leave the margin a few ulps below zero
+    return MarginReport(family="parabola", sense="sub", samples=samples,
+                        worst_margin=worst, flux_gap=None,
+                        passed=worst >= -1e-10)
+
+
+def _verify_eps_eta(bar: EpsEtaBarrier, samples, rng):
+    n, Lam = bar.op.n_dim, bar.op.Lam
+    draws = rng.random((samples, 2))
     A = 4 * bar.M / bar.eps
     x = math.sqrt(bar.eps) * draws[:, 0]
     t = -bar.eps / (8 * n * Lam) * draws[:, 1]
     val = A * (4 * n * Lam * t + x * x + bar.eta)
     keep = val > 0
-    worst = _envelope_margin(op, "super", val[keep], A * 4 * n * Lam,
+    worst = _envelope_margin(bar.op, "super", val[keep], A * 4 * n * Lam,
                              [2 * A] * n, 2 * A * x[keep])
     return MarginReport(family="parabola", sense="super", samples=samples,
                         worst_margin=worst, flux_gap=None,

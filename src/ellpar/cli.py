@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import ConfigError, load_config, operator_from_config, problem_from_config
+from .config import ConfigError, _int, load_config, operator_from_config, problem_from_config
 from .regularize import GridField, crossing_time, inf_convolve, sup_convolve
 
 __all__ = ["main", "write_field_csv", "read_field_csv"]
@@ -134,8 +134,8 @@ def _cmd_verify_barrier(args):
     cfg = load_config(args.config)
     op = operator_from_config(cfg)
     fam = args.family
-    samples = cfg.get("barrier.samples", 1000)
-    if type(samples) is not int or samples < 1:
+    samples = _int(cfg, "barrier.samples", 1000)
+    if samples < 1:
         raise ConfigError(f"barrier.samples = {samples}: need an integer >= 1")
     try:
         if fam == "radial":
@@ -173,12 +173,13 @@ def _cmd_verify_barrier(args):
 
 
 def _cmd_envelope(args):
-    fld = read_field_csv(getattr(args, "in"))
+    path = getattr(args, "in")
+    fld = read_field_csv(path)
     convolve = sup_convolve if args.kind == "sup" else inf_convolve
     try:
         conv = convolve(fld, args.r)
     except ValueError as exc:
-        raise ConfigError(f"--r {args.r}: {exc}") from exc
+        raise ConfigError(f"{path} with --r {args.r}: {exc}") from exc
     write_field_csv(args.out, conv)
     return 0
 
@@ -198,10 +199,12 @@ def _cmd_compare(args):
     from .harness import make_comparison_pair, make_jump_scenario
     from .solver import ORDER_TOL, run
 
-    cfg = load_config(args.config, keys={"grid.n", "b.n"}) if args.config else None
-    grid = int(cfg.get("grid.n", 401)) if cfg else 401
-    n = int(cfg.get("b.n", 32)) if cfg else 32
-    base = make_jump_scenario(grid=grid, n=n)
+    cfg = load_config(args.config, keys={"grid.n", "b.n"}) if args.config else {}
+    grid, n = _int(cfg, "grid.n", 401), _int(cfg, "b.n", 32)
+    try:
+        base = make_jump_scenario(grid=grid, n=n)
+    except ValueError as exc:
+        raise ConfigError(f"grid.n = {grid}, b.n = {n}: {exc}") from exc
     try:
         lower, upper = make_comparison_pair(base, args.gap)
     except ValueError as exc:

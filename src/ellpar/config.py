@@ -11,9 +11,10 @@ Example::
     time.T = 1.0
 
 Values are parsed leniently: ints, floats, comma-separated lists, and bare
-strings; a number must be finite.  `load_config` rejects a key that its
-caller does not read (by default, that no subcommand reads), so a misspelt
-key is an error rather than a silent default.
+strings; a number must be finite, and an integer key takes an int only.
+`load_config` rejects a key that its caller does not read (by default, that
+no subcommand reads), so a misspelt key is an error rather than a silent
+default.
 """
 
 from __future__ import annotations
@@ -87,6 +88,15 @@ def load_config(path, keys=KNOWN_KEYS) -> dict:
     return cfg
 
 
+def _int(cfg: dict, key: str, default: int) -> int:
+    """The integer value of key; anything else is a ConfigError naming the
+    key and the value, so that 1.5 is not truncated to 1."""
+    v = cfg.get(key, default)
+    if type(v) is not int:
+        raise ConfigError(f"{key} = {v}: need an integer")
+    return v
+
+
 def _floats(cfg: dict, key: str, default: tuple) -> tuple:
     """A scalar or comma-separated value as a tuple of floats."""
     v = cfg.get(key, default)
@@ -108,7 +118,7 @@ def operator_from_config(cfg: dict) -> OperatorSpec:
             Lam=float(cfg.get("op.Lambda", cfg.get("op.lambda", 1.0))),
             delta1=float(cfg.get("op.delta1", 0.0)),
             delta0=float(cfg.get("op.delta0", 0.0)),
-            n_dim=int(cfg.get("op.n_dim", 1)),
+            n_dim=_int(cfg, "op.n_dim", 1),
             psi=psi,
         )
     except (TypeError, ValueError) as exc:
@@ -132,8 +142,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         )
         op = operator_from_config(cfg)
         bspec = _bspec_from_config(cfg)
-        n = cfg.get("b.n")
-        bn = BnFamily(int(n)) if n is not None else None
+        bn = BnFamily(_int(cfg, "b.n", 1)) if "b.n" in cfg else None
 
         u0_kind = cfg.get("u0.kind", "jump")
         if u0_kind == "jump":
@@ -151,7 +160,7 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             g_hi=float(cfg.get("g.hi", -1.0)),
             u0=u0,
             T=float(cfg.get("time.T", 1.0)),
-            grid=int(cfg.get("grid.n", 401)),
+            grid=_int(cfg, "grid.n", 401),
             dt=float(cfg.get("time.dt", 2.5e-3)),
         )
     except ConfigError:

@@ -23,6 +23,7 @@ __all__ = [
     "xi_slice_radius",
     "xi_lateral_distance",
     "harnack_chain",
+    "harnack_chain_k_bound",
     "harnack_lower_bound",
     "edge_zeros",
     "WindowMaxTable",
@@ -89,11 +90,8 @@ def xi_lateral_distance(r: float, s: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class HarnackChain:
-    """The chain of radii a_j and time offsets h_j linking an interior point at
-    depth s below the top disk to a bulk region of the body."""
+    """The radii a_j and time offsets h_j, j = 0..k, of harnack_chain(r, s)."""
 
-    r: float
-    s: float
     a: np.ndarray = field(repr=False)
     h: np.ndarray = field(repr=False)
     k: int
@@ -112,7 +110,7 @@ def harnack_chain(r: float, s: float) -> HarnackChain:
 
     a0 = min(s, r / 16.0)
     if s >= r / 16.0:
-        return HarnackChain(r=r, s=s, a=np.array([a0]), h=np.array([0.0]), k=0)
+        return HarnackChain(a=np.array([a0]), h=np.array([0.0]), k=0)
 
     a = [a0]
     h = [0.0]
@@ -123,7 +121,7 @@ def harnack_chain(r: float, s: float) -> HarnackChain:
         k += 1
         if k > 10_000:
             raise RuntimeError("harnack chain failed to terminate")
-    return HarnackChain(r=r, s=s, a=np.asarray(a), h=np.asarray(h), k=k)
+    return HarnackChain(a=np.asarray(a), h=np.asarray(h), k=k)
 
 
 def harnack_chain_k_bound(r: float, s: float) -> float:

@@ -100,10 +100,11 @@ def make_jump_scenario(grid: int = 401, n: int = 32, T: float = 1.0,
     return Scenario(name=f"jump-g{grid}-n{n}", spec=spec)
 
 
-def validate_class_P(scn: Scenario, tol: float = 1e-9) -> bool:
+def validate_class_P(scn: Scenario) -> bool:
     """Advisory initial-data check: the datum as given matches the boundary
-    data at the Dirichlet nodes, and has zero second difference on the
-    strictly negative phase.  Warns instead of raising."""
+    data at the Dirichlet nodes to 1e-9, and has zero second difference on
+    the strictly negative phase (below -1e-9).  Warns instead of raising."""
+    tol = 1e-9
     spec = scn.spec
     u0 = spec.initial_datum()
     d2 = u0[2:] - 2 * u0[1:-1] + u0[:-2]

@@ -274,8 +274,6 @@ def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
 
 @dataclass
 class StructuralReport:
-    kind: str
-    trials: int
     passed: bool
     worst_margin: float
     violations: int = 0
@@ -321,10 +319,5 @@ def structural_envelope_check(op: OperatorSpec, trials: int = 10_000,
     margin = np.minimum(dF - structural_envelope(*gap, "sub"),
                         structural_envelope(*gap, "super") - dF)
     violations = int(np.count_nonzero(margin < -1e-10))
-    return StructuralReport(
-        kind=op.kind,
-        trials=trials,
-        passed=violations == 0,
-        worst_margin=float(margin.min()),
-        violations=violations,
-    )
+    return StructuralReport(passed=violations == 0, worst_margin=float(margin.min()),
+                            violations=violations)

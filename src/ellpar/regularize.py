@@ -50,13 +50,17 @@ class GridField:
             raise ValueError("field samples and nodes must be finite")
 
     def require_uniform(self):
-        hx = np.diff(self.x)
-        ht = np.diff(self.times)
-        if hx.size and not np.allclose(hx, hx[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("space grid must be uniform")
-        if ht.size and not np.allclose(ht, ht[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("time grid must be uniform")
-        return float(hx[0]), float(ht[0])
+        """The steps (hx, ht); a ValueError for an axis with fewer than two
+        nodes or with uneven steps."""
+        steps = []
+        for axis, nodes in (("space", self.x), ("time", self.times)):
+            h = np.diff(nodes)
+            if not h.size:
+                raise ValueError(f"{axis} grid needs at least two nodes")
+            if not np.allclose(h, h[0], rtol=1e-9, atol=1e-12):
+                raise ValueError(f"{axis} grid must be uniform")
+            steps.append(float(h[0]))
+        return tuple(steps)
 
 
 @dataclass
@@ -165,7 +169,6 @@ def inf_convolve(field: GridField, r: float) -> ConvolvedField:
 @dataclass
 class CrossingReport:
     t0: Optional[float]
-    t0_index: Optional[int]
     contact_nodes: np.ndarray
 
 
@@ -182,11 +185,10 @@ def crossing_time(Z, W) -> CrossingReport:
     level_min = gap.min(axis=1)
     hit = np.where(level_min <= 0.0)[0]
     if hit.size == 0:
-        return CrossingReport(t0=None, t0_index=None,
-                              contact_nodes=np.array([], dtype=int))
+        return CrossingReport(t0=None, contact_nodes=np.array([], dtype=int))
     j = int(hit[0])
     contact = np.where(gap[j] <= 0.0)[0]
-    return CrossingReport(t0=float(Z.times[j]), t0_index=j, contact_nodes=contact)
+    return CrossingReport(t0=float(Z.times[j]), contact_nodes=contact)
 
 
 def essential_envelopes(field: GridField, radii) -> tuple:

@@ -6,6 +6,7 @@ import pytest
 from ellpar.barriers import (
     BarrierInfeasible,
     OutOfWindowError,
+    ParabolaBarrier,
     critical_radius,
     eval_logdiv_barrier,
     eval_radial_barrier,
@@ -186,6 +187,8 @@ class TestParabolaBarriers:
         ok = make_eps_eta_barrier(op, M=1.0, eps=0.01, eta=0.001)
         rep = verify_subsolution_margin(ok, samples=500, seed=3)
         assert rep.passed
+        # its own type, still reported as the parabola family
+        assert (rep.family, rep.sense) == ("parabola", "super")
 
 
 def _reference_parabola_margin(bar, samples, seed):
@@ -194,9 +197,8 @@ def _reference_parabola_margin(bar, samples, seed):
     op = bar.op
     n, Lam = op.n_dim, op.Lam
     worst = math.inf
-    A = 4 * bar.M / bar.eps
     for _ in range(samples):
-        if bar.variant == "decr-parabola":
+        if isinstance(bar, ParabolaBarrier):
             x = 0.5 * rng.random()
             t = -2 * bar.gamma * rng.random()
             val = -t / (2 * bar.gamma) - 4 * x * x + 1
@@ -205,6 +207,7 @@ def _reference_parabola_margin(bar, samples, seed):
             F_env = structural_envelope(op, [-8.0] * n, 8 * x, val, "sub")
             worst = min(worst, -(-1.0 / (2 * bar.gamma) - F_env))
         else:
+            A = 4 * bar.M / bar.eps
             x = math.sqrt(bar.eps) * rng.random()
             t = -bar.eps / (8 * n * Lam) * rng.random()
             val = A * (4 * n * Lam * t + x * x + bar.eta)

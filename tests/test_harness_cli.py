@@ -275,18 +275,31 @@ class TestCLI:
         assert "u0.kind" in capsys.readouterr().err
         assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == 2
-        # booleans are not numbers, and a number must be finite
+        # booleans are not numbers, a number must be finite, and an integer
+        # key is not truncated
         capsys.readouterr()
         for line in ("op.lambda = yes", "b.n = true", "grid.n = on", "g.lo = nan",
-                     "op.lambda = inf", "time.T = inf"):
+                     "op.lambda = inf", "time.T = inf", "b.n = 1.5", "grid.n = 101.5",
+                     "op.n_dim = 2.5"):
             p.write_text(JUMP_CFG + line + "\n")
             out = tmp_path / "o"
             assert main(["solve", "--config", str(p), "--out", str(out)]) == 2, line
             assert not out.exists()
             err = capsys.readouterr().err
             assert err.startswith("config error:"), line
-            if line.endswith(("nan", "inf")):
+            if line != "op.lambda = yes":
                 assert line in err
+        p.write_text(BARRIER_CFG + "op.n_dim = 2.5\n")
+        assert main(["verify-barrier", "--family", "parabola", "--config", str(p)]) == 2
+        assert "op.n_dim = 2.5" in capsys.readouterr().err
+        # compare reads grid.n and b.n the same way, and its scenario's own
+        # bounds are config errors too
+        for line, needle in (("b.n = 32.7", "b.n = 32.7"), ("grid.n = on", "grid.n = on"),
+                             ("grid.n = 50", "grid.n = 50"), ("b.n = 0", "b.n = 0")):
+            p.write_text(line + "\n")
+            assert main(["compare", "--config", str(p)]) == 2, line
+            captured = capsys.readouterr()
+            assert needle in captured.err and captured.out == "", line
 
     def test_unknown_key_exit_2(self, tmp_path):
         p = tmp_path / "typo.cfg"
@@ -360,7 +373,7 @@ class TestCLI:
         assert np.all(z.values >= w.values)
         assert main(["crossing", "--z", wout, "--w", zout]) == 0
 
-    def test_malformed_field_exit_2(self, tmp_path):
+    def test_malformed_field_exit_2(self, tmp_path, capsys):
         x = np.linspace(-1, 1, 41)
         ts = np.linspace(0, 1, 41)
         good = str(tmp_path / "good.csv")
@@ -377,6 +390,12 @@ class TestCLI:
                          "--out", str(tmp_path / "o.csv")]) == 2
             assert main(["crossing", "--z", bad, "--w", good]) == 2
             assert main(["crossing", "--z", good, "--w", bad]) == 2
+        # one time row: the field parses, but it has no time step
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join(lines[:2]) + "\n")
+        assert main(["envelope", "--in", str(one), "--r", "0.2",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert str(one) in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_envelope_radius_out_of_range_exit_2(self, tmp_path, capsys):

@@ -327,6 +327,13 @@ class TestEnvelopes:
         assert np.all(v.values <= up.values)
         assert np.array_equal(v.values, fld.values)
 
+    def test_one_node_axis_rejected(self):
+        x = np.linspace(-1.0, 1.0, 21)
+        for fld, axis in ((GridField(x, [0.0], np.ones((1, 21))), "time"),
+                          (GridField([0.0], x, np.ones((21, 1))), "space")):
+            with pytest.raises(ValueError, match=f"{axis} grid needs at least two nodes"):
+                essential_envelopes(fld, [0.2])
+
     def test_matches_disc_oracle(self):
         rng = np.random.default_rng(12)
         x = np.linspace(0.0, 1.0, 23)
