@@ -15,7 +15,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .config import ConfigError, _int, load_config, operator_from_config, problem_from_config
+from . import config
+from .config import ConfigError
 from .regularize import GridField, crossing_time, inf_convolve, sup_convolve
 
 __all__ = ["main", "write_field_csv", "read_field_csv"]
@@ -75,7 +76,7 @@ def _int_list(flag, raw):
 def _cmd_solve(args):
     from .solver import max_principle_bounds, run
 
-    spec = problem_from_config(load_config(args.config))
+    spec = config.read_config(args.config, config.problem_from_config)
     out = args.out
     os.makedirs(out, exist_ok=True)
     field = run(spec)
@@ -102,7 +103,7 @@ def _cmd_solve(args):
 def _cmd_sweep_n(args):
     from .solver import singular_limit_study
 
-    spec = problem_from_config(load_config(args.config))
+    spec = config.read_config(args.config, config.problem_from_config)
     if spec.b.kind != "positive-part":
         raise ConfigError(f"b.kind = {spec.b.kind}: sweep-n runs b_n, which "
                           f"smooths the positive part only")
@@ -121,47 +122,12 @@ def _cmd_sweep_n(args):
 
 
 def _cmd_verify_barrier(args):
-    from .barriers import (
-        BarrierInfeasible,
-        make_parabola_barrier,
-        solve_heatkernel_barrier,
-        solve_logdiv_barrier,
-        solve_radial_barrier,
-        verify_subsolution_margin,
-    )
-    from .config import _bspec_from_config
+    from .barriers import BarrierInfeasible, verify_subsolution_margin
 
-    cfg = load_config(args.config)
-    op = operator_from_config(cfg)
     fam = args.family
-    samples = _int(cfg, "barrier.samples", 1000)
-    if samples < 1:
-        raise ConfigError(f"barrier.samples = {samples}: need an integer >= 1")
+    build, samples = config.read_config(args.config, config.barrier_from_config, fam)
     try:
-        if fam == "radial":
-            bar = solve_radial_barrier(
-                op,
-                rho0=float(cfg.get("barrier.rho0", 1.0)),
-                a_hat=float(cfg.get("barrier.a_hat", 1.0)),
-                b_hat=float(cfg.get("barrier.b_hat", -0.5)),
-                omega_hat=float(cfg.get("barrier.omega_hat", 0.0)),
-                sign=cfg.get("barrier.sign", "sub"),
-            )
-        elif fam == "heatkernel":
-            bar = solve_heatkernel_barrier(
-                op,
-                d=float(cfg.get("barrier.d", 0.5)),
-                delta=float(cfg.get("barrier.delta", 0.1)),
-            )
-        elif fam == "logdiv":
-            bar = solve_logdiv_barrier(
-                op, _bspec_from_config(cfg),
-                omega=float(cfg.get("barrier.omega", 0.0)),
-                rho0=float(cfg.get("barrier.rho0", 1.0)),
-                M=float(cfg.get("barrier.M", 1.0)),
-            )
-        else:
-            bar = make_parabola_barrier(op)
+        bar = build()
     except BarrierInfeasible as exc:
         print(json.dumps({"family": fam, "infeasible": str(exc)}))
         return 1
@@ -196,15 +162,10 @@ def _cmd_crossing(args):
 
 
 def _cmd_compare(args):
-    from .harness import make_comparison_pair, make_jump_scenario
+    from .harness import make_comparison_pair
     from .solver import ORDER_TOL, run
 
-    cfg = load_config(args.config, keys={"grid.n", "b.n"}) if args.config else {}
-    grid, n = _int(cfg, "grid.n", 401), _int(cfg, "b.n", 32)
-    try:
-        base = make_jump_scenario(grid=grid, n=n)
-    except ValueError as exc:
-        raise ConfigError(f"grid.n = {grid}, b.n = {n}: {exc}") from exc
+    base = config.read_config(args.config, config.jump_scenario_from_config)
     try:
         lower, upper = make_comparison_pair(base, args.gap)
     except ValueError as exc:

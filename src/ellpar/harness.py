@@ -123,8 +123,8 @@ def make_comparison_pair(base: Scenario, gap: float):
     raised by gap/2 so separation is strict on the whole parabolic boundary.
     Raises ValueError if the shifted datum is positive next to a Dirichlet
     node (`ProblemSpec.dirichlet`; on the punctured ball, the outer one only)."""
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+    if not 0 < gap < np.inf:
+        raise ValueError("gap must be positive and finite")
     spec = base.spec
     x = spec.nodes()
     u0 = spec.initial_values()

@@ -48,18 +48,25 @@ g.lo = -1.0
 g.hi = -1.0
 """
 
-BARRIER_CFG = """
+OP_CFG = """
 op.kind = pucci-minus
 op.lambda = 1.0
 op.Lambda = 1.2
 op.delta1 = 0.5
 op.delta0 = 0.2
 op.n_dim = 3
-barrier.rho0 = 1.0
-barrier.a_hat = 1.0
-barrier.b_hat = -0.5
-barrier.omega_hat = 0.3
 """
+
+# the keys each verify-barrier family reads beyond the operator's; the log
+# barrier is built for a divergence operator only
+FAMILY_CFG = {
+    "radial": "barrier.rho0 = 1.0\nbarrier.a_hat = 1.0\nbarrier.b_hat = -0.5\n"
+              "barrier.omega_hat = 0.3\n",
+    "heatkernel": "",
+    "logdiv": "op.kind = divergence\n",
+    "parabola": "",
+}
+BARRIER_CFG = OP_CFG + FAMILY_CFG["radial"]
 
 
 class TestConfig:
@@ -98,35 +105,55 @@ class TestConfig:
         with pytest.raises(ConfigError):
             problem_from_config(parse_config("op.kind = nonsense\n"))
 
-    def test_unknown_keys_rejected_on_load(self, tmp_path):
-        for typo in ("time.DT = 0.01", "grid.N = 101"):
-            p = tmp_path / "typo.cfg"
-            p.write_text(JUMP_CFG + typo + "\n")
-            with pytest.raises(ConfigError, match=typo.split()[0]):
-                load_config(p)
+    def test_unknown_keys_rejected_on_load(self, tmp_path, capsys):
+        # load_config keeps every key; the command rejects those its readers
+        # leave, and names each one
+        p = tmp_path / "typo.cfg"
+        p.write_text(JUMP_CFG + "time.DT = 0.01\ngrid.N = 101\n")
+        assert {"time.DT", "grid.N"} <= load_config(p).keys()
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "time.DT" in err and "grid.N" in err and not out.exists()
 
     def test_every_read_key_loads(self, tmp_path):
-        # the keys of a divergence solve, a lipschitz-table b and a barrier
+        # every key the solve readers take, on the divergence annulus with a
+        # lipschitz-table b (which takes no b.n) and a constant datum, and on
+        # the punctured ball, which takes g.lo without using it
+        keys = ("op.kind = divergence\nop.lambda = 1.0\nop.Lambda = 2.0\n"
+                "op.delta1 = 0.0\nop.delta0 = 0.0\nop.n_dim = 3\n"
+                "psi.kind = polynomial\npsi.coeffs = 1.0, 2.0\n"
+                "b.kind = lipschitz-table\nb.breakpoints = 0.0, 0.5\nb.slopes = 1.0, 2.0\n"
+                "grid.lo = 0.2\ngrid.hi = 1.0\ngrid.n = 41\ng.lo = -1.0\ng.hi = -1.0\n"
+                "u0.kind = constant\nu0.value = -0.5\ntime.T = 0.01\ntime.dt = 2.5e-3\n")
         p = tmp_path / "all.cfg"
-        p.write_text(JUMP_CFG + "op.kind = divergence\nop.Lambda = 2.0\n"
-                     "op.delta1 = 0.0\nop.delta0 = 0.0\nop.n_dim = 3\n"
-                     "psi.kind = polynomial\npsi.coeffs = 1.0, 2.0\n"
-                     "b.breakpoints = 0.0\nb.slopes = 1.0\n"
-                     "geometry.kind = radial-annulus\ngrid.lo = 0.2\n"
-                     "grid.hi = 1.0\nu0.value = -1.0\nbarrier.samples = 10\n")
-        spec = problem_from_config(load_config(p))
-        assert spec.op.kind == "divergence" and spec.bn.n == 16
+        for geometry in ("radial-annulus", "radial-ball-punctured"):
+            p.write_text(keys + f"geometry.kind = {geometry}\n")
+            assert main(["solve", "--config", str(p), "--out", str(tmp_path / geometry)]) == 0
+        # each verify-barrier family with its full barrier.* set
+        family_keys = {
+            "radial": FAMILY_CFG["radial"] + "barrier.sign = sub\n",
+            "heatkernel": "barrier.d = 0.5\nbarrier.delta = 0.1\n",
+            "logdiv": FAMILY_CFG["logdiv"] + "psi.kind = polynomial\npsi.coeffs = 1.0, 0.5\n"
+                      "b.kind = positive-part\nbarrier.omega = 0.5\nbarrier.rho0 = 1.0\n"
+                      "barrier.M = 1.0\n",
+            "parabola": "",
+        }
+        for family, extra in family_keys.items():
+            p.write_text(OP_CFG + extra + "barrier.samples = 10\n")
+            assert main(["verify-barrier", "--family", family, "--config", str(p)]) == 0, family
 
     def test_scalar_or_list_floats(self):
-        one = parse_config("op.kind = divergence\npsi.coeffs = 2\n"
-                           "b.kind = lipschitz-table\nb.breakpoints = 0\nb.slopes = 3\n")
-        two = parse_config("op.kind = divergence\npsi.kind = polynomial\n"
-                           "psi.coeffs = 1, 2.5\nb.kind = lipschitz-table\n"
-                           "b.breakpoints = 0, 1\nb.slopes = 1, 2\n")
-        assert operator_from_config(one).psi.coeffs == (2.0,)
-        assert operator_from_config(two).psi.coeffs == (1.0, 2.5)
-        assert problem_from_config(one).b.slopes == (3.0,)
-        b = problem_from_config(two).b
+        # a reader takes its keys, so each one gets its own dict
+        one = ("op.kind = divergence\npsi.coeffs = 2\n"
+               "b.kind = lipschitz-table\nb.breakpoints = 0\nb.slopes = 3\n")
+        two = ("op.kind = divergence\npsi.kind = polynomial\n"
+               "psi.coeffs = 1, 2.5\nb.kind = lipschitz-table\n"
+               "b.breakpoints = 0, 1\nb.slopes = 1, 2\n")
+        assert operator_from_config(parse_config(one)).psi.coeffs == (2.0,)
+        assert operator_from_config(parse_config(two)).psi.coeffs == (1.0, 2.5)
+        assert problem_from_config(parse_config(one)).b.slopes == (3.0,)
+        b = problem_from_config(parse_config(two)).b
         assert (b.breakpoints, b.slopes) == ((0.0, 1.0), (1.0, 2.0))
 
     def test_horizon_not_whole_steps_is_config_error(self):
@@ -289,7 +316,15 @@ class TestCLI:
             assert err.startswith("config error:"), line
             if line != "op.lambda = yes":
                 assert line in err
-        p.write_text(BARRIER_CFG + "op.n_dim = 2.5\n")
+        # fewer than 3 grid nodes, and a Psi that is not positive on [0, inf)
+        for line, needle in (("grid.n = 2", "grid = 2"), ("grid.n = 0", "grid = 0"),
+                             ("op.kind = divergence\npsi.kind = polynomial\n"
+                              "psi.coeffs = 1.0, -2.0", "psi.coeffs = 1.0, -2.0")):
+            p.write_text(JUMP_CFG + line + "\n")
+            out = tmp_path / "o"
+            assert main(["solve", "--config", str(p), "--out", str(out)]) == 2, line
+            assert needle in capsys.readouterr().err and not out.exists(), line
+        p.write_text(OP_CFG + "op.n_dim = 2.5\n")
         assert main(["verify-barrier", "--family", "parabola", "--config", str(p)]) == 2
         assert "op.n_dim = 2.5" in capsys.readouterr().err
         # compare reads grid.n and b.n the same way, and its scenario's own
@@ -447,26 +482,56 @@ class TestCLI:
         assert main(["compare", "--config", str(p)]) == 2
         assert "time.T" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line", [
+        # solve reads psi.* for a divergence operator only, u0.value for a
+        # constant datum only, b.breakpoints for a table b only, and no
+        # barrier.* key
+        ("solve", "psi.kind = polynomial"),
+        ("solve", "psi.coeffs = 1.0, 2.0"),
+        ("solve", "barrier.M = 1.0"),
+        ("solve", "u0.value = -0.5"),
+        ("solve", "b.breakpoints = 0.0"),
+        # a barrier family reads the operator and its own barrier.* keys
+        ("radial", "time.T = 0.1"),
+        ("radial", "grid.n = 101"),
+        ("radial", "g.lo = -1.0"),
+        ("radial", "barrier.d = 0.5"),
+        ("radial", "barrier.M = 1.0"),
+    ])
+    def test_unread_key_exit_2(self, tmp_path, capsys, command, line):
+        p = tmp_path / "unread.cfg"
+        if command == "solve":
+            p.write_text(JUMP_CFG + line + "\n")
+            argv = ["solve", "--config", str(p), "--out", str(tmp_path / "o")]
+        else:
+            p.write_text(BARRIER_CFG + line + "\n")
+            argv = ["verify-barrier", "--family", command, "--config", str(p)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert line.split(" = ")[0] in captured.err and captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_verify_barrier(self, tmp_path, capsys):
-        p = tmp_path / "bar.cfg"
-        p.write_text(BARRIER_CFG)
-        op = operator_from_config(load_config(p))
-        div = tmp_path / "div.cfg"
-        div.write_text(BARRIER_CFG + "op.kind = divergence\n")
-        div_op = operator_from_config(load_config(div))
+        # each family's config holds the operator's keys and its own only
+        paths = {}
+        for family, extra in FAMILY_CFG.items():
+            paths[family] = tmp_path / f"{family}.cfg"
+            paths[family].write_text(OP_CFG + extra)
+        op = operator_from_config(load_config(paths["radial"]))
+        div_op = operator_from_config(load_config(paths["logdiv"]))
         assert div_op.psi == PsiSpec("constant", (1.0,)) and div_op.n_dim == 3
         # the barriers the command builds from these configs and their defaults
         bars = {
-            "radial": (p, solve_radial_barrier(op, rho0=1.0, a_hat=1.0, b_hat=-0.5,
-                                               omega_hat=0.3)),
-            "heatkernel": (p, solve_heatkernel_barrier(op, d=0.5, delta=0.1)),
-            "logdiv": (div, solve_logdiv_barrier(div_op, BSpec("positive-part"),
-                                                 omega=0.0, rho0=1.0, M=1.0)),
-            "parabola": (p, make_parabola_barrier(op)),
+            "radial": solve_radial_barrier(op, rho0=1.0, a_hat=1.0, b_hat=-0.5,
+                                           omega_hat=0.3),
+            "heatkernel": solve_heatkernel_barrier(op, d=0.5, delta=0.1),
+            "logdiv": solve_logdiv_barrier(div_op, BSpec("positive-part"),
+                                           omega=0.0, rho0=1.0, M=1.0),
+            "parabola": make_parabola_barrier(op),
         }
-        for family, (path, bar) in bars.items():
+        for family, bar in bars.items():
             assert main(["verify-barrier", "--family", family,
-                         "--config", str(path)]) == 0
+                         "--config", str(paths[family])]) == 0
             printed = json.loads(capsys.readouterr().out)
             assert printed["family"] == family
             assert printed["worst_margin"] == verify_subsolution_margin(bar).worst_margin
@@ -486,10 +551,10 @@ class TestCLI:
     def test_verify_barrier_bad_input_exit_2(self, tmp_path, capsys, family, line,
                                              needle):
         p = tmp_path / "bar.cfg"
-        # a divergence operator, so that a logdiv case fails on its own key
-        # and not on op.kind; a case may still set op.kind after it
-        kind = "op.kind = divergence\n" if family == "logdiv" else ""
-        p.write_text(BARRIER_CFG + kind + line + "\n")
+        # the family's own keys (for logdiv, a divergence operator, so that a
+        # case fails on its own key and not on op.kind; a case may still set
+        # op.kind after it)
+        p.write_text(OP_CFG + FAMILY_CFG[family] + line + "\n")
         assert main(["verify-barrier", "--family", family, "--config", str(p)]) == 2
         captured = capsys.readouterr()
         assert needle in captured.err
@@ -509,7 +574,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", [
         "sweep-n --n 4,8", "sweep-n --n 4,x,16", "accept --criteria 99",
-        "accept --criteria 1,x", "compare --gap 0", "compare --gap 0.8"])
+        "accept --criteria 1,x", "compare --gap 0", "compare --gap 0.8",
+        "compare --gap inf", "compare --gap nan"])
     def test_bad_argument_exit_2(self, tmp_path, capsys, command):
         argv = command.split()
         if argv[0] == "sweep-n":
