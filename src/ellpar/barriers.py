@@ -418,18 +418,12 @@ def verify_subsolution_margin(bar, samples: int = 1000, seed: int = 0) -> Margin
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    if isinstance(bar, RadialPowerBarrier):
-        return _verify_radial(bar, samples, rng)
-    if isinstance(bar, LogDivBarrier):
-        return _verify_logdiv(bar, samples, rng)
-    if isinstance(bar, HeatKernelBarrier):
-        return _verify_heatkernel(bar, samples)
-    if isinstance(bar, ParabolaBarrier):
-        return _verify_parabola(bar, samples, rng)
-    if isinstance(bar, EpsEtaBarrier):
-        return _verify_eps_eta(bar, samples, rng)
-    raise TypeError(f"unknown barrier type {type(bar).__name__}")
+    if type(bar) not in _CHECKS:
+        raise TypeError(f"unknown barrier type {type(bar).__name__}")
+    family, sense, check, passes = _CHECKS[type(bar)]
+    report = {"family": family, "sense": sense or bar.sign, "samples": samples,
+              "flux_gap": None, **check(bar, samples, np.random.default_rng(seed))}
+    return MarginReport(**report, passed=passes(report["worst_margin"]))
 
 
 def _envelope_margin(op: OperatorSpec, sense, val, dt, eigs, grad_norm):
@@ -455,11 +449,11 @@ def _verify_radial(bar: RadialPowerBarrier, samples, rng):
     eigs = np.repeat((drho / rho)[:, None], op.n_dim, axis=1)
     eigs[:, -1] = drho2
     worst = _envelope_margin(op, bar.sign, val, dt, eigs, np.abs(drho))
-    gap = bar.a_hat + bar.b_hat  # |D phi^+| - |D phi^-| of the subsolution
-    return MarginReport(family="radial", sense=bar.sign, samples=samples,
-                        worst_margin=worst,
-                        flux_gap=float(gap if bar.sign == "sub" else -gap),
-                        passed=worst > 0)
+    # |D phi^+| - |D phi^-| of the subsolution, from the one-sided slopes at rho0
+    d1_in = _power_profile(bar.alpha, bar.beta, bar.gamma, bar.rho0, bar.rho0)[1]
+    d1_out = _power_profile(bar.alpha_neg, bar.beta, bar.gamma, bar.rho0, bar.rho0)[1]
+    gap = abs(d1_in) - abs(d1_out)
+    return {"worst_margin": worst, "flux_gap": float(gap if bar.sign == "sub" else -gap)}
 
 
 def _verify_logdiv(bar: LogDivBarrier, samples, rng):
@@ -474,20 +468,17 @@ def _verify_logdiv(bar: LogDivBarrier, samples, rng):
     val, d1v, d2v = bar.profile(s)
     F = divergence_expanded(bar.op, bspec, val, (n - 1) * d1v / rho + d2v, d1v * d1v)
     residual = -bar.omega * b_derivative(bspec, val) * d1v - F
-    worst = float(np.min(residual, initial=math.inf))
-    return MarginReport(family="logdiv", sense="super", samples=samples,
-                        worst_margin=worst, flux_gap=None,
-                        passed=worst > 0)
+    return {"worst_margin": float(np.min(residual, initial=math.inf))}
 
 
-def _verify_heatkernel(bar: HeatKernelBarrier, samples):
+def _verify_heatkernel(bar: HeatKernelBarrier, samples, rng):
+    # a deterministic m x m grid; the rng is not used
     m = max(int(math.isqrt(samples)), 8)
     x1 = np.linspace(bar.d, 2 * bar.d, m)
     ts = np.linspace(1e-9, 2 * bar.delta, m)
     X, T = np.meshgrid(x1, ts)
-    worst = -float(np.max(_heatkernel_bracket(bar.k, bar.op, X, T)))
-    return MarginReport(family="heatkernel", sense="sub", samples=m * m,
-                        worst_margin=worst, flux_gap=None, passed=worst > 0)
+    return {"worst_margin": -float(np.max(_heatkernel_bracket(bar.k, bar.op, X, T))),
+            "samples": m * m}
 
 
 def _verify_parabola(bar: ParabolaBarrier, samples, rng):
@@ -497,13 +488,8 @@ def _verify_parabola(bar: ParabolaBarrier, samples, rng):
     t = -2 * bar.gamma * draws[:, 1]
     val = -t / (2 * bar.gamma) - 4 * x * x + 1
     keep = val > 0
-    worst = _envelope_margin(bar.op, "sub", val[keep], -1.0 / (2 * bar.gamma),
-                             [-8.0] * bar.op.n_dim, 8 * x[keep])
-    # gamma makes the inequality tight at x = 0 when delta1 = delta0 = 0,
-    # so rounding alone can leave the margin a few ulps below zero
-    return MarginReport(family="parabola", sense="sub", samples=samples,
-                        worst_margin=worst, flux_gap=None,
-                        passed=worst >= -1e-10)
+    return {"worst_margin": _envelope_margin(bar.op, "sub", val[keep], -1.0 / (2 * bar.gamma),
+                                             [-8.0] * bar.op.n_dim, 8 * x[keep])}
 
 
 def _verify_eps_eta(bar: EpsEtaBarrier, samples, rng):
@@ -514,11 +500,22 @@ def _verify_eps_eta(bar: EpsEtaBarrier, samples, rng):
     t = -bar.eps / (8 * n * Lam) * draws[:, 1]
     val = A * (4 * n * Lam * t + x * x + bar.eta)
     keep = val > 0
-    worst = _envelope_margin(bar.op, "super", val[keep], A * 4 * n * Lam,
-                             [2 * A] * n, 2 * A * x[keep])
-    return MarginReport(family="parabola", sense="super", samples=samples,
-                        worst_margin=worst, flux_gap=None,
-                        passed=worst > 0)
+    return {"worst_margin": _envelope_margin(bar.op, "super", val[keep], A * 4 * n * Lam,
+                                             [2 * A] * n, 2 * A * x[keep])}
+
+
+# barrier type: family, sense (None: the barrier's own sign), the check that
+# measures the report's worst_margin (and flux_gap, samples where it sets
+# them), and the pass rule on the worst margin
+_CHECKS = {
+    RadialPowerBarrier: ("radial", None, _verify_radial, lambda w: w > 0),
+    LogDivBarrier: ("logdiv", "super", _verify_logdiv, lambda w: w > 0),
+    HeatKernelBarrier: ("heatkernel", "sub", _verify_heatkernel, lambda w: w > 0),
+    # gamma makes the inequality tight at x = 0 when delta1 = delta0 = 0, so
+    # rounding alone can leave the margin a few ulps below zero
+    ParabolaBarrier: ("parabola", "sub", _verify_parabola, lambda w: w >= -1e-10),
+    EpsEtaBarrier: ("parabola", "super", _verify_eps_eta, lambda w: w > 0),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def _build_parser():
 
     s = sub.add_parser("verify-barrier", help="solve and verify a barrier family")
     s.add_argument("--family", required=True,
-                   choices=["radial", "heatkernel", "logdiv", "parabola"])
+                   choices=list(config.BARRIER_FAMILIES))
     s.add_argument("--config", required=True)
     s.set_defaults(fn=_cmd_verify_barrier)
 

@@ -20,7 +20,6 @@ the command does not read, is an error rather than a silent default.
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .nonlinearity import BnFamily, BSpec, PsiSpec
 from .operators import OperatorSpec
@@ -28,7 +27,7 @@ from .solver import Geometry, ProblemSpec
 
 __all__ = ["ConfigError", "parse_config", "load_config", "read_config",
            "problem_from_config", "operator_from_config", "barrier_from_config",
-           "jump_scenario_from_config"]
+           "jump_scenario_from_config", "BARRIER_FAMILIES"]
 
 
 class ConfigError(ValueError):
@@ -96,21 +95,23 @@ def _int(cfg: dict, key: str, default: int) -> int:
     return v
 
 
-def _floats(cfg: dict, key: str, default: tuple) -> tuple:
-    """Take a scalar or comma-separated value as a tuple of floats."""
+def _float(cfg: dict, key: str, default: float) -> float:
+    """Take the number value of key as a float; anything else is a
+    ConfigError naming the key and the value."""
     v = cfg.pop(key, default)
-    return tuple(float(c) for c in (v if isinstance(v, tuple) else (v,)))
+    if type(v) not in (int, float):
+        raise ConfigError(f"{key} = {v}: need a number")
+    return float(v)
 
 
-def _positive_on_half_line(coeffs) -> bool:
-    """Whether the polynomial with these increasing-degree coefficients is
-    positive on [0, inf): its constant and leading coefficients are positive
-    and it has no real root >= 0.  A root within 1e-6 (relative) of the real
-    axis counts as real, so a double root, which the eigenvalue solver may
-    return as a close conjugate pair, is one."""
-    roots = P.polyroots(coeffs)
-    real = roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))]
-    return coeffs[0] > 0 and coeffs[-1] > 0 and not np.any(real >= 0)
+def _floats(cfg: dict, key: str, default: tuple) -> tuple:
+    """Take a scalar or comma-separated list of numbers as a tuple of
+    floats; anything else is a ConfigError naming the key and the value."""
+    v = cfg.pop(key, default)
+    v = v if isinstance(v, tuple) else (v,)
+    if any(type(c) not in (int, float) for c in v):
+        raise ConfigError(f"{key} = {', '.join(map(str, v))}: need numbers")
+    return tuple(float(c) for c in v)
 
 
 def operator_from_config(cfg: dict) -> OperatorSpec:
@@ -119,23 +120,26 @@ def operator_from_config(cfg: dict) -> OperatorSpec:
     if kind == "bellman-isaacs":
         raise ConfigError("op.bi.entries: inf-sup families are not expressible "
                           "in flat config files; construct OperatorSpec in code")
+    psi = None
+    if kind == "divergence":
+        psi_kind, coeffs = cfg.pop("psi.kind", "constant"), _floats(cfg, "psi.coeffs", (1.0,))
+        try:
+            psi = PsiSpec(psi_kind, coeffs)
+        except ValueError as exc:
+            raise ConfigError(f"psi.kind = {psi_kind}, psi.coeffs = "
+                              f"{', '.join(map(str, coeffs))}: {exc}") from exc
+    lam = _float(cfg, "op.lambda", 1.0)
     try:
-        psi = (PsiSpec(cfg.pop("psi.kind", "constant"), _floats(cfg, "psi.coeffs", (1.0,)))
-               if kind == "divergence" else None)
-        if psi is not None and not _positive_on_half_line(psi.coeffs):
-            raise ConfigError(f"psi.coeffs = {', '.join(map(str, psi.coeffs))}: "
-                              f"Psi must be positive on [0, inf)")
-        lam = cfg.pop("op.lambda", 1.0)
         return OperatorSpec(
             kind=kind,
-            lam=float(lam),
-            Lam=float(cfg.pop("op.Lambda", lam)),
-            delta1=float(cfg.pop("op.delta1", 0.0)),
-            delta0=float(cfg.pop("op.delta0", 0.0)),
+            lam=lam,
+            Lam=_float(cfg, "op.Lambda", lam),
+            delta1=_float(cfg, "op.delta1", 0.0),
+            delta0=_float(cfg, "op.delta0", 0.0),
             n_dim=_int(cfg, "op.n_dim", 1),
             psi=psi,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -153,8 +157,8 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
     try:
         geom = Geometry(
             kind=cfg.pop("geometry.kind", "interval"),
-            lo=float(cfg.pop("grid.lo", -1.0)),
-            hi=float(cfg.pop("grid.hi", 1.0)),
+            lo=_float(cfg, "grid.lo", -1.0),
+            hi=_float(cfg, "grid.hi", 1.0),
         )
         op = operator_from_config(cfg)
         bspec = _bspec_from_config(cfg)
@@ -165,46 +169,54 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             from .harness import jump_initial
             u0 = jump_initial
         elif u0_kind == "constant":
-            c = float(cfg.pop("u0.value", -1.0))
+            c = _float(cfg, "u0.value", -1.0)
             u0 = (lambda x: np.full_like(np.asarray(x, dtype=float), c))
         else:
             raise ConfigError(f"unknown u0.kind {u0_kind!r}")
 
         return ProblemSpec(
             geometry=geom, op=op, b=bspec, bn=bn,
-            g_lo=float(cfg.pop("g.lo", -1.0)),
-            g_hi=float(cfg.pop("g.hi", -1.0)),
+            g_lo=_float(cfg, "g.lo", -1.0),
+            g_hi=_float(cfg, "g.hi", -1.0),
             u0=u0,
-            T=float(cfg.pop("time.T", 1.0)),
+            T=_float(cfg, "time.T", 1.0),
             grid=_int(cfg, "grid.n", 401),
-            dt=float(cfg.pop("time.dt", 2.5e-3)),
+            dt=_float(cfg, "time.dt", 2.5e-3),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
+# verify-barrier family: the name of its builder in `barriers`, and its
+# barrier.* keys with their defaults; a float default takes a number, and
+# the radial sign a string
+BARRIER_FAMILIES = {
+    "radial": ("solve_radial_barrier", {"rho0": 1.0, "a_hat": 1.0, "b_hat": -0.5,
+                                        "omega_hat": 0.0, "sign": "sub"}),
+    "heatkernel": ("solve_heatkernel_barrier", {"d": 0.5, "delta": 0.1}),
+    "logdiv": ("solve_logdiv_barrier", {"omega": 0.0, "rho0": 1.0, "M": 1.0}),
+    "parabola": ("make_parabola_barrier", {}),
+}
+
+
 def barrier_from_config(cfg: dict, family: str):
     """Take the operator keys, barrier.samples and one family's barrier.*
-    keys (and b.* for logdiv): the family's bound builder, and the samples."""
+    keys (and b.* for logdiv): the family's bound builder, and the samples.
+    The builder is looked up in `barriers` at call time, so a wrapper set
+    on the module sees the call."""
     from . import barriers
 
-    # family: builder, and its barrier.* keys with their defaults, whose
-    # types the values are cast to
-    build, defaults = {
-        "radial": (barriers.solve_radial_barrier, {"rho0": 1.0, "a_hat": 1.0, "b_hat": -0.5,
-                                                   "omega_hat": 0.0, "sign": "sub"}),
-        "heatkernel": (barriers.solve_heatkernel_barrier, {"d": 0.5, "delta": 0.1}),
-        "logdiv": (barriers.solve_logdiv_barrier, {"omega": 0.0, "rho0": 1.0, "M": 1.0}),
-        "parabola": (barriers.make_parabola_barrier, {}),
-    }[family]
+    name, defaults = BARRIER_FAMILIES[family]
+    build = getattr(barriers, name)
     op = operator_from_config(cfg)
     samples = _int(cfg, "barrier.samples", 1000)
     if samples < 1:
         raise ConfigError(f"barrier.samples = {samples}: need an integer >= 1")
     try:
-        kwargs = {k: type(d)(cfg.pop(f"barrier.{k}", d)) for k, d in defaults.items()}
+        kwargs = {k: _float(cfg, f"barrier.{k}", d) if type(d) is float
+                  else str(cfg.pop(f"barrier.{k}", d)) for k, d in defaults.items()}
         args = (op, _bspec_from_config(cfg)) if family == "logdiv" else (op,)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{family} barrier: {exc}") from exc
     return lambda: build(*args, **kwargs), samples
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .barriers import (
     BarrierInfeasible,
-    _power_profile,
     critical_radius,
     solve_logdiv_barrier,
     solve_radial_barrier,
@@ -47,7 +46,6 @@ from .solver import (
     ORDER_TOL,
     Geometry,
     ProblemSpec,
-    _check_front_inside,
     bracket_maximal_minimal,
     perturb_initial_data,
     run,
@@ -122,14 +120,14 @@ def make_comparison_pair(base: Scenario, gap: float):
     outward by gap, values lifted by gap/2, and the lateral boundary data
     raised by gap/2 so separation is strict on the whole parabolic boundary.
     Raises ValueError if the shifted datum is positive next to a Dirichlet
-    node (`ProblemSpec.dirichlet`; on the punctured ball, the outer one only)."""
+    node (`ProblemSpec.check_front_inside`)."""
     if not 0 < gap < np.inf:
         raise ValueError("gap must be positive and finite")
     spec = base.spec
     x = spec.nodes()
     u0 = spec.initial_values()
     up = perturb_initial_data(u0, x, gap, "up", lift_factor=0.5)
-    _check_front_inside(spec, up)
+    spec.check_front_inside(up)
     g_up = spec.boundary(0.0)
     upper_spec = replace(spec, u0=up,
                          g_lo=g_up[0] + gap / 2, g_hi=g_up[1] + gap / 2)
@@ -308,11 +306,8 @@ def criterion_4_barriers():
     scale = max(1.0, bar.a_hat)
     ok_margin = rep.passed and rep.worst_margin >= 1e-6 * scale
 
-    # flux gap from the analytic one-sided slopes at the front
-    d1_in = _power_profile(bar.alpha, bar.beta, bar.gamma, bar.rho0, bar.rho0)[1]
-    d1_out = _power_profile(bar.alpha_neg, bar.beta, bar.gamma,
-                            bar.rho0, bar.rho0)[1]
-    flux_err = abs((abs(d1_in) - abs(d1_out)) - (bar.a_hat + bar.b_hat))
+    # the measured flux gap against the prescribed slopes
+    flux_err = abs(rep.flux_gap - (bar.a_hat + bar.b_hat))
     ok_flux = flux_err <= 1e-10
 
     # infeasibility exactly past the critical radius

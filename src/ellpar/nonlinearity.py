@@ -122,7 +122,8 @@ def bn_derivative(fam: BnFamily, s):
 class PsiSpec:
     """Positive C^1 coefficient Psi on [0, infinity): a polynomial with
     coefficients in increasing-degree order.  kind "constant" is the
-    degree-0 polynomial, coeffs = (value,).
+    degree-0 polynomial, coeffs = (value,).  A polynomial that is not
+    positive on [0, infinity) is rejected here, at construction.
     """
 
     kind: str = "constant"
@@ -135,17 +136,23 @@ class PsiSpec:
             raise ValueError("need at least one coefficient")
         if self.kind == "constant" and len(self.coeffs) != 1:
             raise ValueError("constant Psi takes a single coefficient")
+        # positive on [0, inf): positive constant and leading coefficients and
+        # no real root >= 0, where a root within 1e-6 (relative) of the real
+        # axis counts as real, so that a double root, which the eigenvalue
+        # solver may return as a close conjugate pair, is one
+        roots = P.polyroots(self.coeffs)
+        real = roots.real[np.abs(roots.imag) <= 1e-6 * (1.0 + np.abs(roots))]
+        if not (self.coeffs[0] > 0 and self.coeffs[-1] > 0 and not np.any(real >= 0)):
+            raise ValueError("Psi must be positive on [0, inf)")
 
 
 def psi_eval(spec: PsiSpec, y):
-    """Evaluate Psi(y) for y >= 0; raises if the result is not positive."""
+    """Evaluate Psi(y) for y >= 0."""
     y = np.asarray(y, dtype=float)
     if np.any(y < 0):
         raise ValueError("Psi is only defined for nonnegative arguments")
     # a constant c evaluates to c + y*0 = c, bit for bit, at every finite y
     out = np.asarray(P.polyval(y, np.asarray(spec.coeffs, dtype=float)), dtype=float)
-    if np.any(out <= 0.0):
-        raise ValueError("Psi must be positive; spec violated at evaluation")
     return out if out.ndim else float(out)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "pucci_minus",
     "operator_full_eval",
     "apply_operator_1d",
+    "operator_jacobian_1d",
     "divergence_expanded",
     "structural_envelope",
     "structural_envelope_check",

@@ -36,6 +36,8 @@ __all__ = [
     "singular_limit_study",
     "bracket_maximal_minimal",
     "perturb_initial_data",
+    "NEWTON_TOL",
+    "ORDER_TOL",
 ]
 
 
@@ -115,6 +117,13 @@ class ProblemSpec:
         glo, ghi = self.boundary(t)
         return {-1: ghi} if self.geometry.reflect_inner else {0: glo, -1: ghi}
 
+    def check_front_inside(self, u: np.ndarray) -> None:
+        """Raise ValueError if u is positive next to a Dirichlet node: a
+        front shifted that far has left the domain.  A reflecting inner end
+        carries no data, so a positive phase may reach it."""
+        if any(u[1 if i == 0 else -2] > 0 for i in self.dirichlet(0.0)):
+            raise ValueError("front shift exits the domain")
+
     def initial_datum(self) -> np.ndarray:
         """The initial datum on the grid, as given."""
         x = self.nodes()
@@ -146,7 +155,8 @@ class ProblemSpec:
 
 NEWTON_TOL = 1e-10  # Newton residual tolerance (max norm)
 # slack of the discrete maximum and comparison principles: how far a step may
-# leave its max-principle bounds, and an ordered pair its order
+# leave its max-principle bounds, an ordered pair its order, and a bracket's
+# runs their nesting
 ORDER_TOL = 1e-9
 
 
@@ -439,14 +449,6 @@ def perturb_initial_data(u0: np.ndarray, x: np.ndarray, eps: float,
     return -window_max(-padded, 2 * w + 1) - lift
 
 
-def _check_front_inside(spec: ProblemSpec, u: np.ndarray) -> None:
-    """Raise ValueError if u is positive next to a Dirichlet node of spec:
-    a front shifted that far has left the domain.  A reflecting inner end
-    carries no data, so a positive phase may reach it."""
-    if any(u[1 if i == 0 else -2] > 0 for i in spec.dirichlet(0.0)):
-        raise ValueError("front shift exits the domain")
-
-
 @dataclass
 class BracketReport:
     eps_list: list
@@ -469,7 +471,7 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
     runs_up, runs_dn = [], []
     for eps in eps_list:
         up = perturb_initial_data(u0, x, eps, "up")
-        _check_front_inside(spec, up)
+        spec.check_front_inside(up)
         runs_up.append(run(replace(spec, u0=up)))
         runs_dn.append(run(replace(spec, u0=perturb_initial_data(u0, x, eps, "down"))))
     probe_times, probe_idx = _probe_rows(spec, runs_up[0].times, probe_times)
@@ -482,9 +484,9 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
             ordered = False
     # nesting across eps levels
     for i in range(len(eps_list) - 1):
-        if np.any(runs_up[i + 1].values - runs_up[i].values > ORDER_TOL * 10):
+        if np.any(runs_up[i + 1].values - runs_up[i].values > ORDER_TOL):
             ordered = False
-        if np.any(runs_dn[i].values - runs_dn[i + 1].values > ORDER_TOL * 10):
+        if np.any(runs_dn[i].values - runs_dn[i + 1].values > ORDER_TOL):
             ordered = False
     return BracketReport(eps_list=eps_list, probe_times=probe_times,
                          gaps=gaps, ordered=ordered,

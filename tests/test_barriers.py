@@ -55,6 +55,24 @@ class TestRadialBarrier:
         assert rep.worst_margin > 0
         assert rep.flux_gap == pytest.approx(bar.a_hat + bar.b_hat)
 
+    def test_flux_gap_is_measured(self):
+        # the report measures |phi'_in(rho0)| - |phi'_out(rho0)| from the
+        # one-sided slopes, negated for a supersolution; it does not echo
+        # a_hat + b_hat, which differs here in the last digit
+        bar = solve_radial_barrier(OP, rho0=0.5, a_hat=2.0, b_hat=-0.3,
+                                   omega_hat=1.0, sign="super")
+        g, r0 = bar.gamma, bar.rho0
+        slope_in, slope_out = (-a * g * r0 ** (-g - 1) + 2 * bar.beta * r0
+                               for a in (bar.alpha, bar.alpha_neg))
+        rep = verify_subsolution_margin(bar, samples=100, seed=2)
+        assert rep.flux_gap == -(abs(slope_in) - abs(slope_out))
+        assert rep.flux_gap == pytest.approx(-(bar.a_hat + bar.b_hat), rel=1e-12)
+        # the slopes the barrier itself takes on either side of its front
+        h = 1e-7 * r0
+        drho_in = eval_radial_barrier(bar, r0 - h, 0.0)[2]
+        drho_out = eval_radial_barrier(bar, r0 + h, 0.0)[2]
+        assert rep.flux_gap == pytest.approx(-(abs(drho_in) - abs(drho_out)), rel=1e-5)
+
     def test_super_sign(self):
         bar = solve_radial_barrier(OP, rho0=1.0, a_hat=1.0, b_hat=-0.5,
                                    omega_hat=0.3, sign="super")

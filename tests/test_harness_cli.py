@@ -302,20 +302,18 @@ class TestCLI:
         assert "u0.kind" in capsys.readouterr().err
         assert main(["solve", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path)]) == 2
-        # booleans are not numbers, a number must be finite, and an integer
-        # key is not truncated
+        # booleans and words are not numbers, a number must be finite, and an
+        # integer key is not truncated; the message names the key and value
         capsys.readouterr()
-        for line in ("op.lambda = yes", "b.n = true", "grid.n = on", "g.lo = nan",
-                     "op.lambda = inf", "time.T = inf", "b.n = 1.5", "grid.n = 101.5",
-                     "op.n_dim = 2.5"):
+        for line in ("op.lambda = yes", "grid.lo = x", "b.n = true", "grid.n = on",
+                     "g.lo = nan", "op.lambda = inf", "time.T = inf", "b.n = 1.5",
+                     "grid.n = 101.5", "op.n_dim = 2.5"):
             p.write_text(JUMP_CFG + line + "\n")
             out = tmp_path / "o"
             assert main(["solve", "--config", str(p), "--out", str(out)]) == 2, line
             assert not out.exists()
             err = capsys.readouterr().err
-            assert err.startswith("config error:"), line
-            if line != "op.lambda = yes":
-                assert line in err
+            assert err.startswith("config error:") and line in err, line
         # fewer than 3 grid nodes, and a Psi that is not positive on [0, inf)
         for line, needle in (("grid.n = 2", "grid = 2"), ("grid.n = 0", "grid = 0"),
                              ("op.kind = divergence\npsi.kind = polynomial\n"
@@ -545,6 +543,9 @@ class TestCLI:
         ("radial", "barrier.samples = 0", "barrier.samples"),
         ("parabola", "barrier.samples = -1", "barrier.samples"),
         ("logdiv", "barrier.samples = 0", "barrier.samples"),
+        # a value that is not a number names its key
+        ("radial", "barrier.rho0 = abc", "barrier.rho0 = abc"),
+        ("logdiv", "psi.coeffs = 1, x", "psi.coeffs = 1, x"),
         # the log barrier is built for the config's own operator only
         ("logdiv", "op.kind = pucci-minus", "op.kind = pucci-minus"),
     ])

@@ -141,6 +141,14 @@ class TestPsi:
             psi_eval(PsiSpec(), -0.1)
 
     def test_nonpositive_value_rejected(self):
-        spec = PsiSpec("polynomial", (1.0, -2.0))
-        with pytest.raises(ValueError):
-            psi_eval(spec, 1.0)
+        # a Psi with a zero or negative value on [0, inf) is not built: a
+        # sign change, a double root, a nonpositive constant or leading term
+        for coeffs in ((1.0, -2.0), (1.0, -2.0, 1.0), (0.0,), (-1.0,),
+                       (1.0, 1.0, -0.1), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="positive on"):
+                PsiSpec("polynomial", coeffs)
+        with pytest.raises(ValueError, match="positive on"):
+            PsiSpec("constant", (0.0,))
+        # complex roots only, and roots on the negative axis, are accepted
+        for coeffs in ((1.0, -2.0, 2.0), (1.0, 0.0, 1.0), (2.0, 3.0, 1.0)):
+            assert psi_eval(PsiSpec("polynomial", coeffs), np.linspace(0, 5, 11)).min() > 0

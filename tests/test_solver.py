@@ -14,7 +14,6 @@ from ellpar.solver import (
     ProblemSpec,
     SolverPolicy,
     _advance,
-    _check_front_inside,
     _front_locations,
     bracket_maximal_minimal,
     perturb_initial_data,
@@ -539,21 +538,21 @@ class TestPerturbations:
         interval = interval_spec()
         ball = punctured_ball_bracket_spec()
         u = np.full(interval.grid, -1.0)
-        _check_front_inside(interval, u)
-        _check_front_inside(ball, u)
+        interval.check_front_inside(u)
+        ball.check_front_inside(u)
         for i in (1, -2):
             v = u.copy()
             v[i] = 0.5
             with pytest.raises(ValueError, match="exits the domain"):
-                _check_front_inside(interval, v)
+                interval.check_front_inside(v)
         # the reflecting inner end carries no data: a positive phase may
         # reach it, but not the node next to the outer end
         v = u.copy()
         v[:3] = 0.5
-        _check_front_inside(ball, v)
+        ball.check_front_inside(v)
         v[-2] = 0.5
         with pytest.raises(ValueError, match="exits the domain"):
-            _check_front_inside(ball, v)
+            ball.check_front_inside(v)
 
     def test_exiting_front_raises_in_the_studies(self):
         spec = interval_spec(u0=lambda x: 0.9 - np.abs(x))
