@@ -23,7 +23,7 @@ import numpy as np
 
 from .nonlinearity import BnFamily, BSpec, PsiSpec
 from .operators import OperatorSpec
-from .solver import Geometry, ProblemSpec
+from .solver import Geometry, ProblemSpec, SpecError
 
 __all__ = ["ConfigError", "parse_config", "load_config", "read_config",
            "problem_from_config", "operator_from_config", "barrier_from_config",
@@ -152,8 +152,14 @@ def _bspec_from_config(cfg: dict) -> BSpec:
     return BSpec(kind)
 
 
+# the config key of each Geometry and ProblemSpec field a SpecError names
+_SPEC_KEYS = {"kind": "geometry.kind", "lo": "grid.lo", "hi": "grid.hi", "grid": "grid.n",
+              "T": "time.T", "dt": "time.dt", "bn.n": "b.n", "b.kind": "b.kind"}
+
+
 def problem_from_config(cfg: dict) -> ProblemSpec:
-    """Take the keys of one problem; u0.value only for u0.kind = constant."""
+    """Take the keys of one problem; u0.value only for u0.kind = constant.
+    A spec that breaks a rule is a ConfigError naming the keys it read."""
     try:
         geom = Geometry(
             kind=cfg.pop("geometry.kind", "interval"),
@@ -162,7 +168,13 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
         )
         op = operator_from_config(cfg)
         bspec = _bspec_from_config(cfg)
-        bn = BnFamily(_int(cfg, "b.n", 1)) if "b.n" in cfg else None
+        bn = None
+        if "b.n" in cfg:
+            n = _int(cfg, "b.n", 1)
+            try:
+                bn = BnFamily(n)
+            except ValueError as exc:
+                raise ConfigError(f"b.n = {n}: {exc}") from exc
 
         u0_kind = cfg.pop("u0.kind", "jump")
         if u0_kind == "jump":
@@ -183,6 +195,9 @@ def problem_from_config(cfg: dict) -> ProblemSpec:
             grid=_int(cfg, "grid.n", 401),
             dt=_float(cfg, "time.dt", 2.5e-3),
         )
+    except SpecError as exc:
+        keys = ", ".join(f"{_SPEC_KEYS[k]} = {v}" for k, v in exc.fields.items())
+        raise ConfigError(f"{keys}: {exc.rule}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -209,18 +209,18 @@ def _differences(u, h):
 
 
 def _divergence_fluxes(op: OperatorSpec, u, x, bspec, radial):
-    """Face coefficients c_{i+1/2} and node weights for the conservative form
-    F_i = (c_{i+1/2}(u_{i+1}-u_i) - c_{i-1/2}(u_i-u_{i-1})) / (h^2 w_i)."""
+    """Face coefficients c_{i+1/2} = (Psi(b(u_i)) + Psi(b(u_{i+1}))) / 2 *
+    r_{i+1/2}, face weights r_{i+1/2} and node weights w_i of the
+    conservative form F_i = (c_{i+1/2}(u_{i+1}-u_i) - c_{i-1/2}(u_i-u_{i-1}))
+    / (h^2 w_i): r = rho^(n-1) at the faces and w = rho^(n-1) at the nodes on
+    a radial grid, ones on the interval."""
     n = op.n_dim
     psi_nodes = psi_eval(op.psi, b_eval(bspec, u))
     faces = 0.5 * (psi_nodes[1:] + psi_nodes[:-1])
     if radial:
-        rho_face = 0.5 * (x[1:] + x[:-1])
-        faces = faces * rho_face ** (n - 1)
-        w = x ** (n - 1)
-    else:
-        w = np.ones_like(x)
-    return faces, w
+        face_w = (0.5 * (x[1:] + x[:-1])) ** (n - 1)
+        return faces * face_w, face_w, x ** (n - 1)
+    return faces, np.ones_like(faces), np.ones_like(x)
 
 
 def apply_operator_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
@@ -239,7 +239,7 @@ def apply_operator_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
         raise ValueError("need at least 3 nodes")
     h = x[1] - x[0]
     if op.kind == "divergence":
-        faces, w = _divergence_fluxes(op, u, x, bspec, radial)
+        faces, _, w = _divergence_fluxes(op, u, x, bspec, radial)
         du = np.diff(u)
         return (faces[1:] * du[1:] - faces[:-1] * du[:-1]) / (h**2 * w[1:-1])
     d2, d1 = _differences(u, h)
@@ -248,19 +248,33 @@ def apply_operator_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
 
 
 def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
-                         radial: bool = False):
-    """Tridiagonal (lower, diag, upper) of the frozen-coefficient linearization
-    of apply_operator_1d at the interior nodes."""
+                         radial: bool = False, picard: bool = False):
+    """Tridiagonal (lower, diag, upper) of the linearization of
+    apply_operator_1d at the interior nodes.
+
+    Trace, Pucci and Bellman-Isaacs kinds freeze the active coefficient
+    selection: the semismooth (generalized) Jacobian, exact away from the
+    switching set.  The divergence kind is exact, face term included:
+    dc_{i+1/2}/du_j = Psi'(b(u_j)) b'(u_j) r_{i+1/2} / 2 for j = i, i+1,
+    with b' taken from the left at a kink.  picard=True, for the divergence
+    kind only, freezes the face coefficients instead: the Picard matrix.
+    """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
     h = x[1] - x[0]
     if op.kind == "divergence":
-        faces, w = _divergence_fluxes(op, u, x, bspec, radial)
-        wi = w[1:-1]
-        lower = faces[:-1] / (h**2 * wi)
-        upper = faces[1:] / (h**2 * wi)
-        diag = -(faces[1:] + faces[:-1]) / (h**2 * wi)
-        return lower, diag, upper
+        faces, face_w, w = _divergence_fluxes(op, u, x, bspec, radial)
+        # right and left: d/du_{k+1} and -d/du_k of the face flux
+        # c_k (u_{k+1} - u_k), where c_k moves with both of its nodes
+        right = left = faces
+        if not picard:
+            q = 0.5 * face_w * np.diff(u)
+            dpsi = psi_derivative(op.psi, b_eval(bspec, u)) * b_derivative(bspec, u)
+            right, left = faces + q * dpsi[1:], faces - q * dpsi[:-1]
+        scale = h**2 * w[1:-1]
+        return left[:-1] / scale, -(left[1:] + right[:-1]) / scale, right[1:] / scale
+    if picard:
+        raise ValueError(f"the {op.kind} kind has no Picard matrix")
     d2, d1 = _differences(u, h)
     a2, a1, a0 = _active_coefficients(op, d2, d1, u[1:-1], x[1:-1], radial)
     lower = a2 / h**2 - a1 / (2 * h)

@@ -5,14 +5,19 @@ elliptic solver, and the singular-limit / bracketing studies.
 Explicit stepping is hopeless here: the stability bound involves min b_n',
 which decays like e^{-n} in the negative phase.  Every step therefore solves
 the nonlinear system b_n(u) - b_n(u_prev) - dt F(u) = 0 with a damped Newton
-iteration using the frozen-envelope tridiagonal Jacobian.  The stationary
-problem F(D^2 u, Du, u) = 0 is the b = 0 case of the same system (the
-elliptic phase is where b vanishes), so both go through one implicit solve.
+iteration on a tridiagonal Jacobian: the semismooth one of the active
+coefficient selection for the trace, Pucci and Bellman-Isaacs kinds, and
+the exact one for the divergence kind, whose iterations fall back to a
+Picard step (face coefficients frozen) where the Newton step does not
+lower the residual.  The stationary problem F(D^2 u, Du, u) = 0 is the
+b = 0 case of the same system (the elliptic phase is where b vanishes), so
+both go through one implicit solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -29,6 +34,7 @@ __all__ = [
     "SolverPolicy",
     "SpaceTimeField",
     "NewtonFailure",
+    "SpecError",
     "solve_elliptic",
     "step_parabolic",
     "run",
@@ -47,6 +53,16 @@ class NewtonFailure(RuntimeError):
         self.history = history or []
 
 
+class SpecError(ValueError):
+    """A Geometry or ProblemSpec that breaks one of its rules; `fields` maps
+    each field the rule reads to its value, so that a reader of the spec's
+    source (`config`) can name its own keys instead."""
+
+    def __init__(self, fields: dict, rule: str):
+        super().__init__(", ".join(f"{k} = {v}" for k, v in fields.items()) + f": {rule}")
+        self.fields, self.rule = fields, rule
+
+
 @dataclass(frozen=True)
 class Geometry:
     """1D computational domain: a Cartesian interval, a radial annulus, or a
@@ -58,11 +74,11 @@ class Geometry:
 
     def __post_init__(self):
         if self.kind not in ("interval", "radial-annulus", "radial-ball-punctured"):
-            raise ValueError(f"unknown geometry kind {self.kind!r}")
+            raise SpecError({"kind": self.kind}, "unknown geometry kind")
         if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+            raise SpecError({"lo": self.lo, "hi": self.hi}, "need lo < hi")
         if self.kind.startswith("radial") and self.lo <= 0:
-            raise ValueError("radial grids exclude rho = 0")
+            raise SpecError({"kind": self.kind, "lo": self.lo}, "radial grids exclude rho = 0")
 
     @property
     def radial(self) -> bool:
@@ -90,14 +106,15 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.grid < 3:
-            raise ValueError(f"need at least 3 grid nodes: grid = {self.grid}")
+            raise SpecError({"grid": self.grid}, "need at least 3 grid nodes")
         if not (self.dt > 0 and self.T >= 0
                 and abs(self.steps * self.dt - self.T) <= 1e-9 * max(self.T, 1.0)):
-            raise ValueError(f"need dt > 0 and T a whole number of steps: "
-                             f"T = {self.T}, dt = {self.dt}")
+            raise SpecError({"T": self.T, "dt": self.dt},
+                            "need dt > 0 and T a whole number of steps")
         if self.bn is not None and self.b.kind != "positive-part":
             # Psi(b(u)) would read the table while the time term reads b_n
-            raise ValueError(f"b_n smooths the positive part only, not b.kind = {self.b.kind}")
+            raise SpecError({"bn.n": self.bn.n, "b.kind": self.b.kind},
+                            "b_n smooths the positive part only")
 
     @property
     def steps(self) -> int:
@@ -191,21 +208,39 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
+def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy, picard_fn=None):
     """Damped semismooth Newton on the free nodes; returns (solution,
     iterations, residual history).
 
-    Each iteration tries the full step and then up to 25 halvings of it.
-    When none of them lowers the residual norm, the full step is accepted
-    anyway (the non-monotone fallback), at most 5 times per call before a
-    NewtonFailure.  The divergence kind is the one that needs it: its
-    Jacobian freezes the face coefficients Psi(b(u)) (`operator_jacobian_1d`
-    drops their derivative), so its step is a Picard step whose residual need
-    not fall.  Over one pass of the benchmark's `solve` workload the fallback
-    was taken 123 times, all in divergence steps (89 annulus, 28 interval,
-    6 punctured ball), and never in its trace or Pucci solves or in the
-    criterion-6 ensemble.
+    Each iteration tries the full step along jacobian_fn's direction.  If it
+    does not lower the residual max-norm and a picard_fn is given, the
+    direction is replaced by picard_fn's and its full step is tried instead;
+    without one, the rejected full step is the first trial of the line
+    search.  Up to 25 halvings of the direction follow.  When none of them
+    lowers the residual norm, the full step along the last direction is
+    accepted anyway (the non-monotone fallback), at most 5 times per call
+    before a NewtonFailure.
+
+    The divergence kind passes picard_fn, the matrix with the face
+    coefficients Psi(b(u)) frozen: where the exact step is rejected, that
+    iteration takes a Picard step, and the next one tries exact Newton again
+    (the Newton / L-scheme switch of List and Radu, after Pop, Radu and
+    Knabner).  Exact Newton with halvings alone crawls on the punctured ball:
+    there the benchmark's `solve` items took 10-26 times longer and
+    substepped.  Over one pass of that workload the fallback was taken 51
+    times, all in divergence steps (26 interval, 19 annulus, 6 punctured
+    ball; 123 when every divergence iteration was a Picard one), and never
+    in its trace or Pucci solves or in the criterion-6 ensemble.
     """
+
+    def trial(u, du):
+        u_try = u + du
+        r_try = residual_fn(u_try)
+        return u_try, r_try, float(np.max(np.abs(r_try)))
+
+    def lowers(norm_try, norm):
+        return norm_try < norm or norm_try <= NEWTON_TOL
+
     u = u_free.copy()
     hist = []
     r = residual_fn(u)
@@ -215,24 +250,24 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
     for it in range(policy.max_iters):
         if norm <= NEWTON_TOL:
             return u, it, hist
-        lower, diag, upper = jacobian_fn(u)
-        du = _solve_tridiagonal(lower, diag, upper, -r)
-        for trial in range(26):
-            u_try = u + du
-            r_try = residual_fn(u_try)
-            norm_try = float(np.max(np.abs(r_try)))
-            if trial == 0:
-                u_full, r_full, norm_full = u_try, r_try, norm_try
-            if norm_try < norm or norm_try <= NEWTON_TOL:
-                u, r, norm = u_try, r_try, norm_try
+        du = _solve_tridiagonal(*jacobian_fn(u), -r)
+        full = step = trial(u, du)
+        if not lowers(step[2], norm) and picard_fn is not None:
+            du = _solve_tridiagonal(*picard_fn(u), -r)
+            full = step = trial(u, du)
+        for _ in range(25):
+            if lowers(step[2], norm):
                 break
             du *= 0.5
+            step = trial(u, du)
+        if lowers(step[2], norm):
+            u, r, norm = step
         else:
-            # non-monotone fallback: take the policy-iteration step anyway
+            # non-monotone fallback: take the full step anyway
             stalls += 1
-            if stalls > 5 or not np.all(np.isfinite(r_full)):
+            if stalls > 5 or not np.all(np.isfinite(full[1])):
                 raise NewtonFailure("line search stalled", hist)
-            u, r, norm = u_full, r_full, norm_full
+            u, r, norm = full
         hist.append(norm)
     if norm <= NEWTON_TOL:
         return u, policy.max_iters, hist
@@ -265,9 +300,10 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
                               radial=spec.geometry.radial)
         return np.asarray(bval(u_free)) - b_prev - dt * F
 
-    def jacobian(u_free):
+    def jacobian(u_free, picard=False):
         lower, diag, upper = operator_jacobian_1d(spec.op, full(u_free), x, spec.b,
-                                                  radial=spec.geometry.radial)
+                                                  radial=spec.geometry.radial,
+                                                  picard=picard)
         if reflect:
             # ghost = u[1]: fold the ghost column into the first superdiagonal
             upper[0] += lower[0]
@@ -275,7 +311,8 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
         bd = np.asarray(bder(u_free))
         return -dt * lower, bd - dt * diag, -dt * upper
 
-    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy)
+    picard = partial(jacobian, picard=True) if spec.op.kind == "divergence" else None
+    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy, picard)
     base[free] = sol_free
     return base, iters
 

@@ -157,7 +157,7 @@ class TestConfig:
         assert (b.breakpoints, b.slopes) == ((0.0, 1.0), (1.0, 2.0))
 
     def test_horizon_not_whole_steps_is_config_error(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^time.T = 0.1, time.dt = 0.03: need dt > 0"):
             problem_from_config(parse_config("time.T = 0.1\ntime.dt = 0.03\n"))
 
 
@@ -314,10 +314,19 @@ class TestCLI:
             assert not out.exists()
             err = capsys.readouterr().err
             assert err.startswith("config error:") and line in err, line
-        # fewer than 3 grid nodes, and a Psi that is not positive on [0, inf)
-        for line, needle in (("grid.n = 2", "grid = 2"), ("grid.n = 0", "grid = 0"),
+        # fewer than 3 grid nodes, a Psi that is not positive on [0, inf),
+        # and each rule of Geometry, ProblemSpec and b_n: the message names
+        # the config keys, not the fields they fill
+        for line, needle in (("grid.n = 2", "grid.n = 2: need at least 3 grid nodes"),
+                             ("grid.n = 0", "grid.n = 0: need at least 3 grid nodes"),
                              ("op.kind = divergence\npsi.kind = polynomial\n"
-                              "psi.coeffs = 1.0, -2.0", "psi.coeffs = 1.0, -2.0")):
+                              "psi.coeffs = 1.0, -2.0", "psi.coeffs = 1.0, -2.0"),
+                             ("time.dt = 0.03", "time.T = 0.1, time.dt = 0.03: need dt > 0"),
+                             ("grid.lo = 2", "grid.lo = 2.0, grid.hi = 1.0: need lo < hi"),
+                             ("geometry.kind = radial-annulus\ngrid.lo = 0",
+                              "geometry.kind = radial-annulus, grid.lo = 0.0: radial"),
+                             ("geometry.kind = disc", "geometry.kind = disc: unknown"),
+                             ("b.n = 0", "b.n = 0: smoothing index must be >= 1")):
             p.write_text(JUMP_CFG + line + "\n")
             out = tmp_path / "o"
             assert main(["solve", "--config", str(p), "--out", str(out)]) == 2, line
@@ -359,7 +368,8 @@ class TestCLI:
         p.write_text(JUMP_CFG.replace("b.kind = positive-part\n", table))
         out = tmp_path / "o"
         assert main(["solve", "--config", str(p), "--out", str(out)]) == 2
-        assert "b.kind" in capsys.readouterr().err and not out.exists()
+        err = capsys.readouterr().err
+        assert "b.n = 16, b.kind = lipschitz-table: b_n smooths" in err and not out.exists()
         p.write_text(JUMP_CFG.replace("b.kind = positive-part\nb.n = 16\n", table))
         assert problem_from_config(load_config(p)).bn is None
         assert main(["sweep-n", "--config", str(p), "--n", "4,8,16",

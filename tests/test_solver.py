@@ -214,6 +214,58 @@ class TestStepParabolic:
             step_parabolic(spec, spec.initial_values(), 0.1, dt=0.0)
 
 
+def richards_wave_profile(xi, p):
+    """Travelling wave u = f(x + t) of b(u)_t = (Psi(b(u)) u_x)_x with b = s_+
+    and Psi(y) = 1 + p y: f = -xi for xi >= 0 and, for xi < 0, the root f in
+    (0, 1) of xi = p f + (1 + p) log(1 - f), which decreases in f, found by
+    bisection.  The flux Psi(f) f' = f - 1 is continuous at the front xi = 0."""
+    xi = np.asarray(xi, dtype=float)
+    lo, hi = np.zeros_like(xi), np.ones_like(xi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        left = p * mid + (1 + p) * np.log1p(-mid) > xi  # the root lies above mid
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return np.where(xi >= 0, -xi, 0.5 * (lo + hi))
+
+
+class TestRichardsWave:
+    # sup errors over all levels at 101 and 201 nodes, measured with the exact
+    # divergence Jacobian; a Picard-only solve gives the same to 4 digits
+    ERRORS = {0: (2.0024e-3, 9.8147e-4), 2: (1.5982e-3, 7.7529e-4)}
+
+    @staticmethod
+    def _run(p, grid):
+        psi = PsiSpec("constant", (1.0,)) if p == 0 else PsiSpec("polynomial", (1.0, p))
+        spec = ProblemSpec(
+            geometry=Geometry("interval", -1.0, 1.0),
+            op=OperatorSpec(kind="divergence", psi=psi),
+            g_lo=lambda t: float(richards_wave_profile(-1.0 + t, p)),
+            g_hi=lambda t: float(richards_wave_profile(1.0 + t, p)),
+            u0=lambda x: richards_wave_profile(x, p),
+            T=0.4, grid=grid, dt=1.0 / (grid - 1))  # dt = h / 2
+        out = run(spec)
+        exact = richards_wave_profile(out.x[None, :] + out.times[:, None], p)
+        return float(np.max(np.abs(out.values - exact))), out.newton_iterations
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_error_order_and_newton_count(self, p):
+        (e1, _), (e2, iters) = self._run(p, 101), self._run(p, 201)
+        assert (e1, e2) == pytest.approx(self.ERRORS[p], rel=0.01)
+        assert math.log2(e1 / e2) >= 0.9
+        # Psi' = 0 at p = 0: the Picard step is the Newton step
+        assert iters <= (119 if p == 0 else 300), iters
+
+    def test_profile_solves_the_front_relation(self):
+        xi = np.linspace(-3.0, 1.0, 41)
+        for p in (0, 2):
+            f = richards_wave_profile(xi, p)
+            neg = xi < 0
+            assert np.all((f[neg] > 0) & (f[neg] < 1))
+            assert np.allclose(p * f[neg] + (1 + p) * np.log1p(-f[neg]), xi[neg],
+                               rtol=0, atol=1e-14)
+            assert np.array_equal(f[~neg], -xi[~neg])
+
+
 def _reference_fronts(x, u):
     """Scalar loop: zero nodes and interpolated sign changes, left to right."""
     locs = []
@@ -507,6 +559,31 @@ class TestStationaryTail:
         flux = spec.dt * (faces[:, -1] * (u[:, -1] - u[:, -2])
                           - faces[:, 0] * (u[:, 1] - u[:, 0])) / h
         assert np.max(np.abs(stored - flux)) <= 1e-9
+
+
+class TestJacobianWork:
+    def test_one_jacobian_per_newton_iteration_for_pucci(self, monkeypatch):
+        # a kind with one matrix pays for one assembly per iteration, also
+        # when the line search rejects the full step
+        from ellpar import solver
+
+        calls = {"apply": 0, "jacobian": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solver, "apply_operator_1d",
+                            counting("apply", solver.apply_operator_1d))
+        monkeypatch.setattr(solver, "operator_jacobian_1d",
+                            counting("jacobian", solver.operator_jacobian_1d))
+        out = run(replace(_pucci_annulus_spec(), T=0.05))
+        assert out.newton_iterations > 0
+        assert calls["jacobian"] == out.newton_iterations
+        # one residual per solve and per trial: some full step was halved
+        assert calls["apply"] > out.steps + out.newton_iterations
 
 
 class TestPerturbations:
