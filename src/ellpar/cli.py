@@ -8,6 +8,7 @@ Exit codes: 0 success / criteria pass, 1 criterion or verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -192,7 +193,10 @@ def _cmd_accept(args):
     return code
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first call and shared by every
+    later one: parse_args leaves it as it was."""
     p = argparse.ArgumentParser(prog="ellpar",
                                 description="phase-transition problems as "
                                 "singular limits of regularized parabolic ones")
@@ -240,8 +244,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

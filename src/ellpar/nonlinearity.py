@@ -100,6 +100,10 @@ def bn_eval(fam: BnFamily, s):
     return out if out.ndim else float(out)
 
 
+# the representable values nearest 0 and 1 inside (0, 1)
+_OPEN_LO, _OPEN_HI = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+
+
 def bn_derivative(fam: BnFamily, s):
     """b_n'(s) = sigmoid(n^2 s - n), strictly in (0, 1).
 
@@ -114,7 +118,7 @@ def bn_derivative(fam: BnFamily, s):
     # stable logistic
     e = np.exp(-np.abs(z))
     out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    out = np.minimum(np.maximum(out, _OPEN_LO), _OPEN_HI)
     return out if out.ndim else float(out)
 
 

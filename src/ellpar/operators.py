@@ -248,7 +248,7 @@ def apply_operator_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
 
 
 def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
-                         radial: bool = False, picard: bool = False):
+                         radial: bool = False):
     """Tridiagonal (lower, diag, upper) of the linearization of
     apply_operator_1d at the interior nodes.
 
@@ -256,8 +256,7 @@ def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
     selection: the semismooth (generalized) Jacobian, exact away from the
     switching set.  The divergence kind is exact, face term included:
     dc_{i+1/2}/du_j = Psi'(b(u_j)) b'(u_j) r_{i+1/2} / 2 for j = i, i+1,
-    with b' taken from the left at a kink.  picard=True, for the divergence
-    kind only, freezes the face coefficients instead: the Picard matrix.
+    with b' taken from the left at a kink.
     """
     u = np.asarray(u, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -266,15 +265,11 @@ def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
         faces, face_w, w = _divergence_fluxes(op, u, x, bspec, radial)
         # right and left: d/du_{k+1} and -d/du_k of the face flux
         # c_k (u_{k+1} - u_k), where c_k moves with both of its nodes
-        right = left = faces
-        if not picard:
-            q = 0.5 * face_w * np.diff(u)
-            dpsi = psi_derivative(op.psi, b_eval(bspec, u)) * b_derivative(bspec, u)
-            right, left = faces + q * dpsi[1:], faces - q * dpsi[:-1]
+        q = 0.5 * face_w * np.diff(u)
+        dpsi = psi_derivative(op.psi, b_eval(bspec, u)) * b_derivative(bspec, u)
+        right, left = faces + q * dpsi[1:], faces - q * dpsi[:-1]
         scale = h**2 * w[1:-1]
         return left[:-1] / scale, -(left[1:] + right[:-1]) / scale, right[1:] / scale
-    if picard:
-        raise ValueError(f"the {op.kind} kind has no Picard matrix")
     d2, d1 = _differences(u, h)
     a2, a1, a0 = _active_coefficients(op, d2, d1, u[1:-1], x[1:-1], radial)
     lower = a2 / h**2 - a1 / (2 * h)

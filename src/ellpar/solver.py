@@ -4,20 +4,18 @@ elliptic solver, and the singular-limit / bracketing studies.
 
 Explicit stepping is hopeless here: the stability bound involves min b_n',
 which decays like e^{-n} in the negative phase.  Every step therefore solves
-the nonlinear system b_n(u) - b_n(u_prev) - dt F(u) = 0 with a damped Newton
-iteration on a tridiagonal Jacobian: the semismooth one of the active
-coefficient selection for the trace, Pucci and Bellman-Isaacs kinds, and
-the exact one for the divergence kind, whose iterations fall back to a
-Picard step (face coefficients frozen) where the Newton step does not
-lower the residual.  The stationary problem F(D^2 u, Du, u) = 0 is the
-b = 0 case of the same system (the elliptic phase is where b vanishes), so
-both go through one implicit solve.
+the nonlinear system b_n(u) - b_n(u_prev) - dt F(u) = 0 by Newton on a
+tridiagonal Jacobian: the semismooth one of the active coefficient selection,
+damped by a line search, for the trace, Pucci and Bellman-Isaacs kinds, and
+the exact one, with the full step in every iteration, for the divergence
+kind.  The stationary problem F(D^2 u, Du, u) = 0 is the b = 0 case of the
+same system (the elliptic phase is where b vanishes), so both go through one
+implicit solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -208,29 +206,26 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy, picard_fn=None):
-    """Damped semismooth Newton on the free nodes; returns (solution,
-    iterations, residual history).
+def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy,
+            line_search: bool = True):
+    """Newton on the free nodes; returns (solution, iterations, residual
+    history).  A non-finite residual raises NewtonFailure before the next
+    linear solve, as does a residual max-norm above NEWTON_TOL after
+    policy.max_iters iterations.
 
-    Each iteration tries the full step along jacobian_fn's direction.  If it
-    does not lower the residual max-norm and a picard_fn is given, the
-    direction is replaced by picard_fn's and its full step is tried instead;
-    without one, the rejected full step is the first trial of the line
-    search.  Up to 25 halvings of the direction follow.  When none of them
-    lowers the residual norm, the full step along the last direction is
-    accepted anyway (the non-monotone fallback), at most 5 times per call
-    before a NewtonFailure.
+    Without line_search (the divergence kind, on its exact Jacobian) every
+    iteration takes the full step.  Where b is convex, Psi constant and the
+    scheme monotone, the residual is a convex M-function, on which the full
+    step converges monotonically from any start (Ortega and Rheinboldt 1970,
+    13.3); for other Psi the rule rests on measurement.  Over one pass of the
+    benchmark's `solve` workload the divergence solves take 914 iterations,
+    with one residual and one matrix each.
 
-    The divergence kind passes picard_fn, the matrix with the face
-    coefficients Psi(b(u)) frozen: where the exact step is rejected, that
-    iteration takes a Picard step, and the next one tries exact Newton again
-    (the Newton / L-scheme switch of List and Radu, after Pop, Radu and
-    Knabner).  Exact Newton with halvings alone crawls on the punctured ball:
-    there the benchmark's `solve` items took 10-26 times longer and
-    substepped.  Over one pass of that workload the fallback was taken 51
-    times, all in divergence steps (26 interval, 19 annulus, 6 punctured
-    ball; 123 when every divergence iteration was a Picard one), and never
-    in its trace or Pucci solves or in the criterion-6 ensemble.
+    With line_search (the trace, Pucci and Bellman-Isaacs kinds, on their
+    semismooth Jacobians) a full step that does not lower the residual
+    max-norm is the first trial of up to 25 halvings.  When none of them
+    lowers it, the full step is accepted anyway (the non-monotone fallback),
+    at most 5 times per call before a NewtonFailure.
     """
 
     def trial(u, du):
@@ -242,32 +237,30 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy, picard_fn=No
         return norm_try < norm or norm_try <= NEWTON_TOL
 
     u = u_free.copy()
-    hist = []
     r = residual_fn(u)
     norm = float(np.max(np.abs(r)))
-    hist.append(norm)
+    hist = [norm]
     stalls = 0
     for it in range(policy.max_iters):
         if norm <= NEWTON_TOL:
             return u, it, hist
+        if not np.isfinite(norm):
+            raise NewtonFailure("non-finite residual", hist)
         du = _solve_tridiagonal(*jacobian_fn(u), -r)
         full = step = trial(u, du)
-        if not lowers(step[2], norm) and picard_fn is not None:
-            du = _solve_tridiagonal(*picard_fn(u), -r)
-            full = step = trial(u, du)
-        for _ in range(25):
-            if lowers(step[2], norm):
-                break
-            du *= 0.5
-            step = trial(u, du)
-        if lowers(step[2], norm):
-            u, r, norm = step
-        else:
-            # non-monotone fallback: take the full step anyway
-            stalls += 1
-            if stalls > 5 or not np.all(np.isfinite(full[1])):
-                raise NewtonFailure("line search stalled", hist)
-            u, r, norm = full
+        if line_search:
+            for _ in range(25):
+                if lowers(step[2], norm):
+                    break
+                du *= 0.5
+                step = trial(u, du)
+            if not lowers(step[2], norm):
+                # non-monotone fallback: take the full step anyway
+                stalls += 1
+                if stalls > 5:
+                    raise NewtonFailure("line search stalled", hist)
+                step = full
+        u, r, norm = step
         hist.append(norm)
     if norm <= NEWTON_TOL:
         return u, policy.max_iters, hist
@@ -300,10 +293,9 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
                               radial=spec.geometry.radial)
         return np.asarray(bval(u_free)) - b_prev - dt * F
 
-    def jacobian(u_free, picard=False):
+    def jacobian(u_free):
         lower, diag, upper = operator_jacobian_1d(spec.op, full(u_free), x, spec.b,
-                                                  radial=spec.geometry.radial,
-                                                  picard=picard)
+                                                  radial=spec.geometry.radial)
         if reflect:
             # ghost = u[1]: fold the ghost column into the first superdiagonal
             upper[0] += lower[0]
@@ -311,8 +303,8 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
         bd = np.asarray(bder(u_free))
         return -dt * lower, bd - dt * diag, -dt * upper
 
-    picard = partial(jacobian, picard=True) if spec.op.kind == "divergence" else None
-    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy, picard)
+    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy,
+                                 line_search=spec.op.kind != "divergence")
     base[free] = sol_free
     return base, iters
 

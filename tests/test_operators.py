@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ellpar.harness import _bi_operator
-from ellpar.nonlinearity import BSpec, PsiSpec, psi_eval
+from ellpar.nonlinearity import BSpec, PsiSpec
 from ellpar.operators import (
     OperatorSpec,
     apply_operator_1d,
@@ -251,24 +251,6 @@ class TestFiniteDifferenceAssembly:
                 Jv = lower * v[:-2] + diag * v[1:-1] + upper * v[2:]
                 err = np.max(np.abs((F1 - F0) / eps - Jv))
                 assert err <= 1e-7 * np.max(np.abs(Jv)), (op.kind, radial)
-
-    def test_picard_matrix_freezes_the_face_coefficients(self):
-        # the Picard matrix is the flux stencil with Psi(b(u)) held fixed;
-        # only the divergence kind has one
-        x = np.linspace(0.5, 1.5, 21)
-        u = 1.0 + 0.5 * np.sin(3 * x)
-        trace, div = every_kind()[0], every_kind()[4]
-        for radial in (False, True):
-            w = x ** 2 if radial else np.ones_like(x)
-            faces = 0.5 * (psi_eval(div.psi, u[1:]) + psi_eval(div.psi, u[:-1]))
-            faces = faces * ((0.5 * (x[1:] + x[:-1])) ** 2 if radial else 1.0)
-            scale = (x[1] - x[0]) ** 2 * w[1:-1]
-            lower, diag, upper = operator_jacobian_1d(div, u, x, radial=radial, picard=True)
-            assert np.allclose(lower, faces[:-1] / scale, rtol=1e-14, atol=0)
-            assert np.allclose(upper, faces[1:] / scale, rtol=1e-14, atol=0)
-            assert np.allclose(diag, -(faces[1:] + faces[:-1]) / scale, rtol=1e-14, atol=0)
-        with pytest.raises(ValueError, match="no Picard matrix"):
-            operator_jacobian_1d(trace, u, x, picard=True)
 
     def test_jacobian_is_m_matrix_compatible(self):
         # off-diagonal coefficients nonnegative for every kind on a mesh with

@@ -15,6 +15,7 @@ from ellpar.solver import (
     SolverPolicy,
     _advance,
     _front_locations,
+    _newton,
     bracket_maximal_minimal,
     perturb_initial_data,
     run,
@@ -229,8 +230,8 @@ def richards_wave_profile(xi, p):
 
 
 class TestRichardsWave:
-    # sup errors over all levels at 101 and 201 nodes, measured with the exact
-    # divergence Jacobian; a Picard-only solve gives the same to 4 digits
+    # sup errors over all levels at 101 and 201 nodes, measured with the full
+    # step of the exact divergence Jacobian
     ERRORS = {0: (2.0024e-3, 9.8147e-4), 2: (1.5982e-3, 7.7529e-4)}
 
     @staticmethod
@@ -252,7 +253,7 @@ class TestRichardsWave:
         (e1, _), (e2, iters) = self._run(p, 101), self._run(p, 201)
         assert (e1, e2) == pytest.approx(self.ERRORS[p], rel=0.01)
         assert math.log2(e1 / e2) >= 0.9
-        # Psi' = 0 at p = 0: the Picard step is the Newton step
+        # 119 and 240 iterations over the 80 steps at 201 nodes
         assert iters <= (119 if p == 0 else 300), iters
 
     def test_profile_solves_the_front_relation(self):
@@ -562,9 +563,9 @@ class TestStationaryTail:
 
 
 class TestJacobianWork:
-    def test_one_jacobian_per_newton_iteration_for_pucci(self, monkeypatch):
-        # a kind with one matrix pays for one assembly per iteration, also
-        # when the line search rejects the full step
+    @staticmethod
+    def _count_operator_calls(monkeypatch):
+        """Count the solver's calls of apply_operator_1d and operator_jacobian_1d."""
         from ellpar import solver
 
         calls = {"apply": 0, "jacobian": 0}
@@ -579,11 +580,64 @@ class TestJacobianWork:
                             counting("apply", solver.apply_operator_1d))
         monkeypatch.setattr(solver, "operator_jacobian_1d",
                             counting("jacobian", solver.operator_jacobian_1d))
+        return calls
+
+    def test_one_jacobian_per_newton_iteration_for_pucci(self, monkeypatch):
+        # a kind with one matrix pays for one assembly per iteration, also
+        # when the line search rejects the full step
+        calls = self._count_operator_calls(monkeypatch)
         out = run(replace(_pucci_annulus_spec(), T=0.05))
         assert out.newton_iterations > 0
         assert calls["jacobian"] == out.newton_iterations
         # one residual per solve and per trial: some full step was halved
         assert calls["apply"] > out.steps + out.newton_iterations
+
+    def test_richards_takes_the_full_exact_step(self, monkeypatch):
+        # one exact matrix and one residual per iteration, plus the first
+        # residual of each solved step: no second direction, no halving
+        calls = self._count_operator_calls(monkeypatch)
+        out = run(_richards_annulus_spec())
+        assert out.newton_iterations > 0
+        assert calls["jacobian"] == out.newton_iterations
+        assert calls["apply"] == out.newton_iterations + out.steps
+
+    @pytest.mark.parametrize("line_search", [True, False])
+    @pytest.mark.parametrize("finite_at_start", [False, True], ids=["start", "first-step"])
+    def test_non_finite_residual_is_a_newton_failure(self, line_search, finite_at_start):
+        # the residual is NaN away from the start u = 0, or everywhere:
+        # scipy never sees it as a right-hand side
+        def residual(u):
+            return np.where((u == 0) & finite_at_start, -1.0, np.nan)
+
+        def jacobian(u):
+            return np.zeros_like(u), np.ones_like(u), np.zeros_like(u)
+
+        with pytest.raises(NewtonFailure, match="non-finite residual"):
+            _newton(residual, jacobian, np.zeros(5), SolverPolicy(), line_search)
+
+
+def _richards_plateau_spec(psi, grid):
+    """A positive cap on the annulus [0.2, 1] in three dimensions, held at
+    0.42 on the inner sphere, with b = s_+.  The first step moves the front
+    inward by about 0.028: across more nodes the finer the grid."""
+    return ProblemSpec(
+        geometry=Geometry("radial-annulus", 0.2, 1.0),
+        op=OperatorSpec(kind="divergence", n_dim=3, psi=psi),
+        b=BSpec("positive-part"), g_lo=0.42, g_hi=-1.0,
+        u0=lambda r: np.where(r <= 0.5, 0.5 * (1 - (r / 0.5) ** 2), -2 * (r - 0.5)),
+        T=0.04, grid=grid, dt=1e-3)
+
+
+class TestRichardsNewtonCount:
+    @pytest.mark.parametrize("psi", [PsiSpec("constant", (1.0,)),
+                                     PsiSpec("polynomial", (1.0, 2.0))],
+                             ids=["psi-1", "psi-1+2y"])
+    def test_no_substeps_and_a_grid_independent_count(self, psi):
+        # a line search substepped here; the full step takes 77 and 83
+        # iterations at Psi = 1, 122 and 124 at Psi = 1 + 2y
+        coarse, fine = (run(_richards_plateau_spec(psi, grid)) for grid in (801, 1601))
+        assert (coarse.steps, fine.steps) == (40, 40)
+        assert fine.newton_iterations <= 1.1 * coarse.newton_iterations
 
 
 class TestPerturbations:
