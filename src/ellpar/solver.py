@@ -5,12 +5,11 @@ elliptic solver, and the singular-limit / bracketing studies.
 Explicit stepping is hopeless here: the stability bound involves min b_n',
 which decays like e^{-n} in the negative phase.  Every step therefore solves
 the nonlinear system b_n(u) - b_n(u_prev) - dt F(u) = 0 by Newton on a
-tridiagonal Jacobian: the semismooth one of the active coefficient selection,
-damped by a line search, for the trace, Pucci and Bellman-Isaacs kinds, and
-the exact one, with the full step in every iteration, for the divergence
-kind.  The stationary problem F(D^2 u, Du, u) = 0 is the b = 0 case of the
-same system (the elliptic phase is where b vanishes), so both go through one
-implicit solve.
+tridiagonal Jacobian (semismooth for the active coefficient selection of the
+trace, Pucci and Bellman-Isaacs kinds, exact for the divergence kind), with
+the full step in every iteration.  The stationary problem F(D^2 u, Du, u) = 0
+is the b = 0 case of the same system (the elliptic phase is where b
+vanishes), so both go through one implicit solve.
 """
 
 from __future__ import annotations
@@ -206,64 +205,33 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs)
 
 
-def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy,
-            line_search: bool = True):
-    """Newton on the free nodes; returns (solution, iterations, residual
-    history).  A non-finite residual raises NewtonFailure before the next
-    linear solve, as does a residual max-norm above NEWTON_TOL after
-    policy.max_iters iterations.
+def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
+    """Newton on the free nodes, with the full step u + J^{-1}(-r) in every
+    iteration; returns (solution, iterations, residual history).  A
+    non-finite residual raises NewtonFailure before the next linear solve, as
+    does a residual max-norm above NEWTON_TOL after policy.max_iters
+    iterations; `_advance` then splits the time step in two.
 
-    Without line_search (the divergence kind, on its exact Jacobian) every
-    iteration takes the full step.  Where b is convex, Psi constant and the
-    scheme monotone, the residual is a convex M-function, on which the full
-    step converges monotonically from any start (Ortega and Rheinboldt 1970,
-    13.3); for other Psi the rule rests on measurement.  Over one pass of the
-    benchmark's `solve` workload the divergence solves take 914 iterations,
-    with one residual and one matrix each.
-
-    With line_search (the trace, Pucci and Bellman-Isaacs kinds, on their
-    semismooth Jacobians) a full step that does not lower the residual
-    max-norm is the first trial of up to 25 halvings.  When none of them
-    lowers it, the full step is accepted anyway (the non-monotone fallback),
-    at most 5 times per call before a NewtonFailure.
+    Where b is convex, F linear or concave (the trace and Pucci-minus kinds,
+    and the divergence kind with constant Psi) and the scheme monotone, the
+    residual is a convex M-function, on which the full step converges
+    monotonically from any start (Ortega and Rheinboldt 1970, 13.3; Howard's
+    algorithm in Bokanowski, Maroso and Zidani 2009).  For Pucci-plus, the
+    Bellman-Isaacs kind and non-constant Psi the rule rests on measurement,
+    with the iteration budget and `_advance`'s substeps as its net.
     """
-
-    def trial(u, du):
-        u_try = u + du
-        r_try = residual_fn(u_try)
-        return u_try, r_try, float(np.max(np.abs(r_try)))
-
-    def lowers(norm_try, norm):
-        return norm_try < norm or norm_try <= NEWTON_TOL
-
     u = u_free.copy()
-    r = residual_fn(u)
-    norm = float(np.max(np.abs(r)))
-    hist = [norm]
-    stalls = 0
-    for it in range(policy.max_iters):
+    hist = []
+    for it in range(policy.max_iters + 1):
+        r = residual_fn(u)
+        norm = float(np.max(np.abs(r)))
+        hist.append(norm)
         if norm <= NEWTON_TOL:
             return u, it, hist
         if not np.isfinite(norm):
             raise NewtonFailure("non-finite residual", hist)
-        du = _solve_tridiagonal(*jacobian_fn(u), -r)
-        full = step = trial(u, du)
-        if line_search:
-            for _ in range(25):
-                if lowers(step[2], norm):
-                    break
-                du *= 0.5
-                step = trial(u, du)
-            if not lowers(step[2], norm):
-                # non-monotone fallback: take the full step anyway
-                stalls += 1
-                if stalls > 5:
-                    raise NewtonFailure("line search stalled", hist)
-                step = full
-        u, r, norm = step
-        hist.append(norm)
-    if norm <= NEWTON_TOL:
-        return u, policy.max_iters, hist
+        if it < policy.max_iters:
+            u = u + _solve_tridiagonal(*jacobian_fn(u), -r)
     raise NewtonFailure("no convergence within the iteration budget", hist)
 
 
@@ -303,8 +271,7 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
         bd = np.asarray(bder(u_free))
         return -dt * lower, bd - dt * diag, -dt * upper
 
-    sol_free, iters, _ = _newton(residual, jacobian, base[free].copy(), policy,
-                                 line_search=spec.op.kind != "divergence")
+    sol_free, iters, _ = _newton(residual, jacobian, base[free], policy)
     base[free] = sol_free
     return base, iters
 

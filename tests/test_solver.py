@@ -4,11 +4,12 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from ellpar.harness import _pucci_radial_exact, jump_initial, make_jump_scenario
+from ellpar.harness import _bi_operator, _pucci_radial_exact, jump_initial, make_jump_scenario
 from ellpar.nonlinearity import BnFamily, BSpec, PsiSpec, b_eval, psi_eval
 from ellpar.operators import OperatorSpec
 from ellpar.regularize import GridField
 from ellpar.solver import (
+    ORDER_TOL,
     Geometry,
     NewtonFailure,
     ProblemSpec,
@@ -17,6 +18,7 @@ from ellpar.solver import (
     _front_locations,
     _newton,
     bracket_maximal_minimal,
+    max_principle_bounds,
     perturb_initial_data,
     run,
     singular_limit_study,
@@ -374,6 +376,19 @@ class TestRun:
         hi_run = run(hi, SolverPolicy())
         assert float(np.min(hi_run.values - lo_run.values)) >= -1e-9
 
+    @pytest.mark.parametrize("grid", [201, 801])
+    def test_bellman_isaacs_jump_run(self, grid):
+        # the Bellman-Isaacs kind solves every macro step whole, and each
+        # step stays inside the bounds that the maximum principle puts on it
+        spec = replace(make_jump_scenario(grid=grid).spec, op=_bi_operator())
+        out = run(spec)
+        assert out.steps + out.repeated_steps == spec.steps
+        assert out.extinction_time is not None
+        for k in range(spec.steps):
+            lo, hi = max_principle_bounds(spec, out.values[k], out.times[k + 1])
+            assert lo - ORDER_TOL <= out.values[k + 1].min()
+            assert out.values[k + 1].max() <= hi + ORDER_TOL
+
     def test_reflecting_inner_boundary_constant(self):
         # constant data matching the outer boundary is a fixed point on the
         # punctured ball (no-flux inner end)
@@ -562,6 +577,25 @@ class TestStationaryTail:
         assert np.max(np.abs(stored - flux)) <= 1e-9
 
 
+def _plateau_spec(op, grid):
+    """A positive cap on the annulus [0.2, 1] in three dimensions, held at
+    0.42 on the inner sphere, with b = s_+.  The first step moves the front
+    inward by about 0.028: across more nodes the finer the grid."""
+    return ProblemSpec(
+        geometry=Geometry("radial-annulus", 0.2, 1.0), op=op,
+        b=BSpec("positive-part"), g_lo=0.42, g_hi=-1.0,
+        u0=lambda r: np.where(r <= 0.5, 0.5 * (1 - (r / 0.5) ** 2), -2 * (r - 0.5)),
+        T=0.04, grid=grid, dt=1e-3)
+
+
+# the kinds of the plateau runs, with lambda = 1 and Lambda = 2 for Pucci
+_TRACE_AND_PUCCI = [
+    OperatorSpec(kind="trace", lam=1.0, Lam=1.0, n_dim=3),
+    OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.0, n_dim=3),
+    OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=3),
+]
+
+
 class TestJacobianWork:
     @staticmethod
     def _count_operator_calls(monkeypatch):
@@ -582,28 +616,21 @@ class TestJacobianWork:
                             counting("jacobian", solver.operator_jacobian_1d))
         return calls
 
-    def test_one_jacobian_per_newton_iteration_for_pucci(self, monkeypatch):
-        # a kind with one matrix pays for one assembly per iteration, also
-        # when the line search rejects the full step
+    @pytest.mark.parametrize("op", [
+        *_TRACE_AND_PUCCI, _bi_operator(),
+        OperatorSpec(kind="divergence", n_dim=3, psi=PsiSpec("polynomial", (1.0, 2.0))),
+    ], ids=lambda op: op.kind)
+    def test_one_jacobian_and_one_residual_per_iteration(self, monkeypatch, op):
+        # every iteration takes the full step: one matrix and one residual
+        # per iteration, plus the first residual of each solved step
         calls = self._count_operator_calls(monkeypatch)
-        out = run(replace(_pucci_annulus_spec(), T=0.05))
-        assert out.newton_iterations > 0
-        assert calls["jacobian"] == out.newton_iterations
-        # one residual per solve and per trial: some full step was halved
-        assert calls["apply"] > out.steps + out.newton_iterations
-
-    def test_richards_takes_the_full_exact_step(self, monkeypatch):
-        # one exact matrix and one residual per iteration, plus the first
-        # residual of each solved step: no second direction, no halving
-        calls = self._count_operator_calls(monkeypatch)
-        out = run(_richards_annulus_spec())
+        out = run(_plateau_spec(op, 201))
         assert out.newton_iterations > 0
         assert calls["jacobian"] == out.newton_iterations
         assert calls["apply"] == out.newton_iterations + out.steps
 
-    @pytest.mark.parametrize("line_search", [True, False])
     @pytest.mark.parametrize("finite_at_start", [False, True], ids=["start", "first-step"])
-    def test_non_finite_residual_is_a_newton_failure(self, line_search, finite_at_start):
+    def test_non_finite_residual_is_a_newton_failure(self, finite_at_start):
         # the residual is NaN away from the start u = 0, or everywhere:
         # scipy never sees it as a right-hand side
         def residual(u):
@@ -613,19 +640,7 @@ class TestJacobianWork:
             return np.zeros_like(u), np.ones_like(u), np.zeros_like(u)
 
         with pytest.raises(NewtonFailure, match="non-finite residual"):
-            _newton(residual, jacobian, np.zeros(5), SolverPolicy(), line_search)
-
-
-def _richards_plateau_spec(psi, grid):
-    """A positive cap on the annulus [0.2, 1] in three dimensions, held at
-    0.42 on the inner sphere, with b = s_+.  The first step moves the front
-    inward by about 0.028: across more nodes the finer the grid."""
-    return ProblemSpec(
-        geometry=Geometry("radial-annulus", 0.2, 1.0),
-        op=OperatorSpec(kind="divergence", n_dim=3, psi=psi),
-        b=BSpec("positive-part"), g_lo=0.42, g_hi=-1.0,
-        u0=lambda r: np.where(r <= 0.5, 0.5 * (1 - (r / 0.5) ** 2), -2 * (r - 0.5)),
-        T=0.04, grid=grid, dt=1e-3)
+            _newton(residual, jacobian, np.zeros(5), SolverPolicy())
 
 
 class TestRichardsNewtonCount:
@@ -633,11 +648,32 @@ class TestRichardsNewtonCount:
                                      PsiSpec("polynomial", (1.0, 2.0))],
                              ids=["psi-1", "psi-1+2y"])
     def test_no_substeps_and_a_grid_independent_count(self, psi):
-        # a line search substepped here; the full step takes 77 and 83
-        # iterations at Psi = 1, 122 and 124 at Psi = 1 + 2y
-        coarse, fine = (run(_richards_plateau_spec(psi, grid)) for grid in (801, 1601))
+        # the full step takes 77 and 83 iterations at Psi = 1, 122 and 124
+        # at Psi = 1 + 2y
+        op = OperatorSpec(kind="divergence", n_dim=3, psi=psi)
+        coarse, fine = (run(_plateau_spec(op, grid)) for grid in (801, 1601))
         assert (coarse.steps, fine.steps) == (40, 40)
         assert fine.newton_iterations <= 1.1 * coarse.newton_iterations
+
+
+class TestAnnulusNewtonCount:
+    """The plateau run for the nondivergence kinds.  Its first step moves
+    the front across more nodes the finer the grid; Newton's full step
+    crosses them in a few iterations at every grid, so no step is split."""
+
+    @pytest.mark.parametrize("op", _TRACE_AND_PUCCI, ids=lambda op: op.kind)
+    def test_first_step_count_does_not_grow_with_the_grid(self, op):
+        # 3-5 iterations from 201 to 3,201 nodes
+        for grid in (201, 801, 3201):
+            spec = _plateau_spec(op, grid)
+            _, iters = step_parabolic(spec, spec.initial_values(), spec.dt, spec.dt)
+            assert iters <= 6
+
+    @pytest.mark.parametrize("op", _TRACE_AND_PUCCI, ids=lambda op: op.kind)
+    def test_no_substeps(self, op):
+        for grid in (801, 1601):
+            out = run(_plateau_spec(op, grid))
+            assert out.steps + out.repeated_steps == 40
 
 
 class TestPerturbations:
