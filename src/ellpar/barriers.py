@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import edge_zeros
 from .nonlinearity import (
     BSpec,
     b_derivative,
@@ -41,12 +40,9 @@ __all__ = [
     "eval_radial_barrier",
     "solve_heatkernel_barrier",
     "solve_logdiv_barrier",
-    "eval_logdiv_barrier",
     "make_parabola_barrier",
     "make_eps_eta_barrier",
     "verify_subsolution_margin",
-    "front_offset_sets",
-    "FrontOffsetMask",
 ]
 
 
@@ -279,6 +275,7 @@ class LogDivBarrier:
     bspec: BSpec
 
     def profile(self, s):
+        """psi, psi', psi'' at s = |x| - omega t - rho0, elementwise."""
         s = np.asarray(s, dtype=float)
         val = np.log(self.a * self.k * s + 1.0) / self.k
         d1 = self.a / (self.a * self.k * s + 1.0)
@@ -338,16 +335,6 @@ def solve_logdiv_barrier(op: OperatorSpec, bspec: BSpec, omega: float, rho0: flo
         raise BarrierInfeasible("amplitude selection failed re-verification")
     return LogDivBarrier(k1=k1, k2=k2, k=k, a=a, eta=eta, omega=omega,
                          rho0=rho0, M=M, op=op, bspec=bspec)
-
-
-def eval_logdiv_barrier(bar: LogDivBarrier, x_norm: float, t: float):
-    """Value and (d/dt, d/drho, d2/drho2) at (|x|, t); the argument must be in
-    the moving collar 0 <= |x| - omega t - rho0 <= eta."""
-    s = x_norm - bar.omega * t - bar.rho0
-    if not (0.0 <= s <= bar.eta):
-        raise OutOfWindowError("point outside the moving collar")
-    val, d1, d2 = bar.profile(s)
-    return float(val), float(-bar.omega * d1), float(d1), float(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -516,62 +503,3 @@ _CHECKS = {
     ParabolaBarrier: ("parabola", "sub", _verify_parabola, lambda w: w >= -1e-10),
     EpsEtaBarrier: ("parabola", "super", _verify_eps_eta, lambda w: w > 0),
 }
-
-
-# ---------------------------------------------------------------------------
-# front offset sets
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FrontOffsetMask:
-    mask: np.ndarray
-    intervals: list
-    offset: float
-
-
-def _positive_intervals(x, u):
-    """Open intervals of {u > 0}: each maximal run of positive nodes, ended
-    by the zero of the linear interpolant on its bounding edge, or by the
-    end of the grid."""
-    n = len(u)
-    step = np.diff(np.concatenate(([0], (u > 0).astype(np.int8), [0])))
-    first = np.flatnonzero(step == 1)
-    last = np.flatnonzero(step == -1) - 1
-    i = np.maximum(first - 1, 0)
-    starts = np.where(first == 0, x[0], edge_zeros(x, i, u[i], u[i + 1]))
-    i = np.minimum(last, n - 2)
-    ends = np.where(last == n - 1, x[-1], edge_zeros(x, i, u[i], u[i + 1]))
-    return list(zip(starts, ends))
-
-
-def _dist_to_intervals(x, intervals):
-    d = np.full_like(np.asarray(x, dtype=float), np.inf)
-    for a, b in intervals:
-        inside = (x >= a) & (x <= b)
-        d = np.minimum(d, np.where(inside, 0.0, np.minimum(np.abs(x - a), np.abs(x - b))))
-    return d
-
-
-def front_offset_sets(u0: np.ndarray, x: np.ndarray, t: float,
-                      sign: str = "super") -> FrontOffsetMask:
-    """Offset positivity sets with front shift t^(1/4).
-
-    "super": nodes within distance t^(1/4) of {u0 > 0}.
-    "sub": nodes at distance more than t^(1/4) from {u0 < 0}.
-    """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if sign not in ("super", "sub"):
-        raise ValueError("sign must be 'super' or 'sub'")
-    x = np.asarray(x, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    offset = t ** 0.25
-    if sign == "super":
-        intervals = _positive_intervals(x, u0)
-        d = _dist_to_intervals(x, intervals)
-        mask = (u0 > 0) | (d < offset)
-    else:
-        intervals = _positive_intervals(x, -u0)
-        d = _dist_to_intervals(x, intervals)
-        mask = d > offset
-    return FrontOffsetMask(mask=mask, intervals=intervals, offset=offset)

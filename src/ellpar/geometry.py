@@ -3,9 +3,9 @@ for interior lower bounds, the zero set of sampled profiles, and the windowed
 maximum that every body extremum is built on.
 
 The body Xi_r is the Minkowski sum of a space disk of radius r (at time 0) and
-the flattened set {|x|^3 + |t|^2 < r^2}.  Membership reduces to a radial test,
-which is what we implement; the brute-force Minkowski search only appears in
-the tests as an oracle.
+the flattened set {|x|^3 + |t|^2 < r^2}.  Membership in its closure reduces to
+a radial test, which is what we implement; the brute-force Minkowski search
+only appears in the tests as an oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ __all__ = [
     "HarnackChain",
     "xi_contains",
     "xi_slice_radius",
-    "xi_lateral_distance",
     "harnack_chain",
     "harnack_chain_k_bound",
-    "harnack_lower_bound",
     "edge_zeros",
     "WindowMaxTable",
     "window_max",
@@ -49,17 +47,13 @@ def _space_norm(dx) -> float:
     return float(np.linalg.norm(dx))
 
 
-def xi_contains(shape: XiShape, dx, dt: float, closed: bool = False) -> bool:
-    """Test whether the space-time offset (dx, dt) lies in Xi_r.
-
-    Radial reduction: max(|dx| - r, 0)^3 + dt^2 < r^2.  The open body uses
-    strict inequality; pass closed=True for membership in the closure.
-    """
+def xi_contains(shape: XiShape, dx, dt: float) -> bool:
+    """Test whether the space-time offset (dx, dt) lies in the closed body
+    Xi_r, the closure of the Minkowski sum, by the radial reduction
+    max(|dx| - r, 0)^3 + dt^2 <= r^2."""
     r = shape.r
     excess = max(_space_norm(dx) - r, 0.0)
-    lhs = excess**3 + dt * dt
-    rhs = r * r
-    return lhs <= rhs if closed else lhs < rhs
+    return excess**3 + dt * dt <= r * r
 
 
 def xi_slice_radius(shape: XiShape, t: float) -> float:
@@ -71,21 +65,6 @@ def xi_slice_radius(shape: XiShape, t: float) -> float:
     if gap < 0.0:
         raise ValueError(f"the slice of Xi_{r} at t = {t} is empty")
     return r + gap ** (1.0 / 3.0)
-
-
-def xi_lateral_distance(r: float, s: float, t: float) -> float:
-    """Distance from the observation point to the lateral boundary slice at
-    time t, in the configuration where the body's top disk passes at height s.
-
-    Equals s + cbrt(r^2 - (t + r)^2) for t in (-r, 0).
-    """
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    if not (0 < s <= r):
-        raise ValueError("s must lie in (0, r]")
-    if not (-r < t < 0):
-        raise ValueError("t must lie in (-r, 0)")
-    return s + (r * r - (t + r) ** 2) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -129,34 +108,12 @@ def harnack_chain_k_bound(r: float, s: float) -> float:
     return math.log(math.log(s / r) / math.log(0.5)) / math.log(1.5) + 1.0
 
 
-def harnack_lower_bound(alpha: float, s: float, r: float, vmin: float) -> float:
-    """Interior lower bound f(s) = alpha * (log(s/r)/log(1/2))^(log(alpha)/log(3/2)) * vmin.
-
-    f > 0 on (0, r), f(s) -> 0 and f(s)/s -> infinity as s -> 0+.  At s = r the
-    base vanishes and the (negative) exponent makes the value blow up; we return
-    +inf and the caller is expected to clamp.
-    """
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not r > 0:
-        raise ValueError("radius must be positive")
-    if not (0 < s <= r):
-        raise ValueError("s must lie in (0, r]")
-    if not vmin > 0:
-        raise ValueError("vmin must be positive")
-    base = math.log(s / r) / math.log(0.5)
-    expo = math.log(alpha) / math.log(1.5)
-    if base == 0.0:
-        return math.inf
-    return alpha * base**expo * vmin
-
-
 def edge_zeros(x, i, a, b):
     """Zeros of the linear interpolants through (x[i], a) and (x[i+1], b),
     vectorized over the edge indices i; exact at zero nodes: x[i] where
     a == 0, else x[i+1] where b == 0.  The one locator of the free boundary
-    between grid nodes, for solver fronts, positivity intervals and the Hopf
-    front of acceptance criterion 11."""
+    between grid nodes, for solver fronts and the Hopf front of acceptance
+    criterion 11."""
     x0, x1 = x[i], x[i + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         z = x0 + (x1 - x0) * (0 - a) / (b - a)

@@ -48,7 +48,9 @@ class OperatorSpec:
     tr(A M) + drift . p + zeroth * z.  Zeroth coefficients must be <= 0 so the
     operator is proper, and every entry must lie in the class: A symmetric
     n_dim x n_dim with eigenvalues in [lam, Lam], |drift| <= delta1 and
-    |zeroth| <= delta0.
+    |zeroth| <= delta0.  psi is the Psi of the divergence kind (constant 1 if
+    not given).  A field that the kind does not read, psi or a non-empty
+    bi_entries, is a ValueError.
     """
 
     kind: str = "trace"
@@ -69,6 +71,10 @@ class OperatorSpec:
             raise ValueError("delta constants must be nonnegative")
         if self.n_dim < 1:
             raise ValueError("dimension must be >= 1")
+        if self.psi is not None and self.kind != "divergence":
+            raise ValueError(f"psi is read by divergence only, not by {self.kind}")
+        if self.bi_entries and self.kind != "bellman-isaacs":
+            raise ValueError(f"bi_entries are read by bellman-isaacs only, not by {self.kind}")
         if self.kind == "bellman-isaacs":
             if not self.bi_entries:
                 raise ValueError("bellman-isaacs needs at least one entry group")

@@ -91,12 +91,12 @@ def _xi_stencil(r: float, hx: float, ht: float):
     widths = []
     for dj in range(reach_t + 1):
         t = dj * ht
-        if not xi_contains(shape, 0.0, t, closed=True):
+        if not xi_contains(shape, 0.0, t):
             break
         w = min(int(math.floor(xi_slice_radius(shape, t) / hx)), reach_x)
-        while w > 0 and not xi_contains(shape, w * hx, t, closed=True):
+        while w > 0 and not xi_contains(shape, w * hx, t):
             w -= 1
-        while w < reach_x and xi_contains(shape, (w + 1) * hx, t, closed=True):
+        while w < reach_x and xi_contains(shape, (w + 1) * hx, t):
             w += 1
         widths.append(w)
     dj = np.arange(1 - len(widths), len(widths))

@@ -430,12 +430,15 @@ def perturb_initial_data(u0: np.ndarray, x: np.ndarray, eps: float,
     """Outward front shift by eps via a running window extremum, plus a value
     lift of lift_factor * eps.
 
-    direction "up" builds data strictly above u0; "down" strictly below.
+    direction "up" builds data strictly above u0; "down" strictly below;
+    any other direction is a ValueError.
     The Dirichlet nodes keep no special value here: a run takes them from
     the boundary data (`ProblemSpec.initial_values`).
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite: eps = {eps}")
+    if direction not in ("up", "down"):
+        raise ValueError(f"direction must be 'up' or 'down', not {direction!r}")
     h = x[1] - x[0]
     w = int(round(eps / h))
     lift = lift_factor * eps

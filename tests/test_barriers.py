@@ -8,9 +8,7 @@ from ellpar.barriers import (
     OutOfWindowError,
     ParabolaBarrier,
     critical_radius,
-    eval_logdiv_barrier,
     eval_radial_barrier,
-    front_offset_sets,
     make_eps_eta_barrier,
     make_parabola_barrier,
     solve_heatkernel_barrier,
@@ -154,6 +152,9 @@ class TestLogDivBarrier:
         psi_eta = math.log(bar.a * bar.k * bar.eta + 1) / bar.k
         # a = expm1(2.5 M k) / (k eta) puts psi(eta) at the middle of (2M, 3M)
         assert psi_eta == pytest.approx(2.5, rel=1e-12, abs=0.0)
+        # inside the collar the profile is positive, increasing and concave
+        val, d1, d2 = bar.profile(bar.eta / 2)
+        assert val > 0 and d1 > 0 and d2 < 0
 
     def test_margin_positive(self):
         psi = PsiSpec("polynomial", (1.0, 0.5))
@@ -166,13 +167,6 @@ class TestLogDivBarrier:
         for op in (OP, OperatorSpec(kind="trace", n_dim=2)):
             with pytest.raises(ValueError, match=f"op.kind = {op.kind}"):
                 solve_logdiv_barrier(op, BSpec(), omega=1.0, rho0=2.0, M=1.0)
-
-    def test_eval_collar(self):
-        bar = solve_logdiv_barrier(div_op(), BSpec(), omega=1.0, rho0=2.0, M=1.0)
-        val, dt, d1, d2 = eval_logdiv_barrier(bar, 2.0 + bar.eta / 2, 0.0)
-        assert val > 0 and d1 > 0 and d2 < 0
-        with pytest.raises(OutOfWindowError):
-            eval_logdiv_barrier(bar, 2.0 + 2 * bar.eta, 0.0)
 
 
 class TestParabolaBarriers:
@@ -341,73 +335,3 @@ class TestBatchedMargins:
             for seed in (0, 1, 5):
                 rep = verify_subsolution_margin(bar, samples=400, seed=seed)
                 assert rep.worst_margin == _reference_logdiv_margin(bar, 400, seed)
-
-
-def _reference_positive_intervals(x, u):
-    """Scalar loop over edges, toggling at each entry to and exit from
-    {u > 0}."""
-    intervals = []
-    inside = u[0] > 0
-    start = x[0] if inside else None
-    for i in range(len(u) - 1):
-        a, b = u[i], u[i + 1]
-        if (a > 0) == (b > 0):
-            continue
-        if a * b < 0:
-            crossing = x[i] + (x[i + 1] - x[i]) * (0 - a) / (b - a)
-        else:
-            crossing = x[i] if a == 0 else x[i + 1]
-        if inside:
-            intervals.append((start, crossing))
-        else:
-            start = crossing
-        inside = not inside
-    if inside:
-        intervals.append((start, x[-1]))
-    return intervals
-
-
-class TestFrontOffsetSets:
-    def test_matches_scalar_reference(self):
-        rng = np.random.default_rng(11)
-        for trial in range(300):
-            n = int(rng.integers(2, 40))
-            x = np.linspace(-1, 1, n) if trial % 2 else np.sort(rng.uniform(-1, 1, n))
-            # integer levels give exact zeros, runs of zeros and zero ends
-            u0 = rng.integers(-2, 3, n) * rng.uniform(0.5, 2.0, n)
-            t = float(rng.uniform(0.0, 0.01))
-            for sign, v in (("super", u0), ("sub", -u0)):
-                m = front_offset_sets(u0, x, t, sign)
-                ref = _reference_positive_intervals(x, v)
-                assert m.intervals == ref
-                dist = [min((0.0 if a <= xi <= b else min(abs(xi - a), abs(xi - b))
-                             for a, b in ref), default=math.inf) for xi in x]
-                if sign == "super":
-                    want = [ui > 0 or d < m.offset for ui, d in zip(u0, dist)]
-                else:
-                    want = [d > m.offset for d in dist]
-                assert m.mask.tolist() == want
-
-    def test_super_mask_grows_with_time(self):
-        x = np.linspace(-1, 1, 201)
-        u0 = 0.3 - np.abs(x)
-        m1 = front_offset_sets(u0, x, 0.0001, "super")
-        m2 = front_offset_sets(u0, x, 0.01, "super")
-        assert np.all(m1.mask[m1.mask] )
-        assert m2.mask.sum() >= m1.mask.sum()
-        assert np.all(m2.mask[np.abs(x) < 0.3])
-
-    def test_sub_mask_shrinks(self):
-        x = np.linspace(-1, 1, 201)
-        u0 = np.abs(x) - 0.3  # negative inside
-        m = front_offset_sets(u0, x, 0.01, "sub")
-        # stay away from the negative set {|x| < 0.3} by t^(1/4)
-        assert not np.any(m.mask[np.abs(x) < 0.3 + m.offset - 0.02])
-
-    def test_interval_interpolation(self):
-        x = np.linspace(-1, 1, 11)
-        u0 = 0.25 - np.abs(x)
-        m = front_offset_sets(u0, x, 0.0, "super")
-        (a, b), = m.intervals
-        assert a == pytest.approx(-0.25)
-        assert b == pytest.approx(0.25)

@@ -10,17 +10,16 @@ from ellpar.geometry import (
     XiShape,
     harnack_chain,
     harnack_chain_k_bound,
-    harnack_lower_bound,
     window_max,
     xi_contains,
-    xi_lateral_distance,
     xi_slice_radius,
 )
 
 
-def minkowski_oracle(r, dx, dt, closed, n_samples=400):
-    """Brute-force membership in (disk of radius r) + {|x|^3 + |t|^2 < r^2}:
-    search over candidate split points of the space offset."""
+def minkowski_oracle(r, dx, dt, n_samples=400):
+    """Brute-force membership in the closure of (disk of radius r) +
+    {|x|^3 + |t|^2 < r^2}: search over candidate split points of the space
+    offset."""
     # dx = a + b with |a| <= r (disk part), (|b|, dt) in the flattened set.
     dxn = abs(dx)
     best = math.inf
@@ -29,7 +28,7 @@ def minkowski_oracle(r, dx, dt, closed, n_samples=400):
         if abs(a) > r:
             continue
         best = min(best, max(abs(b), 0.0) ** 3 + dt * dt)
-    return best <= r * r if closed else best < r * r - 1e-12
+    return best <= r * r
 
 
 class TestXiShape:
@@ -47,7 +46,7 @@ class TestXiShape:
             dx = rng.uniform(-2.5, 2.5)
             dt = rng.uniform(-1.5, 1.5)
             got = xi_contains(shape, dx, dt)
-            want = minkowski_oracle(0.7, dx, dt, closed=False)
+            want = minkowski_oracle(0.7, dx, dt)
             # skip samples too close to the boundary for the sampled oracle
             excess = max(abs(dx) - 0.7, 0.0)
             if abs(excess**3 + dt * dt - 0.49) < 1e-3:
@@ -58,9 +57,12 @@ class TestXiShape:
 
     def test_closed_vs_open_on_boundary(self):
         shape = XiShape(1.0)
-        # boundary point: excess^3 + dt^2 = 1 with excess = 1 -> |dx| = 2, dt = 0
-        assert xi_contains(shape, 2.0, 0.0, closed=True)
-        assert not xi_contains(shape, 2.0, 0.0, closed=False)
+        # boundary points belong to the closed body, which xi_contains tests:
+        # excess^3 + dt^2 = 1 with excess = 1 -> |dx| = 2, dt = 0; and the top
+        # (0, r); the open body would exclude both
+        assert xi_contains(shape, 2.0, 0.0) and xi_contains(shape, 0.0, 1.0)
+        assert not xi_contains(shape, 2.0 + 1e-9, 0.0)
+        assert not xi_contains(shape, 0.0, 1.0 + 1e-9)
 
     def test_vector_space_offset(self):
         shape = XiShape(0.5)
@@ -74,7 +76,7 @@ class TestXiShape:
         # the closed body: at |t| = r the slice is the disc of radius r,
         # beyond it the slice is empty
         assert xi_slice_radius(shape, 0.5) == xi_slice_radius(shape, -0.5) == 0.5
-        assert xi_contains(shape, 0.5, 0.5, closed=True)
+        assert xi_contains(shape, 0.5, 0.5)
         for t in (0.7, -0.5000001):
             with pytest.raises(ValueError, match="empty"):
                 xi_slice_radius(shape, t)
@@ -83,22 +85,6 @@ class TestXiShape:
             rho = xi_slice_radius(shape, t)
             assert xi_contains(shape, rho - 1e-9, t)
             assert not xi_contains(shape, rho + 1e-9, t)
-
-
-class TestLateralDistance:
-    def test_formula(self):
-        r, s = 1.0, 0.5
-        t = -0.5
-        want = s + (r * r - (t + r) ** 2) ** (1 / 3)
-        assert xi_lateral_distance(r, s, t) == pytest.approx(want)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            xi_lateral_distance(1.0, 0.5, 0.5)  # t not in (-r, 0)
-        with pytest.raises(ValueError):
-            xi_lateral_distance(1.0, 2.0, -0.5)  # s > r
-        with pytest.raises(ValueError):
-            xi_lateral_distance(-1.0, 0.5, -0.5)
 
 
 class TestHarnackChain:
@@ -132,28 +118,6 @@ class TestHarnackChain:
         chain = harnack_chain(2.0, 0.001)
         assert np.all(np.diff(chain.a) > 0)
         assert np.all(np.diff(chain.h) < 0)
-
-
-class TestLowerBound:
-    def test_midpoint_value(self):
-        # at s = r/2 the base log(s/r)/log(1/2) equals 1 and f = alpha * vmin
-        assert harnack_lower_bound(0.3, 0.5, 1.0, 2.0) == pytest.approx(0.6)
-
-    def test_blows_up_at_top(self):
-        assert harnack_lower_bound(0.3, 1.0, 1.0, 1.0) == math.inf
-
-    def test_vanishing_and_superlinear_at_zero(self):
-        f1 = harnack_lower_bound(0.3, 1e-6, 1.0, 1.0)
-        f2 = harnack_lower_bound(0.3, 1e-12, 1.0, 1.0)
-        assert 0 < f2 < f1
-        # f(s)/s -> infinity
-        assert f2 / 1e-12 > f1 / 1e-6 > 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            harnack_lower_bound(1.5, 0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            harnack_lower_bound(0.5, 0.0, 1.0, 1.0)
 
 
 class TestWindowMax:

@@ -1,19 +1,30 @@
 """Importing one `ellpar` module loads only what that module imports, and
-reaches a sibling module only through the names it exports.
+reaches a sibling module only through the names it exports; every exported
+name has a caller outside the tests.
 
 The package `__init__` imports nothing, so a caller that needs the Xi_r
 geometry does not pay for the solver, the harness or scipy.
 """
 
 import ast
+import glob
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
 import ellpar
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ellpar.__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# exported names that no program code calls yet, each with the ROADMAP item
+# that gives it its first caller
+WAITING = {
+    "harness.validate_class_P": "item 5: the stability check of perturbed data",
+    "barriers.make_eps_eta_barrier": "item 11: runs checked against barriers",
+}
 
 
 def loaded_after(module):
@@ -78,3 +89,52 @@ def test_sibling_names_reads_every_form():
     assert sorted(sibling_names(tree)) == [
         ("barriers", "_power_profile"), ("barriers", "solve_radial_barrier"),
         ("harness", "jump_initial"), ("solver", "_private"), ("solver", "run")]
+
+
+def references(tree):
+    """The names a parsed file reads: loaded names, attributes and string
+    constants (perfbench hooks name their targets as strings).  A module's
+    own __all__ list and its definitions (def, class, assignment) are not
+    references."""
+    exported = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                for node in ast.walk(stmt)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_references_skip_definitions_and_all():
+    tree = ast.parse('__all__ = ["f", "g", "h", "K"]\n'
+                     "K = 1\n"
+                     "def f():\n"
+                     "    return mod.g\n"
+                     "HOOKS = [('mod', 'h')]\n")
+    assert not {"f", "K"} & references(tree)
+    assert {"g", "h"} <= references(tree)
+
+
+def test_every_exported_name_has_a_caller_outside_tests():
+    paths = (glob.glob(os.path.join(SRC, "ellpar", "*.py"))
+             + glob.glob(os.path.join(ROOT, "demos", "*.py"))
+             + glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+    used = set()
+    for path in paths:
+        with open(path) as fh:
+            used |= references(ast.parse(fh.read()))
+    exported = {f"{m.name}.{name}" for m in pkgutil.iter_modules(ellpar.__path__)
+                for name in importlib.import_module(f"ellpar.{m.name}").__all__}
+    uncalled = {q for q in exported if q.split(".")[1] not in used}
+    missing = sorted(uncalled - WAITING.keys())
+    assert not missing, f"no caller outside tests: {missing}"
+    # a waiting name leaves WAITING once it has its caller, or is deleted
+    stale = sorted(WAITING.keys() - uncalled)
+    assert not stale, f"no longer waiting: {stale}"

@@ -123,6 +123,17 @@ class TestOperatorFullEval:
                      delta0=0.2, n_dim=2,
                      bi_entries=(((((1.0, 0.0), (0.0, 2.0)), (0.3, 0.4), -0.2),),))
 
+    @pytest.mark.parametrize("kind, field", [
+        *[(kind, "psi") for kind in ("trace", "pucci-plus", "pucci-minus", "bellman-isaacs")],
+        *[(kind, "bi_entries") for kind in ("trace", "pucci-plus", "pucci-minus", "divergence")]])
+    def test_field_the_kind_does_not_read_raises(self, kind, field):
+        # ignored silently, the field would make the spec mean less than it says
+        unread = {"psi": PsiSpec("polynomial", (1.0, 2.0)),
+                  "bi_entries": (((((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), 0.0),),)}
+        own = {"bi_entries": unread["bi_entries"]} if kind == "bellman-isaacs" else {}
+        with pytest.raises(ValueError, match=f"{field} .*not by {kind}"):
+            OperatorSpec(kind=kind, n_dim=2, **own, **{field: unread[field]})
+
     def test_divergence_expanded_form(self):
         psi = PsiSpec("polynomial", (1.0, 1.0))  # Psi(y) = 1 + y
         op = OperatorSpec(kind="divergence", psi=psi, n_dim=2)

@@ -45,7 +45,7 @@ def brute_force_convolve(field, r, kind):
     ix = np.where((x - x[0] >= margin - 1e-12) & (x[-1] - x >= margin - 1e-12))[0]
     it = np.where((ts - ts[0] >= r - 1e-12) & (ts[-1] - ts >= r - 1e-12))[0]
     mask = _offset_masks(ts.size, x.size,
-                         lambda di, dj: xi_contains(shape, di * hx, dj * ht, closed=True))
+                         lambda di, dj: xi_contains(shape, di * hx, dj * ht))
     work = vals if kind == "sup" else -vals
     dual = np.empty((it.size, ix.size), dtype=np.int64)
     for a, j in enumerate(it):
@@ -120,7 +120,7 @@ def full_scan_stencil(r, hx, ht):
     reach_t = int(math.floor(r / ht)) + 1
     return np.asarray([(dj, di) for dj in range(-reach_t, reach_t + 1)
                        for di in range(-reach_x, reach_x + 1)
-                       if xi_contains(shape, di * hx, dj * ht, closed=True)], dtype=int)
+                       if xi_contains(shape, di * hx, dj * ht)], dtype=int)
 
 
 class TestStencil:

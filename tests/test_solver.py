@@ -701,6 +701,13 @@ class TestPerturbations:
                 got = perturb_initial_data(u0, x, eps, direction)
                 assert np.array_equal(got, want)
 
+    def test_unknown_direction_raises(self):
+        # only "up" and "down" name a perturbation; another value is a typo
+        x = np.linspace(-1, 1, 21)
+        for direction in ("sideways", "Up", ""):
+            with pytest.raises(ValueError, match="direction"):
+                perturb_initial_data(jump_initial(x), x, 0.1, direction)
+
     def test_front_check_reads_the_dirichlet_nodes(self):
         interval = interval_spec()
         ball = punctured_ball_bracket_spec()
