@@ -117,7 +117,7 @@ def bn_derivative(fam: BnFamily, s):
     z = n * n * s - n
     # stable logistic
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     out = np.minimum(np.maximum(out, _OPEN_LO), _OPEN_HI)
     return out if out.ndim else float(out)
 

@@ -97,6 +97,12 @@ class OperatorSpec:
             object.__setattr__(self, "psi", PsiSpec("constant", (1.0,)))
 
     @property
+    def linear(self) -> bool:
+        """Whether F is linear in u, so that `operator_jacobian_1d` does not
+        depend on u: the trace kind, and the divergence kind with a degree-0 Psi."""
+        return self.kind == "trace" or (self.kind == "divergence" and len(self.psi.coeffs) == 1)
+
+    @property
     def pucci_weights(self):
         """Eigenvalue weights (c+, c-): (Lam, lam) for M+, (lam, Lam) for M-."""
         if self.kind not in ("pucci-plus", "pucci-minus"):
@@ -177,22 +183,20 @@ def operator_full_eval(op: OperatorSpec, M, p, z, bspec: BSpec = BSpec()):
 def _active_coefficients(op: OperatorSpec, d2, d1, u, rho, radial):
     """Coefficients (a2, a1, a0) of the operator frozen at its active
     selection for the current (d2, d1, u) = (u'', u', u), such that
-    F = a2*d2 + a1*d1 + a0*u.  On a radial grid rho is the radius and the
+    F = a2*d2 + a1*d1 + a0*u; a constant coefficient is a float and a
+    missing term None.  On a radial grid rho is the radius and the
     tangential eigenvalue d1/rho enters through a1.  The divergence kind is
     assembled in flux form instead."""
     n = op.n_dim
-    zeros = np.zeros_like(d2)
     if op.kind == "trace":
-        a1 = op.lam * (n - 1) / rho if radial else zeros
-        return np.full_like(d2, op.lam), a1, zeros
+        return op.lam, (op.lam * (n - 1) / rho if radial else None), None
     if op.kind in ("pucci-plus", "pucci-minus"):
         cpos, cneg = op.pucci_weights
 
         def coef(e):
             return np.where(e > 0, cpos, np.where(e < 0, cneg, op.lam))
 
-        a1 = coef(d1 / rho) * (n - 1) / rho if radial else zeros
-        return coef(d2), a1, zeros
+        return coef(d2), (coef(d1 / rho) * (n - 1) / rho if radial else None), None
     if op.kind == "bellman-isaacs":
         def entry(A, drift, zeroth):
             # the radial direction is the first axis: A[0, 0] acts on u'' and
@@ -209,9 +213,12 @@ def _active_coefficients(op: OperatorSpec, d2, d1, u, rho, radial):
     raise ValueError("divergence kind is assembled in flux form")
 
 
-def _differences(u, h):
-    """Central second and first differences at the interior nodes."""
-    return (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2, (u[2:] - u[:-2]) / (2 * h)
+def _differences(op: OperatorSpec, u, h, radial):
+    """Central second differences at the interior nodes, and the first
+    differences where `_active_coefficients` reads them (on a radial grid
+    and for the Bellman-Isaacs drift), None elsewhere."""
+    d1 = (u[2:] - u[:-2]) / (2 * h) if radial or op.kind == "bellman-isaacs" else None
+    return (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2, d1
 
 
 def _divergence_fluxes(op: OperatorSpec, u, x, bspec, radial):
@@ -248,9 +255,15 @@ def apply_operator_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
         faces, _, w = _divergence_fluxes(op, u, x, bspec, radial)
         du = np.diff(u)
         return (faces[1:] * du[1:] - faces[:-1] * du[:-1]) / (h**2 * w[1:-1])
-    d2, d1 = _differences(u, h)
+    d2, d1 = _differences(op, u, h, radial)
     a2, a1, a0 = _active_coefficients(op, d2, d1, u[1:-1], x[1:-1], radial)
-    return a2 * d2 + a1 * d1 + a0 * u[1:-1]
+    F = a2 * d2
+    if a1 is not None:
+        F += a1 * d1
+    # a missing a0 adds +0.0, as a0 = 0 would: F is -0 only where d2 = -0,
+    # which needs u = +0 at the node, so 0*u is +0 there too
+    F += 0.0 if a0 is None else a0 * u[1:-1]
+    return F
 
 
 def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
@@ -276,11 +289,13 @@ def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
         right, left = faces + q * dpsi[1:], faces - q * dpsi[:-1]
         scale = h**2 * w[1:-1]
         return left[:-1] / scale, -(left[1:] + right[:-1]) / scale, right[1:] / scale
-    d2, d1 = _differences(u, h)
+    d2, d1 = _differences(op, u, h, radial)
     a2, a1, a0 = _active_coefficients(op, d2, d1, u[1:-1], x[1:-1], radial)
-    lower = a2 / h**2 - a1 / (2 * h)
-    upper = a2 / h**2 + a1 / (2 * h)
-    diag = -2 * a2 / h**2 + a0
+    a2 = np.broadcast_to(a2, d2.shape)
+    c1 = 0.0 if a1 is None else a1 / (2 * h)
+    lower = a2 / h**2 - c1
+    upper = a2 / h**2 + c1
+    diag = -2 * a2 / h**2 + (0.0 if a0 is None else a0)
     return lower, diag, upper
 
 

@@ -120,6 +120,9 @@ class ProblemSpec:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.geometry.lo, self.geometry.hi, self.grid)
 
+    def times(self) -> np.ndarray:
+        return np.arange(self.steps + 1) * self.dt
+
     def boundary(self, t: float):
         glo = self.g_lo(t) if callable(self.g_lo) else self.g_lo
         ghi = self.g_hi(t) if callable(self.g_hi) else self.g_hi
@@ -148,6 +151,8 @@ class ProblemSpec:
             u = np.array(self.u0(x) if callable(self.u0) else self.u0, dtype=float)
         if u.shape != x.shape:
             raise ValueError("initial data shape does not match the grid")
+        if not np.isfinite(u).all():
+            raise ValueError("initial data must be finite")
         return u
 
     def initial_values(self) -> np.ndarray:
@@ -197,17 +202,21 @@ class SpaceTimeField(GridField):
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs):
-    n = diag.size
-    ab = np.zeros((3, n))
+    """Solve the system with bands lower[1:], diag and upper[:-1], checked
+    finite once here with scipy's message, so solve_banded skips its check."""
+    ab = np.zeros((3, diag.size))
     ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
+    ab[1] = diag
     ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return solve_banded((1, 1), ab, rhs, check_finite=False, overwrite_ab=True)
 
 
-def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
+def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy, r=None):
     """Newton on the free nodes, with the full step u + J^{-1}(-r) in every
-    iteration; returns (solution, iterations, residual history).  A
+    iteration; returns (solution, iterations, residual history).  r is the
+    residual at u_free where the caller already has it.  A
     non-finite residual raises NewtonFailure before the next linear solve, as
     does a residual max-norm above NEWTON_TOL after policy.max_iters
     iterations; `_advance` then splits the time step in two.
@@ -221,9 +230,9 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
     with the iteration budget and `_advance`'s substeps as its net.
     """
     u = u_free.copy()
+    r = residual_fn(u) if r is None else r
     hist = []
     for it in range(policy.max_iters + 1):
-        r = residual_fn(u)
         norm = float(np.max(np.abs(r)))
         hist.append(norm)
         if norm <= NEWTON_TOL:
@@ -232,13 +241,15 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy):
             raise NewtonFailure("non-finite residual", hist)
         if it < policy.max_iters:
             u = u + _solve_tridiagonal(*jacobian_fn(u), -r)
+            r = residual_fn(u)
     raise NewtonFailure("no convergence within the iteration budget", hist)
 
 
 def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
                     policy: SolverPolicy):
     """Solve b(u) - b(u_prev) - dt F(u) = 0 at the free nodes by Newton from
-    u_prev, with the Dirichlet data at t.  Returns (u, newton_iterations)."""
+    u_prev, with the Dirichlet data at t.  Returns (u, newton_iterations).
+    A linear kind's part -dt L of the Newton matrix is assembled once."""
     x = spec.nodes()
     reflect = spec.geometry.reflect_inner
     if reflect:
@@ -250,28 +261,39 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
     for i, g in bc.items():
         base[i] = g
     b_prev = np.asarray(bval(u_prev))[free]
+    work = base.copy()
 
     def full(u_free):
-        u = base.copy()
-        u[free] = u_free
-        return np.concatenate([[u[1]], u]) if reflect else u
+        work[free] = u_free
+        return np.concatenate([work[1:2], work]) if reflect else work
 
-    def residual(u_free):
+    def residual(u_free, bu=None):
         F = apply_operator_1d(spec.op, full(u_free), x, spec.b,
                               radial=spec.geometry.radial)
-        return np.asarray(bval(u_free)) - b_prev - dt * F
+        F *= dt
+        bu = np.asarray(bval(u_free)) if bu is None else bu
+        return np.subtract(bu - b_prev, F, out=F)
 
-    def jacobian(u_free):
+    def operator_bands(u_free):
         lower, diag, upper = operator_jacobian_1d(spec.op, full(u_free), x, spec.b,
                                                   radial=spec.geometry.radial)
         if reflect:
             # ghost = u[1]: fold the ghost column into the first superdiagonal
             upper[0] += lower[0]
             lower[0] = 0.0
-        bd = np.asarray(bder(u_free))
-        return -dt * lower, bd - dt * diag, -dt * upper
+        for band in (lower, diag, upper):
+            band *= -dt
+        return lower, diag, upper
 
-    sol_free, iters, _ = _newton(residual, jacobian, base[free], policy)
+    frozen = operator_bands(base[free]) if spec.op.linear else None
+
+    def jacobian(u_free):
+        lower, diag, upper = frozen or operator_bands(u_free)
+        return lower, np.asarray(bder(u_free)) + diag, upper
+
+    # Newton starts at u_prev's free nodes, where b(u) is b_prev (b is elementwise)
+    sol_free, iters, _ = _newton(residual, jacobian, base[free], policy,
+                                 residual(base[free], b_prev))
     base[free] = sol_free
     return base, iters
 
@@ -355,7 +377,7 @@ def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeFi
     policy = policy or SolverPolicy()
     x = spec.nodes()
     n_steps = spec.steps
-    times = np.arange(n_steps + 1) * spec.dt
+    times = spec.times()
     values = np.empty((n_steps + 1, x.size))
     values[0] = u = spec.initial_values()
     constant_data = not (callable(spec.g_lo) or callable(spec.g_hi))
@@ -386,12 +408,17 @@ def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeFi
 # studies
 # ---------------------------------------------------------------------------
 
-def _probe_rows(spec: ProblemSpec, times, probe_times):
+def _probe_rows(spec: ProblemSpec, probe_times):
     """The probe times of a study (T/4, T/2 and 3T/4 unless given) and the
-    index of the stored time level nearest to each."""
+    index of the stored time level nearest to each.  A probe time more than
+    half a step outside [0, T] is a ValueError."""
     if probe_times is None:
         probe_times = [0.25 * spec.T, 0.5 * spec.T, 0.75 * spec.T]
     probe_times = list(probe_times)
+    for pt in probe_times:
+        if not -0.5 * spec.dt <= pt <= spec.T + 0.5 * spec.dt:
+            raise ValueError(f"probe time {pt} is outside [0, T] = [0, {spec.T}]")
+    times = spec.times()
     return probe_times, [int(np.argmin(np.abs(times - pt))) for pt in probe_times]
 
 
@@ -411,8 +438,8 @@ def singular_limit_study(spec: ProblemSpec, n_list: Sequence[int],
     n_list = list(n_list)
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("need at least 3 strictly increasing smoothing indices")
+    probe_times, probe_idx = _probe_rows(spec, probe_times)
     runs = [run(replace(spec, bn=BnFamily(n))) for n in n_list]
-    probe_times, probe_idx = _probe_rows(spec, runs[0].times, probe_times)
     pairwise = []
     for a, b in zip(runs, runs[1:]):
         d = [float(np.max(np.abs(a.values[j] - b.values[j]))) for j in probe_idx]
@@ -465,6 +492,7 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or any(e <= 0 for e in eps_list):
         raise ValueError("eps_list must be positive and strictly decreasing")
+    probe_times, probe_idx = _probe_rows(spec, probe_times)
     x = spec.nodes()
     u0 = spec.initial_values()
     runs_up, runs_dn = [], []
@@ -473,7 +501,6 @@ def bracket_maximal_minimal(spec: ProblemSpec, eps_list: Sequence[float],
         spec.check_front_inside(up)
         runs_up.append(run(replace(spec, u0=up)))
         runs_dn.append(run(replace(spec, u0=perturb_initial_data(u0, x, eps, "down"))))
-    probe_times, probe_idx = _probe_rows(spec, runs_up[0].times, probe_times)
     gaps = []
     ordered = True
     for ru, rd in zip(runs_up, runs_dn):

@@ -113,6 +113,33 @@ class TestBnFamily:
         with pytest.raises(ValueError):
             BnFamily(0)
 
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 200])
+    def test_derivative_keeps_the_two_branch_bytes(self, n):
+        # one division of where(z >= 0, 1, e) by 1 + e gives the bytes of the
+        # two-branch logistic, clamp included
+        lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+
+        def two_branch(s):
+            s = np.asarray(s, dtype=float)
+            z = float(n) * float(n) * s - float(n)
+            e = np.exp(-np.abs(z))
+            out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            out = np.minimum(np.maximum(out, lo), hi)
+            return out if out.ndim else float(out)
+
+        rng = np.random.default_rng(n)
+        s = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0 / n],
+            1.0 / n + rng.standard_normal(50_000) * (8.0 / n**2),
+            rng.uniform(-3.0, 3.0, 49_994),
+        ])
+        got, want = bn_derivative(BnFamily(n), s), two_branch(s)
+        assert got.tobytes() == want.tobytes()
+        for v in s[:6]:
+            one = bn_derivative(BnFamily(n), float(v))
+            assert type(one) is float
+            assert np.float64(one).tobytes() == np.float64(two_branch(float(v))).tobytes()
+
 
 class TestPsi:
     def test_constant(self):

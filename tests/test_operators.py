@@ -394,3 +394,133 @@ class TestBatched:
                 one = f(op, row)
                 assert type(one) is float
                 assert one == got[k] == cpos * row[row > 0].sum() + cneg * row[row < 0].sum()
+
+
+# ---------------------------------------------------------------------------
+# the assembly against its zero-array formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+def _zero_array_coefficients(op, d2, d1, u, rho, radial):
+    """(a2, a1, a0) as arrays, with an explicit zero array for a missing term."""
+    n = op.n_dim
+    zeros = np.zeros_like(d2)
+    if op.kind == "trace":
+        a1 = op.lam * (n - 1) / rho if radial else zeros
+        return np.full_like(d2, op.lam), a1, zeros
+    if op.kind in ("pucci-plus", "pucci-minus"):
+        cpos, cneg = op.pucci_weights
+
+        def coef(e):
+            return np.where(e > 0, cpos, np.where(e < 0, cneg, op.lam))
+
+        a1 = coef(d1 / rho) * (n - 1) / rho if radial else zeros
+        return coef(d2), a1, zeros
+    a2 = a1 = a0 = value = None
+    for group in op.bi_entries:
+        inner = None
+        for A, drift, zeroth in group:
+            A = np.asarray(A, dtype=float)
+            e2 = np.full_like(d2, A[0, 0])
+            e1 = ((np.trace(A) - A[0, 0]) / rho + drift[0] if radial
+                  else np.full_like(d2, drift[0]))
+            e0 = np.full_like(d2, zeroth)
+            cand = (e2 * d2 + e1 * d1 + e0 * u, e2, e1, e0)
+            inner = cand if inner is None else tuple(
+                np.where(cand[0] > inner[0], c, i) for c, i in zip(cand, inner))
+        if value is None:
+            value, a2, a1, a0 = inner
+        else:
+            take = inner[0] < value
+            value, a2, a1, a0 = (np.where(take, c, o)
+                                 for c, o in zip(inner, (value, a2, a1, a0)))
+    return a2, a1, a0
+
+
+def _zero_array_assembly(op, u, x, radial):
+    """F and the tridiagonal Jacobian from zero-array coefficients."""
+    h = x[1] - x[0]
+    d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
+    d1 = (u[2:] - u[:-2]) / (2 * h)
+    a2, a1, a0 = _zero_array_coefficients(op, d2, d1, u[1:-1], x[1:-1], radial)
+    F = a2 * d2 + a1 * d1 + a0 * u[1:-1]
+    bands = (a2 / h**2 - a1 / (2 * h), -2 * a2 / h**2 + a0, a2 / h**2 + a1 / (2 * h))
+    return F, bands
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _fields(m, seed):
+    """Random, constant and signed-zero fields on m nodes: the signed zeros
+    take every sign pattern, including -0 at both neighbours of a +0, where
+    u'' is -0."""
+    rng = np.random.default_rng(seed)
+    signed = np.where(rng.random(m) < 0.5, -0.0, 0.0)
+    pattern = np.tile([-0.0, 0.0], m)[:m]
+    mixed = np.where(rng.random(m) < 0.5, signed, rng.standard_normal(m))
+    return [rng.standard_normal(m), np.full(m, 0.3), np.full(m, -1.0),
+            np.full(m, -0.0), np.zeros(m), signed, pattern, mixed]
+
+
+class TestAssemblyBits:
+    @pytest.mark.parametrize("op", [
+        OperatorSpec(kind="trace", lam=1.2, Lam=1.2, n_dim=3),
+        OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=3),
+        OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.0, n_dim=3),
+        _bi_operator(),
+    ], ids=lambda op: op.kind)
+    @pytest.mark.parametrize("radial", [False, True], ids=["interval", "radial"])
+    def test_matches_the_zero_array_formulas(self, op, radial):
+        # a term the kind lacks is skipped, not added as a zero array; the
+        # values and the sign of every zero stay the same
+        x = np.linspace(0.2, 1.0, 41) if radial else np.linspace(-1.0, 1.0, 41)
+        for k, u in enumerate(_fields(41, 3)):
+            F, bands = _zero_array_assembly(op, u, x, radial)
+            assert _same_bits(apply_operator_1d(op, u, x, radial=radial), F), k
+            got = operator_jacobian_1d(op, u, x, radial=radial)
+            assert all(_same_bits(g, w) for g, w in zip(got, bands)), k
+
+    def test_the_signed_zero_pattern_reaches_a_negative_zero(self):
+        # the pattern of _fields makes u'' = -0 at a +0 node, so the check
+        # above does see the sign of a zero F
+        x = np.linspace(-1.0, 1.0, 5)
+        u = np.array([-0.0, 0.0, -0.0, 0.0, -0.0])
+        d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / (x[1] - x[0]) ** 2
+        assert np.signbit(d2[0])
+        F = apply_operator_1d(OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.0), u, x)
+        assert np.array_equal(F, np.zeros(3)) and not np.signbit(F).any()
+
+    @pytest.mark.parametrize("op", [
+        OperatorSpec(kind="trace", lam=1.2, Lam=1.2, n_dim=3),
+        OperatorSpec(kind="divergence", n_dim=3),
+        OperatorSpec(kind="divergence", n_dim=3, psi=PsiSpec("polynomial", (2.5,))),
+    ], ids=["trace", "divergence-psi-1", "divergence-psi-2.5"])
+    @pytest.mark.parametrize("radial", [False, True], ids=["interval", "radial"])
+    @pytest.mark.parametrize("b", [BSpec(), BSpec("lipschitz-table", (0.0, 0.5), (1.0, 3.0))],
+                             ids=["s+", "table"])
+    def test_a_linear_kind_has_one_jacobian(self, op, radial, b):
+        # the bands that the solver assembles once per solve are those at
+        # any other u
+        assert op.linear
+        x = np.linspace(0.2, 1.0, 41) if radial else np.linspace(-1.0, 1.0, 41)
+        rng = np.random.default_rng(11)
+        first, second = (operator_jacobian_1d(op, rng.standard_normal(41), x, b, radial=radial)
+                         for _ in range(2))
+        assert all(_same_bits(f, s) for f, s in zip(first, second))
+
+    @pytest.mark.parametrize("op", [
+        OperatorSpec(kind="pucci-plus", lam=1.0, Lam=2.0, n_dim=3),
+        OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.0, n_dim=3),
+        _bi_operator(),
+        OperatorSpec(kind="divergence", n_dim=3, psi=PsiSpec("polynomial", (1.0, 2.0))),
+    ], ids=lambda op: op.kind)
+    def test_other_kinds_are_not_linear(self, op):
+        # negative control: their bands move with u
+        assert not op.linear
+        x = np.linspace(0.2, 1.0, 41)
+        rng = np.random.default_rng(11)
+        first, second = (operator_jacobian_1d(op, rng.standard_normal(41), x, radial=True)
+                         for _ in range(2))
+        assert not all(np.array_equal(f, s) for f, s in zip(first, second))

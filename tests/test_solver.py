@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from ellpar.harness import _bi_operator, _pucci_radial_exact, jump_initial, make_jump_scenario
 from ellpar.nonlinearity import BnFamily, BSpec, PsiSpec, b_eval, psi_eval
@@ -17,6 +18,7 @@ from ellpar.solver import (
     _advance,
     _front_locations,
     _newton,
+    _solve_tridiagonal,
     bracket_maximal_minimal,
     max_principle_bounds,
     perturb_initial_data,
@@ -308,6 +310,21 @@ class TestHorizon:
             assert (u[0], u[-1]) == (-1.0, 0.5)
             assert not datum.any()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_initial_data_must_be_finite(self, bad):
+        # a non-finite datum used to end 20 substep levels deep in a time
+        # step underflow; it is refused where the datum is read, a Dirichlet
+        # node included
+        for i in (50, 0):
+            datum = np.zeros(101)
+            datum[i] = bad
+            for u0 in (datum, lambda x: datum):
+                spec = interval_spec(grid=101, u0=u0)
+                with pytest.raises(ValueError, match="initial data must be finite"):
+                    spec.initial_datum()
+                with pytest.raises(ValueError, match="initial data must be finite"):
+                    run(spec)
+
     def test_every_step_recorded_up_to_horizon(self):
         spec = interval_spec(T=0.0125, grid=101)
         out = run(spec, SolverPolicy())
@@ -596,6 +613,46 @@ _TRACE_AND_PUCCI = [
 ]
 
 
+_WORK_KINDS = [
+    *(pytest.param(op, id=op.kind) for op in (*_TRACE_AND_PUCCI, _bi_operator())),
+    pytest.param(OperatorSpec(kind="divergence", n_dim=3, psi=PsiSpec("polynomial", (1.0, 2.0))),
+                 id="divergence"),
+    pytest.param(OperatorSpec(kind="divergence", n_dim=3), id="divergence-psi-1"),
+]
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("n", [3, 399, 1599])
+    def test_matches_the_checked_solve_banded(self, n):
+        # the band and rhs are checked once, then scipy runs unchecked:
+        # the same solution, the same error, and the arguments untouched
+        rng = np.random.default_rng(n)
+        lower, upper, rhs = rng.standard_normal((3, n))
+        diag = 4.0 + rng.random(n)
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper[:-1], diag, lower[1:]
+        args = (lower, diag, upper, rhs)
+        kept = [a.copy() for a in args]
+        got = _solve_tridiagonal(*args)
+        assert got.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+        assert all(a.tobytes() == k.tobytes() for a, k in zip(args, kept))
+        # a non-finite entry that the matrix reads, in each band and in rhs
+        for which, i in ((0, n - 1), (1, 0), (2, 0), (3, n // 2)):
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = [a.copy() for a in args]
+                broken[which][i] = bad
+                kept = [a.copy() for a in broken]
+                with pytest.raises(ValueError) as want:
+                    ab_bad = np.zeros((3, n))
+                    ab_bad[0, 1:], ab_bad[1], ab_bad[2, :-1] = (
+                        broken[2][:-1], broken[1], broken[0][1:])
+                    solve_banded((1, 1), ab_bad, broken[3])
+                with pytest.raises(ValueError) as err:
+                    _solve_tridiagonal(*broken)
+                assert str(err.value) == str(want.value)
+                assert all(a.tobytes() == k.tobytes() for a, k in zip(broken, kept))
+
+
 class TestJacobianWork:
     @staticmethod
     def _count_operator_calls(monkeypatch):
@@ -616,18 +673,90 @@ class TestJacobianWork:
                             counting("jacobian", solver.operator_jacobian_1d))
         return calls
 
-    @pytest.mark.parametrize("op", [
-        *_TRACE_AND_PUCCI, _bi_operator(),
-        OperatorSpec(kind="divergence", n_dim=3, psi=PsiSpec("polynomial", (1.0, 2.0))),
-    ], ids=lambda op: op.kind)
+    @pytest.mark.parametrize("op", _WORK_KINDS)
     def test_one_jacobian_and_one_residual_per_iteration(self, monkeypatch, op):
-        # every iteration takes the full step: one matrix and one residual
-        # per iteration, plus the first residual of each solved step
+        # every iteration takes the full step: one residual per iteration,
+        # plus the first residual of each solved step; one operator matrix
+        # per iteration, or per solved step for a linear kind, whose matrix
+        # does not depend on u
         calls = self._count_operator_calls(monkeypatch)
         out = run(_plateau_spec(op, 201))
-        assert out.newton_iterations > 0
-        assert calls["jacobian"] == out.newton_iterations
+        assert out.newton_iterations > out.steps > 0
+        assert calls["jacobian"] == (out.steps if op.linear else out.newton_iterations)
         assert calls["apply"] == out.newton_iterations + out.steps
+
+    @pytest.mark.parametrize("op", _WORK_KINDS)
+    def test_one_linear_solve_per_iteration(self, monkeypatch, op):
+        # the benchmark's solver.linear_solve layer wraps solve_banded by
+        # name: it sees every Newton step, so it cannot read zero
+        from ellpar import solver
+
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return solve_banded(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_banded", counting)
+        out = run(_plateau_spec(op, 201))
+        assert out.newton_iterations > 0
+        assert calls[0] == out.newton_iterations
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: _plateau_spec(_TRACE_AND_PUCCI[0], 201),
+        lambda: _plateau_spec(OperatorSpec(kind="divergence", n_dim=3,
+                                           psi=PsiSpec("polynomial", (1.0, 2.0))), 201),
+        lambda: make_jump_scenario(grid=201, n=32, T=0.1).spec,
+    ], ids=["trace-s+", "divergence-s+", "trace-b_32"])
+    def test_one_b_per_iteration_and_one_per_solve(self, monkeypatch, make_spec):
+        # b(u_prev) once per solved step; the first residual reuses it, as
+        # Newton starts from u_prev; then one b(u) per iteration
+        from ellpar import solver
+
+        calls = [0]
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(solver, "b_eval", counting(solver.b_eval))
+        monkeypatch.setattr(solver, "bn_eval", counting(solver.bn_eval))
+        out = run(make_spec())
+        assert out.newton_iterations > 0
+        assert calls[0] == out.newton_iterations + out.steps
+
+    @pytest.mark.parametrize("op", [p for p in _WORK_KINDS if p.values[0].linear])
+    @pytest.mark.parametrize("geometry", [Geometry("radial-annulus", 0.2, 1.0),
+                                          Geometry("radial-ball-punctured", 0.2, 1.0)],
+                             ids=["annulus", "ball"])
+    def test_a_linear_kinds_matrix_is_each_iterations(self, monkeypatch, op, geometry):
+        # the once-assembled matrix, ghost fold included, is the one the
+        # iteration would assemble at its own iterate, bit for bit
+        from ellpar import solver
+        from ellpar.operators import OperatorSpec as Spec
+
+        def record():
+            systems = []
+
+            def recording(lower, diag, upper, rhs):
+                systems.append(tuple(a.copy() for a in (lower, diag, upper, rhs)))
+                return solve(lower, diag, upper, rhs)
+
+            monkeypatch.setattr(solver, "_solve_tridiagonal", recording)
+            out = run(replace(_plateau_spec(op, 201), geometry=geometry))
+            return out, systems
+
+        solve = solver._solve_tridiagonal
+        once, once_systems = record()
+        monkeypatch.setattr(Spec, "linear", property(lambda self: False))
+        each, each_systems = record()
+        assert once.newton_iterations == len(once_systems) > once.steps
+        assert len(once_systems) == len(each_systems)
+        for a, b in zip(once_systems, each_systems):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        assert once.values.tobytes() == each.values.tobytes()
 
     @pytest.mark.parametrize("finite_at_start", [False, True], ids=["start", "first-step"])
     def test_non_finite_residual_is_a_newton_failure(self, finite_at_start):
@@ -747,6 +876,28 @@ class TestStudies:
         for eps_list in ([0.02, 0.04], [0.04, 0.04], [0.04, 0.0], [0.04, -0.02]):
             with pytest.raises(ValueError):
                 bracket_maximal_minimal(spec, eps_list)
+
+    @pytest.mark.parametrize("probe", [5.0, -0.01, 0.012, float("nan")])
+    def test_probe_times_outside_the_horizon_raise_before_any_run(self, monkeypatch, probe):
+        # a probe more than half a step outside [0, T] used to read the
+        # nearest stored level
+        from ellpar import solver
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        spec = make_jump_scenario(grid=101, n=8, T=0.01).spec
+        monkeypatch.setattr(solver, "run", no_run)
+        with pytest.raises(ValueError, match=f"probe time {probe}"):
+            singular_limit_study(spec, [4, 8, 16], probe_times=[0.005, probe])
+        with pytest.raises(ValueError, match=f"probe time {probe}"):
+            bracket_maximal_minimal(spec, [0.08, 0.04], probe_times=[probe])
+
+    def test_probe_times_within_half_a_step_of_the_horizon(self):
+        spec = make_jump_scenario(grid=101, n=8, T=0.01).spec
+        half = 0.49 * spec.dt
+        rep = singular_limit_study(spec, [4, 8, 16], probe_times=[-half, 0.01 + half])
+        assert rep.probe_times == [-half, 0.01 + half]
 
     def test_bracket_on_punctured_ball(self):
         # the inner node is free, so the shifted data may stay positive there
