@@ -540,11 +540,14 @@ def criterion_11_elliptic():
 
 def run_acceptance(criteria=None, out_path: Optional[str] = None):
     """Run the acceptance suite, printing one line per criterion; returns
-    (exit_code, report dict).
+    (exit_code, report dict).  `criteria` lists the indices to run, None
+    all of them; an empty or unknown selection is a ValueError.
 
     exit code 0 on pass, 1 on any criterion failure.
     """
-    indices = sorted(criteria) if criteria else sorted(ALL_CRITERIA)
+    indices = sorted(ALL_CRITERIA if criteria is None else criteria)
+    if not indices:
+        raise ValueError("no criteria selected")
     bad = [i for i in indices if i not in ALL_CRITERIA]
     if bad:
         raise ValueError(f"unknown criteria {bad}")

@@ -51,7 +51,7 @@ class GridField:
 
     def require_uniform(self):
         """The steps (hx, ht); a ValueError for an axis with fewer than two
-        nodes or with uneven steps."""
+        nodes, with uneven steps or with nodes that do not increase."""
         steps = []
         for axis, nodes in (("space", self.x), ("time", self.times)):
             h = np.diff(nodes)
@@ -59,6 +59,8 @@ class GridField:
                 raise ValueError(f"{axis} grid needs at least two nodes")
             if not np.allclose(h, h[0], rtol=1e-9, atol=1e-12):
                 raise ValueError(f"{axis} grid must be uniform")
+            if not h[0] > 0:
+                raise ValueError(f"{axis} grid nodes must increase")
             steps.append(float(h[0]))
         return tuple(steps)
 

@@ -213,13 +213,16 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return solve_banded((1, 1), ab, rhs, check_finite=False, overwrite_ab=True)
 
 
-def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy, r=None):
-    """Newton on the free nodes, with the full step u + J^{-1}(-r) in every
-    iteration; returns (solution, iterations, residual history).  r is the
-    residual at u_free where the caller already has it.  A
-    non-finite residual raises NewtonFailure before the next linear solve, as
-    does a residual max-norm above NEWTON_TOL after policy.max_iters
-    iterations; `_advance` then splits the time step in two.
+def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
+                    policy: SolverPolicy):
+    """Solve b(u) - b(u_prev) - dt F(u) = 0 at the free nodes by Newton from
+    u_prev, with the Dirichlet data at t; returns (u, newton_iterations).
+    Every iteration takes the full step u + J^{-1}(-r).  A linear kind's
+    part -dt L of J is assembled once per solve, other kinds' at each
+    iterate.  A non-finite residual raises NewtonFailure before the next
+    linear solve, as does a residual max-norm above NEWTON_TOL after
+    policy.max_iters iterations; either carries the residual history, and
+    `_advance` then splits the time step in two.
 
     Where b is convex, F linear or concave (the trace and Pucci-minus kinds,
     and the divergence kind with constant Psi) and the scheme monotone, the
@@ -229,54 +232,20 @@ def _newton(residual_fn, jacobian_fn, u_free, policy: SolverPolicy, r=None):
     Bellman-Isaacs kind and non-constant Psi the rule rests on measurement,
     with the iteration budget and `_advance`'s substeps as its net.
     """
-    u = u_free.copy()
-    r = residual_fn(u) if r is None else r
-    hist = []
-    for it in range(policy.max_iters + 1):
-        norm = float(np.max(np.abs(r)))
-        hist.append(norm)
-        if norm <= NEWTON_TOL:
-            return u, it, hist
-        if not np.isfinite(norm):
-            raise NewtonFailure("non-finite residual", hist)
-        if it < policy.max_iters:
-            u = u + _solve_tridiagonal(*jacobian_fn(u), -r)
-            r = residual_fn(u)
-    raise NewtonFailure("no convergence within the iteration budget", hist)
-
-
-def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
-                    policy: SolverPolicy):
-    """Solve b(u) - b(u_prev) - dt F(u) = 0 at the free nodes by Newton from
-    u_prev, with the Dirichlet data at t.  Returns (u, newton_iterations).
-    A linear kind's part -dt L of the Newton matrix is assembled once."""
     x = spec.nodes()
     reflect = spec.geometry.reflect_inner
     if reflect:
         # a ghost node mirroring u[1] lets interior stencils cover node 0
         x = np.concatenate([[x[0] - (x[1] - x[0])], x])
+    radial = spec.geometry.radial
     bc = spec.dirichlet(t)
     free = slice(1 if 0 in bc else 0, -1)
-    base = u_prev.copy()
+    u = u_prev.copy()
     for i, g in bc.items():
-        base[i] = g
-    b_prev = np.asarray(bval(u_prev))[free]
-    work = base.copy()
+        u[i] = g
 
-    def full(u_free):
-        work[free] = u_free
-        return np.concatenate([work[1:2], work]) if reflect else work
-
-    def residual(u_free, bu=None):
-        F = apply_operator_1d(spec.op, full(u_free), x, spec.b,
-                              radial=spec.geometry.radial)
-        F *= dt
-        bu = np.asarray(bval(u_free)) if bu is None else bu
-        return np.subtract(bu - b_prev, F, out=F)
-
-    def operator_bands(u_free):
-        lower, diag, upper = operator_jacobian_1d(spec.op, full(u_free), x, spec.b,
-                                                  radial=spec.geometry.radial)
+    def operator_bands(ext):
+        lower, diag, upper = operator_jacobian_1d(spec.op, ext, x, spec.b, radial=radial)
         if reflect:
             # ghost = u[1]: fold the ghost column into the first superdiagonal
             upper[0] += lower[0]
@@ -285,17 +254,28 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
             band *= -dt
         return lower, diag, upper
 
-    frozen = operator_bands(base[free]) if spec.op.linear else None
-
-    def jacobian(u_free):
-        lower, diag, upper = frozen or operator_bands(u_free)
-        return lower, np.asarray(bder(u_free)) + diag, upper
-
+    ext = np.concatenate([u[1:2], u]) if reflect else u
+    frozen = operator_bands(ext) if spec.op.linear else None
     # Newton starts at u_prev's free nodes, where b(u) is b_prev (b is elementwise)
-    sol_free, iters, _ = _newton(residual, jacobian, base[free], policy,
-                                 residual(base[free], b_prev))
-    base[free] = sol_free
-    return base, iters
+    b_prev = bu = np.asarray(bval(u_prev))[free]
+    hist = []
+    for it in range(policy.max_iters + 1):
+        r = apply_operator_1d(spec.op, ext, x, spec.b, radial=radial)
+        r *= dt
+        np.subtract(bu - b_prev, r, out=r)
+        norm = float(np.max(np.abs(r)))
+        hist.append(norm)
+        if norm <= NEWTON_TOL:
+            return u, it
+        if not np.isfinite(norm):
+            raise NewtonFailure("non-finite residual", hist)
+        if it == policy.max_iters:
+            break
+        lower, diag, upper = frozen or operator_bands(ext)
+        u[free] += _solve_tridiagonal(lower, np.asarray(bder(u[free])) + diag, upper, -r)
+        ext = np.concatenate([u[1:2], u]) if reflect else u
+        bu = np.asarray(bval(u[free]))
+    raise NewtonFailure("no convergence within the iteration budget", hist)
 
 
 def solve_elliptic(spec: ProblemSpec) -> np.ndarray:
@@ -314,8 +294,8 @@ def step_parabolic(spec: ProblemSpec, u_prev: np.ndarray, t_next: float,
                    dt: float, policy: Optional[SolverPolicy] = None):
     """One implicit Euler step: solve b(u) - b(u_prev) = dt F(u) nodewise with
     the Dirichlet data at t_next.  Returns (u, newton_iterations)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     bval, bder = spec.b_pair()
     return _implicit_solve(spec, u_prev, t_next, dt, bval, bder,
                            policy or SolverPolicy())

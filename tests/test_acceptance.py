@@ -53,6 +53,19 @@ def test_registering_an_existing_index_raises():
     assert sorted(ALL_CRITERIA) == list(range(1, 12))
 
 
+def test_only_none_selects_every_criterion(monkeypatch):
+    # an empty or unknown selection raises before any criterion runs
+    def must_not_run():
+        raise AssertionError("a criterion ran")
+
+    for index in list(ALL_CRITERIA):
+        monkeypatch.setitem(ALL_CRITERIA, index, must_not_run)
+    for criteria, message in (([], "no criteria selected"),
+                              ([3, 12], r"unknown criteria \[12\]")):
+        with pytest.raises(ValueError, match=message):
+            harness.run_acceptance(criteria=criteria)
+
+
 def test_criterion_01_bn_family():
     # 0 < b_n' < 1 and within 1e-6 of a central difference of b_n for n in
     # 1..64; sup error decreasing; oracle match 1e-9

@@ -452,6 +452,15 @@ class TestCLI:
             assert "--r" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
+    def test_envelope_decreasing_axis_exit_2(self, tmp_path, capsys):
+        x = np.linspace(-1, 1, 41)
+        fin = str(tmp_path / "in.csv")
+        write_field_csv(fin, GridField(x[::-1], x, np.ones((41, 41))))
+        assert main(["envelope", "--in", fin, "--r", "0.2",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "space grid nodes must increase" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_crossing_grid_mismatch_exit_2(self, tmp_path):
         x = np.linspace(-1, 1, 41)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

@@ -334,6 +334,15 @@ class TestEnvelopes:
             with pytest.raises(ValueError, match=f"{axis} grid needs at least two nodes"):
                 essential_envelopes(fld, [0.2])
 
+    def test_decreasing_axis_rejected(self):
+        x = np.linspace(-1.0, 1.0, 21)
+        for fld, axis in ((GridField(x[::-1], x, np.ones((21, 21))), "space"),
+                          (GridField(x, x[::-1], np.ones((21, 21))), "time")):
+            with pytest.raises(ValueError, match=f"{axis} grid nodes must increase"):
+                essential_envelopes(fld, [0.2])
+            with pytest.raises(ValueError, match=f"{axis} grid nodes must increase"):
+                sup_convolve(fld, 0.2)
+
     def test_matches_disc_oracle(self):
         rng = np.random.default_rng(12)
         x = np.linspace(0.0, 1.0, 23)

@@ -17,7 +17,6 @@ from ellpar.solver import (
     SolverPolicy,
     _advance,
     _front_locations,
-    _newton,
     _solve_tridiagonal,
     bracket_maximal_minimal,
     max_principle_bounds,
@@ -215,8 +214,9 @@ class TestStepParabolic:
 
     def test_rejects_bad_dt(self):
         spec = interval_spec()
-        with pytest.raises(ValueError):
-            step_parabolic(spec, spec.initial_values(), 0.1, dt=0.0)
+        for dt in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                step_parabolic(spec, spec.initial_values(), 0.1, dt=dt)
 
 
 def richards_wave_profile(xi, p):
@@ -759,17 +759,56 @@ class TestJacobianWork:
         assert once.values.tobytes() == each.values.tobytes()
 
     @pytest.mark.parametrize("finite_at_start", [False, True], ids=["start", "first-step"])
-    def test_non_finite_residual_is_a_newton_failure(self, finite_at_start):
-        # the residual is NaN away from the start u = 0, or everywhere:
-        # scipy never sees it as a right-hand side
-        def residual(u):
-            return np.where((u == 0) & finite_at_start, -1.0, np.nan)
+    def test_non_finite_residual_is_a_newton_failure(self, monkeypatch, finite_at_start):
+        # the operator reads NaN from its first call, or from its second on:
+        # scipy never sees it as a right-hand side, and the history ends in it
+        from ellpar import solver
 
-        def jacobian(u):
-            return np.zeros_like(u), np.ones_like(u), np.zeros_like(u)
+        apply, calls, solves = solver.apply_operator_1d, [0], [0]
+        finite_calls = 1 if finite_at_start else 0
 
-        with pytest.raises(NewtonFailure, match="non-finite residual"):
-            _newton(residual, jacobian, np.zeros(5), SolverPolicy())
+        def nan_after(*args, **kwargs):
+            calls[0] += 1
+            out = apply(*args, **kwargs)
+            if calls[0] > finite_calls:
+                out[:] = np.nan
+            return out
+
+        def counting(*args, **kwargs):
+            solves[0] += 1
+            return solve_banded(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "apply_operator_1d", nan_after)
+        monkeypatch.setattr(solver, "solve_banded", counting)
+        spec = interval_spec()
+        with pytest.raises(NewtonFailure, match="non-finite residual") as err:
+            step_parabolic(spec, spec.initial_values(), spec.dt, spec.dt)
+        assert solves[0] == calls[0] - 1 == finite_calls
+        assert len(err.value.history) == calls[0]
+        assert all(np.isfinite(err.value.history[:-1])) and np.isnan(err.value.history[-1])
+
+    @pytest.mark.parametrize("geometry", [Geometry("interval", -1.0, 1.0),
+                                          Geometry("radial-annulus", 0.2, 1.0),
+                                          Geometry("radial-ball-punctured", 0.2, 1.0)],
+                             ids=["interval", "annulus", "ball"])
+    def test_inputs_are_left_unchanged(self, geometry):
+        # Newton updates its iterate in place: never the caller's array
+        op = OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.0,
+                          n_dim=3 if geometry.radial else 1)
+        s = np.linspace(0.0, 1.0, 201)
+        u0 = 0.5 - 1.5 * s**2
+        spec = ProblemSpec(geometry=geometry, op=op, bn=BnFamily(16), g_lo=0.5,
+                           g_hi=-1.0, u0=u0, T=0.01, grid=201, dt=2.5e-3)
+        kept = u0.tobytes()
+        u_prev = spec.initial_values()
+        prev = u_prev.tobytes()
+        u_next, iters = step_parabolic(spec, u_prev, spec.dt, spec.dt)
+        assert iters > 0 and u_next is not u_prev
+        assert u_prev.tobytes() == prev and u0.tobytes() == kept
+        u_star = solve_elliptic(spec)
+        star = u_star.tobytes()
+        assert solve_elliptic(spec).tobytes() == star
+        assert u_star.tobytes() == star and u0.tobytes() == kept
 
 
 class TestRichardsNewtonCount:
