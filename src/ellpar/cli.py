@@ -23,6 +23,170 @@ from .regularize import GridField, crossing_time, inf_convolve, sup_convolve
 __all__ = ["main", "write_field_csv", "read_field_csv"]
 
 
+# Exact `%.17g` text for whole arrays.  CPython formats one double at a time
+# through a correctly rounded dtoa.  For 1e-10 <= |v| < 1e13 the 17
+# significant digits come exactly from integer arithmetic on whole arrays,
+# as in Ryu printf (Adams 2019): with |v| = m / 2**q (53-bit m) and
+# p = 16 - floor(log10 |v|), D = m * 5**p / 2**(q - p) rounded half to even
+# lies in [1e16, 1e17), and |v| reads D * 10**-p.  `%.17g` then writes, for
+# the decimal exponent x = 16 - p, x + 1 digits before the point when
+# x >= 0, "0." and -x - 1 zeros before all 17 when -4 <= x < 0, and one
+# digit and an exponent when x < -4.  Each value's text is a row of 4-byte
+# words from _WORDS, NUL where a character is absent, and bytes.translate
+# deletes the NULs.  In text order the words are:
+#   lead      separator, sign and, for an integer part 0, its "0"
+#   integer   4-digit groups, leading zeros cut; as many as the block needs
+#   point     "." and the fraction's leading zeros, or nothing when no
+#             fraction digit follows
+#   fraction  16 digits in four groups, trailing zeros cut
+#   tail      a 17th fraction digit or the exponent "e-05" to "e-10"; left
+#             out when no value of the block has one
+
+_U64 = np.uint64
+_P5_HI, _P5_LO = np.divmod(5 ** np.arange(28, dtype=_U64), _U64(2**32))
+_BLOCK = 4096                    # values per _format_block call: small temporaries
+
+
+def _word_table():
+    """_WORDS, the offset of each kind of word in it after the integer
+    groups (which start at 0), and by x + 10 the powers 10**(17 - s) and
+    10**s for the s digits before the point."""
+    digit = np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    pos = np.arange(4)
+    ascii_ = ord("0") + digit
+    first = np.where(digit != 0, pos, 4).min(1, keepdims=True)
+    last = np.where(digit != 0, pos, -1).max(1, keepdims=True)
+    x = np.arange(-10, 13)
+    expo = x < -4
+    zeros = np.where(expo, 0, np.clip(-x - 1, 0, 3))
+    point = np.where(pos <= zeros[:, None], ord("0"), 0)
+    point[:, 0] = ord(".")
+    d = np.arange(10)
+    tail = np.zeros((x.size, 10, 4), int)
+    tail[:, :, 0] = np.where(d > 0, ord("0") + d, 0)
+    e = -x[expo]
+    tail[expo, 0] = np.stack([np.full(e.size, ord("e")), np.full(e.size, ord("-")),
+                              ord("0") + e // 10, ord("0") + e % 10], 1)
+    lead = np.zeros((4, 4), int)
+    lead[:, 0] = ord(",")
+    lead[2:, 1] = ord("-")
+    lead[::2, 3] = ord("0")
+    parts = [
+        # [g]: group g with leading zeros cut; [10000 + g]: all four digits
+        np.where(pos >= first, ascii_, 0), ascii_,
+        # [g]: group g with trailing zeros cut; [10000 + g]: all four digits
+        np.where(pos <= last, ascii_, 0), ascii_,
+        # [23 * (a fraction digit follows) + x + 10]
+        np.zeros((x.size, 4), int), point,
+        # [10 * (x + 10) + f]: the 17th digit f (NUL for 0) or the exponent
+        tail.reshape(-1, 4),
+        # [2 * (v < 0) + (integer part > 0)]
+        lead,
+    ]
+    at = np.cumsum([len(w) for w in parts])
+    words = np.ascontiguousarray(np.concatenate(parts), np.uint8).view("<u4").ravel()
+    s = np.where(x >= 0, x + 1, expo)
+    return words, at[1], at[3], at[5], at[6], 10 ** (17 - s), 10 ** s
+
+
+(_WORDS, _FRAC_AT, _POINT_AT, _TAIL_AT, _LEAD_AT, _INT_SCALE,
+ _FRAC_SCALE) = _word_table()
+
+
+def _scaled(m0, m1, r, p):
+    """floor(m * 5**p / 2**r) of m = m1 * 2**32 + m0 < 2**53 and
+    0 < r < 64, exact in uint64: the product (< 2**116) is built from
+    32-bit limbs; and whether rounding half to even adds one."""
+    c0, c1 = _P5_LO.take(p), _P5_HI.take(p)
+    lo = m0 * c0
+    mid = m1 * c0 + m0 * c1
+    low = lo + (mid << _U64(32))
+    high = m1 * c1 + (mid >> _U64(32)) + (low < lo)
+    left = _U64(64) - r
+    d = (high << left) | (low >> r)
+    # the bits shifted out, left-aligned, are below 2**64 - 1: adding d's
+    # last bit cannot wrap, and the sum passes half exactly when rounding
+    # half to even goes up
+    return d, (low << left) + (d & _U64(1)) > _U64(2**63)
+
+
+def _format_block(v, newline):
+    """The `%.17g` text of each value of v (+-0 or 1e-10 <= |v| < 1e13),
+    each after a "," or, at the positions that the slice newline picks,
+    a "\n"."""
+    a = np.abs(v)
+    zero = np.flatnonzero(a == 0)
+    a[zero] = 1.0                      # a value in range; reset below
+    bits = a.view(_U64)
+    m0 = bits & _U64(2**32 - 1)
+    m1 = (bits >> _U64(32)) & _U64(2**20 - 1) | _U64(2**20)
+    q = 1075 - (bits >> _U64(52)).view(np.int64)       # a = m / 2**q
+    p = 16 - np.floor(np.log10(a)).astype(np.int64)
+    d, up = _scaled(m0, m1, (q - p).view(_U64), p)
+    # log10 may be off by one next to a power of ten; the exact floor of
+    # |v| * 10**p says which way.  (No double in range is close enough
+    # below a power of ten to round up to it at 17 digits.)
+    bad = np.flatnonzero((d < _U64(10**16)) | (d >= _U64(10**17)))
+    if bad.size:
+        p[bad] += np.where(d[bad] < _U64(10**16), 1, -1)
+        d[bad], up[bad] = _scaled(m0[bad], m1[bad],
+                                  (q[bad] - p[bad]).view(_U64), p[bad])
+    d = (d + up).view(np.int64)
+    d[zero] = 0
+    p[zero] = 16
+    x10 = 26 - p
+    scale = _INT_SCALE.take(x10)
+    i = d // scale
+    frac = (d - i * scale) * _FRAC_SCALE.take(x10)
+    index = [np.signbit(v) * 2 + np.minimum(i, 1) + _LEAD_AT]
+    # integer groups, last first: group g, whose digits with those before
+    # it read P, takes [min(P, 10000 + g)], leading zeros cut while P < 10000
+    groups = []
+    while True:
+        high = i // 10**4
+        groups.append(np.minimum(i, i - high * 10**4 + 10000))
+        if not high.any():
+            break
+        i = high
+    index += groups[::-1]
+    rest = frac // 10
+    f16 = frac - rest * 10
+    more = f16 != 0                    # a nonzero digit after this group
+    groups = []
+    for _ in range(4):
+        high = rest // 10**4
+        g = rest - high * 10**4
+        groups.append(g + more * 10000 + _FRAC_AT)
+        more |= g != 0
+        rest = high
+    index.append(x10 + more * 23 + _POINT_AT)
+    index += groups[::-1]
+    if f16.any() or (x10 < 6).any():            # x < -4: exponent form
+        index.append(x10 * 10 + f16 + _TAIL_AT)
+    words = _WORDS.take(np.array(index))
+    words[0, newline] ^= ord(",") ^ ord("\n")
+    return words.T.tobytes().translate(None, b"\0")
+
+
+def _format_rows(rows):
+    """The `%.17g` text of each row of a 2-D float array as bytes, values
+    joined by "," and the row ended by "\n".  Rows whose every value is
+    +-0 or has 1e-10 <= |v| < 1e13 go through _format_block, the others
+    through CPython's formatting."""
+    width = rows.shape[1]
+    mag = np.abs(rows)
+    # (a row of no values has no separator to find it by)
+    fast = ((mag < 1e13) & ((mag >= 1e-10) | (mag == 0))).all(axis=1) & (width > 0)
+    flat = rows[fast].ravel()
+    # a "\n" before each row's first value ends the row before it
+    blocks = [_format_block(flat[k:k + _BLOCK], slice(-k % width, None, width))
+              for k in range(0, flat.size, _BLOCK)]
+    fast_lines = iter(b"".join(blocks + [b"\n"]).splitlines(keepends=True)[1:])
+    line = b",".join([b"%.17g"] * width) + b"\n"
+    return [next(fast_lines) if ok else line % tuple(row.tolist())
+            for ok, row in zip(fast, rows)]
+
+
 def write_field_csv(path, fld: GridField):
     """Header row `t,<x_0>,...,<x_{N-1}>` with node coordinates, then one row
     `t,<u_0>,...,<u_{N-1}>` per time level.
@@ -32,30 +196,35 @@ def write_field_csv(path, fld: GridField):
     filled stationary tail of a run) is formatted once and its text reused;
     -0.0 and 0.0 differ in bytes and keep their own text.
     """
-    line = ",".join(["%.17g"] * fld.x.size) + "\n"
-    text = {}
-    with open(path, "w") as fh:
-        fh.write("t," + line % tuple(fld.x.tolist()))
-        for t, row in zip(fld.times.tolist(), fld.values):
-            key = row.tobytes()
-            if key not in text:
-                text[key] = line % tuple(row.tolist())
-            fh.write("%.17g," % t + text[key])
+    keys = [row.tobytes() for row in fld.values]
+    first = {}
+    for k, key in enumerate(keys):
+        first.setdefault(key, k)
+    header, *rows = _format_rows(np.vstack([fld.x, fld.values[list(first.values())]]))
+    text = dict(zip(first, rows))
+    with open(path, "wb") as fh:
+        fh.write(b"t," + header)
+        fh.writelines(b"%.17g," % t + text[key]
+                      for t, key in zip(fld.times.tolist(), keys))
 
 
 def read_field_csv(path) -> GridField:
-    """Read a field written by write_field_csv; ragged rows, non-numbers,
-    non-finite samples and a shape mismatch are a ConfigError."""
+    """Read a field written by write_field_csv; a header with no time rows,
+    ragged rows, non-numbers, non-finite samples and a shape mismatch are a
+    ConfigError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[0] != "t":
             raise ConfigError(f"{path}: expected 't' as first header column")
-        try:
-            x = np.array([float(v) for v in header[1:]])
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-            return GridField(x, rows[:, 0], rows[:, 1:])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        body = fh.read()
+    if not body.strip():
+        raise ConfigError(f"{path}: no time rows after the header")
+    try:
+        x = np.array([float(v) for v in header[1:]])
+        rows = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+        return GridField(x, rows[:, 0], rows[:, 1:])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _write_front_csv(path, field):
@@ -186,9 +355,9 @@ def _cmd_accept(args):
     criteria = None
     if args.criteria:
         criteria = _int_list("--criteria", args.criteria)
-        if not set(criteria) <= ALL_CRITERIA.keys():
-            raise ConfigError(f"--criteria {args.criteria}: "
-                              f"criteria are {sorted(ALL_CRITERIA)}")
+        if not set(criteria) <= ALL_CRITERIA.keys() or len(set(criteria)) < len(criteria):
+            raise ConfigError(f"--criteria {args.criteria}: criteria are "
+                              f"{sorted(ALL_CRITERIA)}, each named once")
     code, _ = run_acceptance(criteria=criteria, out_path=args.out)
     return code
 

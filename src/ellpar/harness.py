@@ -541,7 +541,8 @@ def criterion_11_elliptic():
 def run_acceptance(criteria=None, out_path: Optional[str] = None):
     """Run the acceptance suite, printing one line per criterion; returns
     (exit_code, report dict).  `criteria` lists the indices to run, None
-    all of them; an empty or unknown selection is a ValueError.
+    all of them; an empty selection, an unknown index or a repeated one is
+    a ValueError.
 
     exit code 0 on pass, 1 on any criterion failure.
     """
@@ -551,6 +552,9 @@ def run_acceptance(criteria=None, out_path: Optional[str] = None):
     bad = [i for i in indices if i not in ALL_CRITERIA]
     if bad:
         raise ValueError(f"unknown criteria {bad}")
+    repeated = sorted({i for i in indices if indices.count(i) > 1})
+    if repeated:
+        raise ValueError(f"repeated criteria {repeated}")
     results = []
     t0 = time.perf_counter()
     for i in indices:

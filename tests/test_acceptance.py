@@ -54,14 +54,15 @@ def test_registering_an_existing_index_raises():
 
 
 def test_only_none_selects_every_criterion(monkeypatch):
-    # an empty or unknown selection raises before any criterion runs
+    # an empty, unknown or repeated selection raises before any criterion runs
     def must_not_run():
         raise AssertionError("a criterion ran")
 
     for index in list(ALL_CRITERIA):
         monkeypatch.setitem(ALL_CRITERIA, index, must_not_run)
     for criteria, message in (([], "no criteria selected"),
-                              ([3, 12], r"unknown criteria \[12\]")):
+                              ([3, 12], r"unknown criteria \[12\]"),
+                              ([4, 4], r"repeated criteria \[4\]")):
         with pytest.raises(ValueError, match=message):
             harness.run_acceptance(criteria=criteria)
 

@@ -15,7 +15,7 @@ from ellpar.barriers import (
     solve_radial_barrier,
     verify_subsolution_margin,
 )
-from ellpar.cli import main, read_field_csv, write_field_csv
+from ellpar.cli import _format_rows, main, read_field_csv, write_field_csv
 from ellpar.config import (
     ConfigError,
     load_config,
@@ -234,12 +234,14 @@ class TestFieldCSV:
 
     def test_bytes_match_per_value_reference(self, tmp_path):
         # a filled tail (B, B, B), a non-adjacent repeat (A, B, A), 0.0 next
-        # to -0.0, the extreme magnitudes and values that need 17 digits
+        # to -0.0, the extreme magnitudes and values that need 17 digits;
+        # C repeats with every value in the array formatter's range
         x = np.linspace(-1, 1, 5)
         a = np.array([0.1, 1 / 3, 2 / 3, 5e-324, 1e308])
         b = np.array([np.nextafter(1.0, 2.0), -0.1, 1e-300, -1e308, np.pi])
+        c = np.array([1e-10, -2 / 3, 1e-5, 123.456, 1e12 + 0.5])
         zero = np.zeros(5)
-        rows = [a, b, a, zero, -zero, zero, b, b, b]
+        rows = [a, b, a, zero, -zero, zero, c, b, b, b, c, c]
         # a run, with its filled stationary tail, is written as a field is
         for fld in (GridField(x, 0.1 * np.arange(len(rows)), np.array(rows)),
                     run(make_jump_scenario(grid=101, n=16, T=0.1).spec)):
@@ -254,10 +256,38 @@ class TestFieldCSV:
                               (back.values, fld.values)):
                 assert got.tobytes() == want.tobytes()
 
+    def test_array_formatter_matches_per_value_reference(self):
+        # the range the array formatter takes, 1e-10 <= |v| < 1e13 and +-0:
+        # every decade of both signs, powers of ten and their neighbours,
+        # and odd m / 2**j, whose 17-digit ties round half to even
+        rng = np.random.default_rng(5)
+        decades = np.arange(-10, 13)[:, None]
+        powers = np.array([float(f"1e{k}") for k in range(-10, 14)])
+        j = np.arange(14, 26)[:, None]
+        odd = 2 * rng.integers(0, 2**20, (j.size, 64)) + 1
+        fast = np.concatenate([
+            (10.0 ** (decades + rng.random((decades.size, 200)))
+             * rng.choice([-1.0, 1.0], (decades.size, 200))).ravel(),
+            powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+            [0.0, -0.0], (odd / 2.0**j).ravel(), (1 + odd % 2**j / 2.0**j).ravel()])
+        # random finite bit patterns: subnormals, 1e308 and the like
+        wild = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(float)
+        wild = wild[np.isfinite(wild)]
+        for width in (1, 2, 1601):
+            rows = fast[:fast.size // width * width].reshape(-1, width)
+            mixed = rows.copy()
+            mixed[::2, -1] = wild[:len(mixed[::2])]
+            for field in (rows, mixed, wild[:wild.size // width * width].reshape(-1, width)):
+                assert _format_rows(field) == [
+                    (",".join("%.17g" % v for v in row) + "\n").encode()
+                    for row in field.tolist()]
+        assert _format_rows(np.array([[1 + 2**-17]])) == [b"1.0000076293945312\n"]
+
     def test_malformed_is_config_error(self, tmp_path):
         p = tmp_path / "f.csv"
         for body in ("t,0,1\n0,1,nan\n", "t,0,1\n0,1,inf\n", "t,0,nan\n0,1,2\n",
-                     "t,0,1\n0,1,2\n1,2\n", "t,0,1\n0,1,x\n", "t,0,1\n0,1,2,3\n"):
+                     "t,0,1\n0,1,2\n1,2\n", "t,0,1\n0,1,x\n", "t,0,1\n0,1,2,3\n",
+                     "t,0,1\n"):
             p.write_text(body)
             with pytest.raises(ConfigError):
                 read_field_csv(p)
@@ -594,8 +624,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", [
         "sweep-n --n 4,8", "sweep-n --n 4,x,16", "accept --criteria 99",
-        "accept --criteria 1,x", "compare --gap 0", "compare --gap 0.8",
-        "compare --gap inf", "compare --gap nan"])
+        "accept --criteria 1,x", "accept --criteria 4,4", "compare --gap 0",
+        "compare --gap 0.8", "compare --gap inf", "compare --gap nan"])
     def test_bad_argument_exit_2(self, tmp_path, capsys, command):
         argv = command.split()
         if argv[0] == "sweep-n":
