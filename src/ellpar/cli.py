@@ -352,8 +352,10 @@ def _cmd_compare(args):
 def _cmd_accept(args):
     from .harness import ALL_CRITERIA, run_acceptance
 
+    if args.out == "":
+        raise ConfigError("--out is empty: name the report file")
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         criteria = _int_list("--criteria", args.criteria)
         if not set(criteria) <= ALL_CRITERIA.keys() or len(set(criteria)) < len(criteria):
             raise ConfigError(f"--criteria {args.criteria}: criteria are "

@@ -2,10 +2,11 @@
 suite: eleven property-based criteria with machine-readable margins.
 
 Each criterion is a zero-argument function that builds its own runs and
-returns (passed, margin, details); the `_criterion(index, name)` decorator
-registers it in ALL_CRITERIA, times it and wraps the result in a
-CriterionResult.  run_acceptance executes a selection and assembles the JSON
-report.
+returns (margin, details); the `_criterion(index, name)` decorator registers
+it in ALL_CRITERIA, times it and wraps the result in a CriterionResult that
+passes when the margin is >= 0 (a NaN margin fails).  A check that has no
+margin of its own gates one as `margin if check else -1.0`.  run_acceptance
+executes a selection and assembles the JSON report.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ ALL_CRITERIA: dict = {}
 
 
 def _criterion(index: int, name: str):
-    """Register a zero-argument function returning (passed, margin, details)
-    as ALL_CRITERIA[index], timed and wrapped in a CriterionResult; the
-    registered function carries the criterion's name as `.name`."""
+    """Register a zero-argument function returning (margin, details) as
+    ALL_CRITERIA[index], timed and wrapped in a CriterionResult that passes
+    when margin >= 0; the registered function carries the criterion's name
+    as `.name`."""
     if index in ALL_CRITERIA:
         raise ValueError(f"criterion {index} is already registered")
 
@@ -169,8 +171,8 @@ def _criterion(index: int, name: str):
         @wraps(body)
         def criterion() -> CriterionResult:
             t0 = time.perf_counter()
-            passed, margin, details = body()
-            return CriterionResult(index, name, passed, margin,
+            margin, details = body()
+            return CriterionResult(index, name, bool(margin >= 0), margin,
                                    time.perf_counter() - t0, details)
 
         criterion.name = name
@@ -195,7 +197,7 @@ def criterion_1_bn_family():
         fam = BnFamily(n)
         d = bn_derivative(fam, s)
         if not (np.all(d > 0) and np.all(d < 1)):
-            return False, -1.0, {"failed_at_n": n}
+            return -1.0, {"failed_at_n": n}
         central = (bn_eval(fam, s + h) - bn_eval(fam, s - h)) / (2 * h)
         der_err = max(der_err, float(np.max(np.abs(d - central))))
         sup_err.append(float(np.max(np.abs(bn_eval(fam, s) - np.maximum(s, 0)))))
@@ -210,13 +212,12 @@ def criterion_1_bn_family():
                - mpmath.log(mpmath.exp(n) + 1)) / (n * n)
         got = bn_eval(fam, sv)
         if not math.isfinite(got):
-            return False, -1.0, {"nonfinite_at": sv}
+            return -1.0, {"nonfinite_at": sv}
         oracle_err = max(oracle_err, abs(got - float(ref)))
-    ok = decreasing and der_err <= 1e-6 and oracle_err <= 1e-9
-    margin = min(1e-6 - der_err, 1e-9 - oracle_err)
-    return ok, margin, {"derivative_err": der_err, "oracle_err": oracle_err,
-                        "sup_err_first_last": [sup_err[0], sup_err[-1]],
-                        "decreasing": decreasing}
+    margin = min(1e-6 - der_err, 1e-9 - oracle_err) if decreasing else -1.0
+    return margin, {"derivative_err": der_err, "oracle_err": oracle_err,
+                    "sup_err_first_last": [sup_err[0], sup_err[-1]],
+                    "decreasing": decreasing}
 
 
 @_criterion(2, "pucci-correctness")
@@ -255,9 +256,8 @@ def criterion_2_pucci():
                          abs(minus - (-pucci_plus(op, -eigs))))
         worst_degen = max(worst_degen, abs(pucci_plus(replace(op, Lam=op.lam), eigs)
                                            - lam * float(eigs.sum())))
-    ok = (worst_gap <= 1e-3 and worst_onesided <= 1e-10
-          and worst_dual == 0.0 and worst_degen <= 1e-12)
-    return ok, 1e-3 - worst_gap, {
+    exact = worst_onesided <= 1e-10 and worst_dual == 0.0 and worst_degen <= 1e-12
+    return 1e-3 - worst_gap if exact else -1.0, {
         "worst_bruteforce_gap": worst_gap,
         "worst_onesided_violation": worst_onesided,
         "worst_duality_error": worst_dual,
@@ -292,7 +292,7 @@ def criterion_3_structural():
         rep = structural_envelope_check(op, trials=10_000, seed=3)
         det[op.kind] = rep.worst_margin
         worst = min(worst, rep.worst_margin)
-    return worst >= -1e-10, worst + 1e-10, det
+    return worst + 1e-10, det
 
 
 @_criterion(4, "barrier-certificates")
@@ -304,11 +304,9 @@ def criterion_4_barriers():
                                omega_hat=0.3)
     rep = verify_subsolution_margin(bar, samples=1000, seed=5)
     scale = max(1.0, bar.a_hat)
-    ok_margin = rep.passed and rep.worst_margin >= 1e-6 * scale
 
     # the measured flux gap against the prescribed slopes
     flux_err = abs(rep.flux_gap - (bar.a_hat + bar.b_hat))
-    ok_flux = flux_err <= 1e-10
 
     # infeasibility exactly past the critical radius
     try:
@@ -326,13 +324,11 @@ def criterion_4_barriers():
     div = OperatorSpec("divergence", n_dim=3, psi=PsiSpec("polynomial", (1.0, 0.5)))
     logbar = solve_logdiv_barrier(div, BSpec("positive-part"), omega=0.5, rho0=1.0, M=1.0)
     logrep = verify_subsolution_margin(logbar, samples=1000, seed=5)
-    ok_log = logrep.passed and logrep.worst_margin >= 1e-6 * logbar.M
 
-    ok = ok_margin and ok_flux and ok_crit and ok_log
     margin = min(rep.worst_margin - 1e-6 * scale,
                  1e-10 - flux_err,
                  logrep.worst_margin - 1e-6 * logbar.M)
-    return ok, margin, {
+    return margin if ok_crit else -1.0, {
         "radial_worst_margin": rep.worst_margin,
         "flux_gap_error": flux_err,
         "critical_radius": rho_c,
@@ -351,14 +347,14 @@ def criterion_5_harnack():
         chain = harnack_chain(r, s)
         kb = harnack_chain_k_bound(r, s)
         if chain.k > kb:
-            return False, -1.0, {"r": r, "s": s, "k": chain.k, "kBound": kb}
+            return -1.0, {"r": r, "s": s, "k": chain.k, "kBound": kb}
         for j, aj in enumerate(chain.a):
             bound = r * (s / r) ** ((2.0 / 3.0) ** j)
             if aj < bound - 1e-12:
-                return False, aj - bound, {"r": r, "s": s, "j": j}
+                return aj - bound, {"r": r, "s": s, "j": j}
             if j >= 1:  # a_0 = s is the bound itself
                 worst = min(worst, aj - bound)
-    return True, worst, {"pairs": 50, "worst_slack": worst}
+    return worst, {"pairs": 50, "worst_slack": worst}
 
 
 @_criterion(6, "discrete-comparison")
@@ -378,7 +374,7 @@ def criterion_6_comparison():
         rl = run(lower_spec)
         ru = run(upper_scn.spec)
         worst = min(worst, float(np.min(ru.values - rl.values)))
-    return worst >= -ORDER_TOL, worst + ORDER_TOL, {"worst_order_gap": worst, "pairs": 100}
+    return worst + ORDER_TOL, {"worst_order_gap": worst, "pairs": 100}
 
 
 @_criterion(7, "jump-extinction")
@@ -387,20 +383,18 @@ def criterion_7_extinction():
     r401 = run(spec)
     r801 = run(make_jump_scenario(grid=801, n=32).spec)
     if r401.extinction_time is None or r801.extinction_time is None:
-        return False, -1.0, {"extinction_401": r401.extinction_time,
-                             "extinction_801": r801.extinction_time}
+        return -1.0, {"extinction_401": r401.extinction_time,
+                      "extinction_801": r801.extinction_time}
     # the refinement bound is in the coarse run's dt and grid spacing
     dt = spec.dt
     h = (spec.geometry.hi - spec.geometry.lo) / (spec.grid - 1)
     drift = abs(r401.extinction_time - r801.extinction_time)
-    ok_stable = drift <= 2 * (dt + h)
     t_check = r401.extinction_time + 0.2
     late = r401.times >= t_check - 1e-12
     if not np.any(late):
-        return False, -1.0, {"reason": "no recorded level past extinction + 0.2"}
+        return -1.0, {"reason": "no recorded level past extinction + 0.2"}
     dev = float(np.max(np.abs(r401.values[late] + 1.0)))
-    ok = ok_stable and dev <= 0.05
-    return ok, min(2 * (dt + h) - drift, 0.05 - dev), {
+    return min(2 * (dt + h) - drift, 0.05 - dev), {
         "extinction_401": r401.extinction_time,
         "extinction_801": r801.extinction_time,
         "refinement_drift": drift,
@@ -419,13 +413,11 @@ def criterion_8_singular_limit():
     decreasing = all(b < a for a, b in zip(d, d[1:]))
     exts = rep.extinction_times
     if any(e is None for e in exts):
-        return False, -1.0, {"extinction_times": exts}
+        return -1.0, {"extinction_times": exts}
     gaps = rep.extinction_gaps
     cauchy = all(g2 <= g1 + spec.dt for g1, g2 in zip(gaps, gaps[1:]))
-    ok = decreasing and cauchy
-    margin = min(a - b for a, b in zip(d, d[1:])) if decreasing else -1.0
-    return ok, margin, {"pairwise_sup": d, "extinction_times": exts,
-                        "extinction_gaps": gaps}
+    margin = min(a - b for a, b in zip(d, d[1:])) if decreasing and cauchy else -1.0
+    return margin, {"pairwise_sup": d, "extinction_times": exts, "extinction_gaps": gaps}
 
 
 @_criterion(9, "maximal-minimal-bracketing")
@@ -433,12 +425,11 @@ def criterion_9_bracketing():
     spec = make_jump_scenario(grid=401, n=32).spec
     rep = bracket_maximal_minimal(spec, [0.1, 0.05, 0.025],
                                   probe_times=[0.01, 0.02, 0.04])
-    shrinking = all(g2 <= g1 + 1e-3 for g1, g2 in zip(rep.gaps, rep.gaps[1:]))
-    ok = rep.ordered and shrinking
+    # successive gaps may grow by at most 1e-3
     margin = min(g1 - g2 for g1, g2 in zip(rep.gaps, rep.gaps[1:])) + 1e-3
-    return ok, margin, {"gaps": rep.gaps, "ordered": rep.ordered,
-                        "extinction_upper": rep.extinction_upper,
-                        "extinction_lower": rep.extinction_lower}
+    return margin if rep.ordered else -1.0, {"gaps": rep.gaps, "ordered": rep.ordered,
+                                             "extinction_upper": rep.extinction_upper,
+                                             "extinction_lower": rep.extinction_lower}
 
 
 @_criterion(10, "regularization-pipeline")
@@ -473,11 +464,11 @@ def criterion_10_regularization():
     Zs = sup_convolve(rl, rr)
     Wi = inf_convolve(ru, rr)
     cross = crossing_time(Zs, Wi)
-    ok_cross = cross.t0 is None
     det["crossing_t0"] = cross.t0
-    ok = ok_dom and ok_dual and ok_attain and ball_rep.passed and ok_cross
-    margin = float(np.min(Wi.values - Zs.values)) if ok_cross else -1.0
-    return ok, margin, det
+    exact = ok_dom and ok_dual and ok_attain and ball_rep.passed
+    # no crossing means min(W - Z) > 0
+    margin = float(np.min(Wi.values - Zs.values)) if exact and cross.t0 is None else -1.0
+    return margin, det
 
 
 def _pucci_radial_exact(op: OperatorSpec, lo, hi, g_lo, g_hi, x):
@@ -527,11 +518,8 @@ def criterion_11_elliptic():
         i = int(np.argmax(ug <= 0)) - 1  # last positive node
         front = edge_zeros(xg, i, ug[i], ug[i + 1])
         quotients.append(float(ug[i] / (front - xg[i])))
-    ok_match = err <= 1e-4
     hopf_floor = 0.5
-    ok_hopf = min(quotients) >= hopf_floor
-    ok = ok_match and ok_hopf
-    return ok, min(1e-4 - err, min(quotients) - hopf_floor), {
+    return min(1e-4 - err, min(quotients) - hopf_floor), {
         "oracle_error": err,
         "hopf_quotients": quotients,
         "hopf_floor": hopf_floor,
@@ -566,7 +554,7 @@ def run_acceptance(criteria=None, out_path: Optional[str] = None):
         "total_runtime": time.perf_counter() - t0,
         "criteria": [asdict(r) for r in results],
     }
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w") as fh:
             json.dump(report, fh, indent=2, default=str)
     return (0 if report["passed"] else 1), report

@@ -69,6 +69,9 @@ class OperatorSpec:
             raise ValueError("need 0 < lambda <= Lambda")
         if self.delta1 < 0 or self.delta0 < 0:
             raise ValueError("delta constants must be nonnegative")
+        for name in ("Lam", "delta1", "delta0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)}: need a finite value")
         if self.n_dim < 1:
             raise ValueError("dimension must be >= 1")
         if self.psi is not None and self.kind != "divergence":

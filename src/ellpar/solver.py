@@ -74,6 +74,8 @@ class Geometry:
             raise SpecError({"kind": self.kind}, "unknown geometry kind")
         if not self.lo < self.hi:
             raise SpecError({"lo": self.lo, "hi": self.hi}, "need lo < hi")
+        if not np.isfinite([self.lo, self.hi]).all():
+            raise SpecError({"lo": self.lo, "hi": self.hi}, "need finite lo and hi")
         if self.kind.startswith("radial") and self.lo <= 0:
             raise SpecError({"kind": self.kind, "lo": self.lo}, "radial grids exclude rho = 0")
 
@@ -104,7 +106,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.grid < 3:
             raise SpecError({"grid": self.grid}, "need at least 3 grid nodes")
-        if not (self.dt > 0 and self.T >= 0
+        if not (self.dt > 0 and 0 <= self.T < np.inf
                 and abs(self.steps * self.dt - self.T) <= 1e-9 * max(self.T, 1.0)):
             raise SpecError({"T": self.T, "dt": self.dt},
                             "need dt > 0 and T a whole number of steps")

@@ -6,6 +6,7 @@ with -s or look at captured output on failure).  Every criterion builds its
 own runs, so the tests share no state.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 import ellpar
 from ellpar import harness
 from ellpar.harness import ALL_CRITERIA, CriterionResult
+from ellpar.regularize import InteriorBallReport
 
 
 def _check(index):
@@ -36,7 +38,7 @@ def test_registering_an_existing_index_raises():
     try:
         @harness._criterion(99, "probe")
         def probe():
-            return True, 0.5, {"k": 1}
+            return 0.5, {"k": 1}
 
         assert ALL_CRITERIA[99] is probe
         res = probe()
@@ -44,6 +46,12 @@ def test_registering_an_existing_index_raises():
         assert (res.index, res.name, res.passed, res.margin, res.details) == (
             99, "probe", True, 0.5, {"k": 1})
         assert res.runtime >= 0
+        # the one pass rule: a criterion passes when its margin is >= 0, so a
+        # negative or NaN margin fails
+        for index, margin, passed in ((98, 0.0, True), (97, -1e-300, False),
+                                      (96, math.nan, False)):
+            res = harness._criterion(index, "probe")(lambda: (margin, {}))()
+            assert res.passed is passed, margin
         for index in (99, 6):
             with pytest.raises(ValueError, match=f"criterion {index} "):
                 harness._criterion(index, "again")
@@ -92,6 +100,18 @@ def test_criterion_01_fails_on_a_shifted_derivative(monkeypatch):
     assert r.margin < 0
 
 
+def test_criterion_02_fails_on_broken_duality(monkeypatch):
+    # pucci_minus one ulp above -pucci_plus(-e): the brute-force gap still
+    # holds, so only the duality check can fail the criterion
+    pucci_minus = harness.pucci_minus
+    monkeypatch.setattr(harness, "pucci_minus",
+                        lambda op, eigs: np.nextafter(pucci_minus(op, eigs), np.inf))
+    r = ALL_CRITERIA[2]()
+    assert not r.passed
+    assert r.margin < 0
+    assert r.details["worst_duality_error"] > 0
+
+
 def test_criterion_02_pucci_correctness():
     # brute-force gap <= 1e-3, duality exact, degenerate trace reduction
     r = _check(2)
@@ -110,6 +130,16 @@ def test_criterion_04_barrier_certificates():
     r = _check(4)
     assert r.details["flux_gap_error"] <= 1e-10
     assert r.details["infeasibility_behaviour"]
+
+
+def test_criterion_04_fails_on_a_wrong_critical_radius(monkeypatch):
+    # twice the true radius: the barrier at 0.97 of it is infeasible
+    critical_radius = harness.critical_radius
+    monkeypatch.setattr(harness, "critical_radius", lambda op: 2 * critical_radius(op))
+    r = ALL_CRITERIA[4]()
+    assert not r.passed
+    assert r.margin < 0
+    assert r.details["infeasibility_behaviour"] is False
 
 
 def test_criterion_05_harnack_chain():
@@ -152,6 +182,15 @@ def test_criterion_10_regularization():
     r = _check(10)
     assert r.details["crossing_t0"] is None
     assert r.details["interior_ball_violations"] == 0
+
+
+def test_criterion_10_fails_on_an_interior_ball_violation(monkeypatch):
+    monkeypatch.setattr(harness, "interior_ball_check", lambda conv, level: (
+        InteriorBallReport(checked=1, violations=1, passed=False)))
+    r = ALL_CRITERIA[10]()
+    assert not r.passed
+    assert r.margin < 0
+    assert r.details["interior_ball_violations"] == 1
 
 
 def test_criterion_11_elliptic_hopf():

@@ -625,14 +625,17 @@ class TestCLI:
     @pytest.mark.parametrize("command", [
         "sweep-n --n 4,8", "sweep-n --n 4,x,16", "accept --criteria 99",
         "accept --criteria 1,x", "accept --criteria 4,4", "compare --gap 0",
-        "compare --gap 0.8", "compare --gap inf", "compare --gap nan"])
+        "compare --gap 0.8", "compare --gap inf", "compare --gap nan",
+        # an empty value is not an absent one
+        ["accept", "--criteria", ""], ["accept", "--out", ""]])
     def test_bad_argument_exit_2(self, tmp_path, capsys, command):
-        argv = command.split()
+        argv = command.split() if isinstance(command, str) else list(command)
+        flag = argv[1]
         if argv[0] == "sweep-n":
             argv += ["--config", self._write_cfg(tmp_path),
                      "--out", str(tmp_path / "sweep")]
         assert main(argv) == 2
-        assert command.split()[1] in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     def test_accept_subset(self, tmp_path):
         rep = str(tmp_path / "report.json")

@@ -77,6 +77,11 @@ class TestPucci:
         # the class is checked once, where it is built
         with pytest.raises(ValueError, match="lambda <= Lambda"):
             OperatorSpec(kind="pucci-plus", lam=2.0, Lam=1.0)
+        # a NaN or an infinite constant names its field
+        for name, value in (("delta1", np.nan), ("delta0", np.nan), ("delta1", np.inf),
+                            ("delta0", np.inf), ("Lam", np.inf)):
+            with pytest.raises(ValueError, match=f"{name} = {value}: need a finite value"):
+                OperatorSpec(kind="pucci-plus", **{name: value})
 
 
 class TestOperatorFullEval:

@@ -291,6 +291,14 @@ class TestHorizon:
             interval_spec(T=0.1, dt=0.03)
         with pytest.raises(ValueError):
             interval_spec(dt=0.0)
+        # a non-finite horizon is refused before the step count is read, and
+        # a non-finite end of the domain before its nodes are
+        for T in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"T = {T}, dt = 0.0025: need dt > 0"):
+                interval_spec(T=T)
+        for lo, hi in ((-1.0, math.inf), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match=f"lo = {lo}, hi = {hi}: need finite lo and hi"):
+                interval_spec(geometry=Geometry("interval", lo, hi))
         assert interval_spec(T=0.1, dt=0.025).steps == 4
 
     def test_spec_is_frozen(self):
@@ -420,6 +428,31 @@ class TestRun:
         )
         out = run(spec, SolverPolicy())
         assert np.max(np.abs(out.values + 0.5)) < 1e-9
+
+
+class TestParabolicScaling:
+    @pytest.mark.parametrize("geometry", [Geometry("interval", -1.0, 1.0),
+                                          Geometry("radial-annulus", 0.02, 1.0),
+                                          Geometry("radial-ball-punctured", 0.02, 1.0)],
+                             ids=["interval", "annulus", "ball"])
+    @pytest.mark.parametrize("kind", ["trace", "pucci-minus", "pucci-plus"])
+    def test_scaling_by_two_is_bit_equal(self, kind, geometry):
+        # x -> 2x, t -> 4t: every difference quotient, dt F and the radial
+        # (n - 1)/rho term scale by powers of two, so the run is the same
+        # bit for bit, its fronts double and its extinction time quadruples
+        base = ProblemSpec(geometry=geometry,
+                           op=OperatorSpec(kind=kind, lam=1.0, Lam=3.0, n_dim=3),
+                           b=BSpec("positive-part"), g_lo=-0.5, g_hi=-0.5,
+                           u0=lambda x: 0.6 * np.cos(2 * x - 0.4) - 0.3,
+                           T=0.2, grid=201, dt=2.5e-3)
+        scaled = replace(base, geometry=replace(geometry, lo=2 * geometry.lo, hi=2 * geometry.hi),
+                         T=4 * base.T, dt=4 * base.dt, u0=lambda x: base.u0(x / 2))
+        out, out2 = run(base), run(scaled)
+        assert out.values.tobytes() == out2.values.tobytes()
+        assert out.newton_iterations == out2.newton_iterations > 0
+        assert [[2 * v for v in locs] for locs in out.fronts] == out2.fronts
+        assert out.extinction_time is not None
+        assert out2.extinction_time == 4 * out.extinction_time
 
 
 def _reference_run(spec, policy):
