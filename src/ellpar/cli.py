@@ -352,8 +352,11 @@ def _cmd_compare(args):
 def _cmd_accept(args):
     from .harness import ALL_CRITERIA, run_acceptance
 
-    if args.out == "":
-        raise ConfigError("--out is empty: name the report file")
+    # the report is written after the whole suite: check its path first
+    out = args.out
+    if out is not None and (not os.path.basename(out) or os.path.isdir(out)
+                            or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigError(f"--out {out!r}: need a file name in an existing directory")
     criteria = None
     if args.criteria is not None:
         criteria = _int_list("--criteria", args.criteria)

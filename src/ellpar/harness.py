@@ -4,9 +4,11 @@ suite: eleven property-based criteria with machine-readable margins.
 Each criterion is a zero-argument function that builds its own runs and
 returns (margin, details); the `_criterion(index, name)` decorator registers
 it in ALL_CRITERIA, times it and wraps the result in a CriterionResult that
-passes when the margin is >= 0 (a NaN margin fails).  A check that has no
-margin of its own gates one as `margin if check else -1.0`.  run_acceptance
-executes a selection and assembles the JSON report.
+passes when the margin, the least of the terms returned, is >= 0; a NaN
+term fails, so margins and errors are never folded with the builtin min and
+max, which drop a NaN that is not first.  A check that has no margin of its
+own gates one as `margin if check else -1.0`.  run_acceptance executes a
+selection and assembles the JSON report.
 """
 
 from __future__ import annotations
@@ -161,9 +163,10 @@ ALL_CRITERIA: dict = {}
 
 def _criterion(index: int, name: str):
     """Register a zero-argument function returning (margin, details) as
-    ALL_CRITERIA[index], timed and wrapped in a CriterionResult that passes
-    when margin >= 0; the registered function carries the criterion's name
-    as `.name`."""
+    ALL_CRITERIA[index], timed and wrapped in a CriterionResult; the
+    registered function carries the criterion's name as `.name`.  `margin`
+    is one number or a sequence of terms, and the criterion's margin is their
+    least, NaN if any term is NaN: it passes when that margin is >= 0."""
     if index in ALL_CRITERIA:
         raise ValueError(f"criterion {index} is already registered")
 
@@ -171,7 +174,8 @@ def _criterion(index: int, name: str):
         @wraps(body)
         def criterion() -> CriterionResult:
             t0 = time.perf_counter()
-            margin, details = body()
+            terms, details = body()
+            margin = float(np.min(terms))
             return CriterionResult(index, name, bool(margin >= 0), margin,
                                    time.perf_counter() - t0, details)
 
@@ -199,7 +203,7 @@ def criterion_1_bn_family():
         if not (np.all(d > 0) and np.all(d < 1)):
             return -1.0, {"failed_at_n": n}
         central = (bn_eval(fam, s + h) - bn_eval(fam, s - h)) / (2 * h)
-        der_err = max(der_err, float(np.max(np.abs(d - central))))
+        der_err = float(np.maximum(der_err, np.max(np.abs(d - central))))
         sup_err.append(float(np.max(np.abs(bn_eval(fam, s) - np.maximum(s, 0)))))
     decreasing = all(b < a for a, b in zip(sup_err, sup_err[1:]))
 
@@ -213,8 +217,8 @@ def criterion_1_bn_family():
         got = bn_eval(fam, sv)
         if not math.isfinite(got):
             return -1.0, {"nonfinite_at": sv}
-        oracle_err = max(oracle_err, abs(got - float(ref)))
-    margin = min(1e-6 - der_err, 1e-9 - oracle_err) if decreasing else -1.0
+        oracle_err = float(np.maximum(oracle_err, abs(got - float(ref))))
+    margin = [1e-6 - der_err, 1e-9 - oracle_err] if decreasing else -1.0
     return margin, {"derivative_err": der_err, "oracle_err": oracle_err,
                     "sup_err_first_last": [sup_err[0], sup_err[-1]],
                     "decreasing": decreasing}
@@ -237,10 +241,7 @@ def criterion_2_pucci():
     Q = np.stack([np.stack([c, -s_], -1), np.stack([s_, c], -1)], -2)
     A = np.einsum("kij,kj,klj->kil", Q, mu, Q)
 
-    worst_gap = -math.inf
-    worst_onesided = -math.inf
-    worst_dual = 0.0
-    worst_degen = 0.0
+    gaps, onesided, dual, degen = [], [], [], []
     for _ in range(100):
         M = rng.standard_normal((2, 2))
         M = 0.5 * (M + M.T)
@@ -250,12 +251,12 @@ def criterion_2_pucci():
         tr_samples = np.einsum("kij,ji->k", A, M)
         sup_s, inf_s = float(tr_samples.max()), float(tr_samples.min())
         # sampled extrema must sit inside [minus, plus], within 1e-3 of them
-        worst_onesided = max(worst_onesided, sup_s - plus, minus - inf_s)
-        worst_gap = max(worst_gap, plus - sup_s, inf_s - minus)
-        worst_dual = max(worst_dual,
-                         abs(minus - (-pucci_plus(op, -eigs))))
-        worst_degen = max(worst_degen, abs(pucci_plus(replace(op, Lam=op.lam), eigs)
-                                           - lam * float(eigs.sum())))
+        onesided += [sup_s - plus, minus - inf_s]
+        gaps += [plus - sup_s, inf_s - minus]
+        dual.append(abs(minus - (-pucci_plus(op, -eigs))))
+        degen.append(abs(pucci_plus(replace(op, Lam=op.lam), eigs) - lam * float(eigs.sum())))
+    worst_gap, worst_onesided, worst_dual, worst_degen = (
+        float(np.max(v)) for v in (gaps, onesided, dual, degen))
     exact = worst_onesided <= 1e-10 and worst_dual == 0.0 and worst_degen <= 1e-12
     return 1e-3 - worst_gap if exact else -1.0, {
         "worst_bruteforce_gap": worst_gap,
@@ -286,13 +287,9 @@ def criterion_3_structural():
         OperatorSpec(kind="pucci-minus", lam=1.0, Lam=2.5, n_dim=3),
         _bi_operator(),
     ]
-    worst = math.inf
-    det = {}
-    for op in ops:
-        rep = structural_envelope_check(op, trials=10_000, seed=3)
-        det[op.kind] = rep.worst_margin
-        worst = min(worst, rep.worst_margin)
-    return worst + 1e-10, det
+    det = {op.kind: structural_envelope_check(op, trials=10_000, seed=3).worst_margin
+           for op in ops}
+    return float(np.min(list(det.values()))) + 1e-10, det
 
 
 @_criterion(4, "barrier-certificates")
@@ -325,9 +322,9 @@ def criterion_4_barriers():
     logbar = solve_logdiv_barrier(div, BSpec("positive-part"), omega=0.5, rho0=1.0, M=1.0)
     logrep = verify_subsolution_margin(logbar, samples=1000, seed=5)
 
-    margin = min(rep.worst_margin - 1e-6 * scale,
-                 1e-10 - flux_err,
-                 logrep.worst_margin - 1e-6 * logbar.M)
+    margin = [rep.worst_margin - 1e-6 * scale,
+              1e-10 - flux_err,
+              logrep.worst_margin - 1e-6 * logbar.M]
     return margin if ok_crit else -1.0, {
         "radial_worst_margin": rep.worst_margin,
         "flux_gap_error": flux_err,
@@ -340,20 +337,18 @@ def criterion_4_barriers():
 @_criterion(5, "harnack-chain")
 def criterion_5_harnack():
     rng = np.random.default_rng(7)
-    worst = math.inf
+    slack = []
     for _ in range(50):
         r = float(rng.uniform(0.2, 2.0))
         s = float(rng.uniform(1e-6, r / 16 * 0.999))
         chain = harnack_chain(r, s)
         kb = harnack_chain_k_bound(r, s)
-        if chain.k > kb:
+        if not chain.k <= kb:
             return -1.0, {"r": r, "s": s, "k": chain.k, "kBound": kb}
-        for j, aj in enumerate(chain.a):
-            bound = r * (s / r) ** ((2.0 / 3.0) ** j)
-            if aj < bound - 1e-12:
-                return aj - bound, {"r": r, "s": s, "j": j}
-            if j >= 1:  # a_0 = s is the bound itself
-                worst = min(worst, aj - bound)
+        # the links j >= 1; a_0 = s is the bound itself
+        slack += [aj - r * (s / r) ** ((2.0 / 3.0) ** j)
+                  for j, aj in enumerate(chain.a[1:], start=1)]
+    worst = float(np.min(slack))
     return worst, {"pairs": 50, "worst_slack": worst}
 
 
@@ -364,7 +359,7 @@ def criterion_6_comparison():
     rng = np.random.default_rng(0)
     x = base.spec.nodes()
     u0 = base.spec.initial_values()
-    worst = math.inf
+    gaps = []
     for _ in range(100):
         gap = float(rng.uniform(0.02, 0.08))
         eps_dn = float(rng.uniform(0.02, 0.08))
@@ -373,7 +368,8 @@ def criterion_6_comparison():
                              u0=perturb_initial_data(u0, x, eps_dn, "down"))
         rl = run(lower_spec)
         ru = run(upper_scn.spec)
-        worst = min(worst, float(np.min(ru.values - rl.values)))
+        gaps.append(np.min(ru.values - rl.values))
+    worst = float(np.min(gaps))
     return worst + ORDER_TOL, {"worst_order_gap": worst, "pairs": 100}
 
 
@@ -394,7 +390,7 @@ def criterion_7_extinction():
     if not np.any(late):
         return -1.0, {"reason": "no recorded level past extinction + 0.2"}
     dev = float(np.max(np.abs(r401.values[late] + 1.0)))
-    return min(2 * (dt + h) - drift, 0.05 - dev), {
+    return [2 * (dt + h) - drift, 0.05 - dev], {
         "extinction_401": r401.extinction_time,
         "extinction_801": r801.extinction_time,
         "refinement_drift": drift,
@@ -416,7 +412,7 @@ def criterion_8_singular_limit():
         return -1.0, {"extinction_times": exts}
     gaps = rep.extinction_gaps
     cauchy = all(g2 <= g1 + spec.dt for g1, g2 in zip(gaps, gaps[1:]))
-    margin = min(a - b for a, b in zip(d, d[1:])) if decreasing and cauchy else -1.0
+    margin = [a - b for a, b in zip(d, d[1:])] if decreasing and cauchy else -1.0
     return margin, {"pairwise_sup": d, "extinction_times": exts, "extinction_gaps": gaps}
 
 
@@ -426,7 +422,7 @@ def criterion_9_bracketing():
     rep = bracket_maximal_minimal(spec, [0.1, 0.05, 0.025],
                                   probe_times=[0.01, 0.02, 0.04])
     # successive gaps may grow by at most 1e-3
-    margin = min(g1 - g2 for g1, g2 in zip(rep.gaps, rep.gaps[1:])) + 1e-3
+    margin = 1e-3 - float(np.max(np.diff(rep.gaps)))
     return margin if rep.ordered else -1.0, {"gaps": rep.gaps, "ordered": rep.ordered,
                                              "extinction_upper": rep.extinction_upper,
                                              "extinction_lower": rep.extinction_lower}
@@ -519,7 +515,7 @@ def criterion_11_elliptic():
         front = edge_zeros(xg, i, ug[i], ug[i + 1])
         quotients.append(float(ug[i] / (front - xg[i])))
     hopf_floor = 0.5
-    return min(1e-4 - err, min(quotients) - hopf_floor), {
+    return [1e-4 - err, np.min(quotients) - hopf_floor], {
         "oracle_error": err,
         "hopf_quotients": quotients,
         "hopf_floor": hopf_floor,

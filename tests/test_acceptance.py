@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,10 +47,11 @@ def test_registering_an_existing_index_raises():
         assert (res.index, res.name, res.passed, res.margin, res.details) == (
             99, "probe", True, 0.5, {"k": 1})
         assert res.runtime >= 0
-        # the one pass rule: a criterion passes when its margin is >= 0, so a
-        # negative or NaN margin fails
+        # the one pass rule: a criterion passes when its margin, the least of
+        # its terms, is >= 0, so a negative or NaN margin or term fails
         for index, margin, passed in ((98, 0.0, True), (97, -1e-300, False),
-                                      (96, math.nan, False)):
+                                      (96, math.nan, False), (95, [0.5, 0.0], True),
+                                      (94, [0.5, math.nan, 0.5], False)):
             res = harness._criterion(index, "probe")(lambda: (margin, {}))()
             assert res.passed is passed, margin
         for index in (99, 6):
@@ -140,6 +142,36 @@ def test_criterion_04_fails_on_a_wrong_critical_radius(monkeypatch):
     assert not r.passed
     assert r.margin < 0
     assert r.details["infeasibility_behaviour"] is False
+
+
+def _nan_term(name, spoil):
+    """A mutant of the harness name `name`: its results pass through `spoil`,
+    which sets one margin term to NaN."""
+    real = getattr(harness, name)
+    return name, lambda *args, **kw: spoil(real(*args, **kw), *args)
+
+
+@pytest.mark.parametrize("index, name, spoil", [
+    # a NaN in any term of a margin, not only the first, fails the criterion
+    (2, "pucci_minus", lambda v, *_: v + math.nan),
+    (3, "structural_envelope_check", lambda rep, op, *_: replace(
+        rep, worst_margin=math.nan) if op.kind == "pucci-minus" else rep),
+    (4, "verify_subsolution_margin", lambda rep, *_: replace(
+        rep, flux_gap=math.nan) if rep.flux_gap is not None else rep),
+    (4, "verify_subsolution_margin", lambda rep, *_: replace(
+        rep, worst_margin=math.nan) if rep.flux_gap is None else rep),
+    (5, "harnack_chain", lambda ch, *_: replace(ch, a=np.append(ch.a[:-1], math.nan))),
+    (7, "run", lambda res, spec: replace(res, extinction_time=math.nan)
+        if spec.grid == 801 else res),
+    (9, "bracket_maximal_minimal", lambda rep, *_: replace(
+        rep, gaps=rep.gaps[:-1] + [math.nan])),
+    (11, "edge_zeros", lambda z, x, *_: z + math.nan if len(x) == 401 else z),
+])
+def test_a_nan_margin_term_fails(monkeypatch, index, name, spoil):
+    monkeypatch.setattr(harness, *_nan_term(name, spoil))
+    r = ALL_CRITERIA[index]()
+    assert not r.passed
+    assert not r.margin >= 0
 
 
 def test_criterion_05_harnack_chain():

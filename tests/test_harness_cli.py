@@ -637,6 +637,15 @@ class TestCLI:
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
 
+    def test_accept_out_is_checked_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        # a report path that cannot be written fails at once, not after the run
+        from ellpar import harness
+        monkeypatch.setitem(harness.ALL_CRITERIA, 1, lambda: pytest.fail("a criterion ran"))
+        for out in (str(tmp_path / "missing" / "r.json"), str(tmp_path),
+                    str(tmp_path) + os.sep):
+            assert main(["accept", "--criteria", "1", "--out", out]) == 2
+            assert "--out" in capsys.readouterr().err
+
     def test_accept_subset(self, tmp_path):
         rep = str(tmp_path / "report.json")
         assert main(["accept", "--criteria", "1,5", "--out", rep]) == 0
