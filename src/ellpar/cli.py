@@ -33,7 +33,9 @@ __all__ = ["main", "write_field_csv", "read_field_csv"]
 # x >= 0, "0." and -x - 1 zeros before all 17 when -4 <= x < 0, and one
 # digit and an exponent when x < -4.  Each value's text is a row of 4-byte
 # words from _WORDS, NUL where a character is absent, and bytes.translate
-# deletes the NULs.  In text order the words are:
+# deletes the NULs.  Every other value (+-0, nonzero below 1e-10, at least
+# 1e13) takes CPython's text, one value at a time, NUL-padded into its own
+# words inside the same block.  In text order the words are:
 #   lead      separator, sign and, for an integer part 0, its "0"
 #   integer   4-digit groups, leading zeros cut; as many as the block needs
 #   point     "." and the fraction's leading zeros, or nothing when no
@@ -111,12 +113,11 @@ def _scaled(m0, m1, r, p):
 
 
 def _format_block(v, newline):
-    """The `%.17g` text of each value of v (+-0 or 1e-10 <= |v| < 1e13),
-    each after a "," or, at the positions that the slice newline picks,
-    a "\n"."""
+    """The `%.17g` text of each value of v, each after a "," or, at the
+    positions that the slice newline picks, a "\n"."""
     a = np.abs(v)
-    zero = np.flatnonzero(a == 0)
-    a[zero] = 1.0                      # a value in range; reset below
+    other = np.flatnonzero(~((a >= 1e-10) & (a < 1e13)))    # CPython's text
+    a[other] = 1.0                     # a value in range; replaced below
     bits = a.view(_U64)
     m0 = bits & _U64(2**32 - 1)
     m1 = (bits >> _U64(32)) & _U64(2**20 - 1) | _U64(2**20)
@@ -132,8 +133,6 @@ def _format_block(v, newline):
         d[bad], up[bad] = _scaled(m0[bad], m1[bad],
                                   (q[bad] - p[bad]).view(_U64), p[bad])
     d = (d + up).view(np.int64)
-    d[zero] = 0
-    p[zero] = 16
     x10 = 26 - p
     scale = _INT_SCALE.take(x10)
     i = d // scale
@@ -164,27 +163,26 @@ def _format_block(v, newline):
     if f16.any() or (x10 < 6).any():            # x < -4: exponent form
         index.append(x10 * 10 + f16 + _TAIL_AT)
     words = _WORDS.take(np.array(index))
+    # the other values' text, NUL-padded into their own words: 7 words or
+    # more hold the longest, ",-2.2250738585072014e-308"
+    size = 4 * len(words)
+    text = b"".join([(b",%.17g" % c).ljust(size, b"\0") for c in v[other].tolist()])
+    words[:, other] = np.frombuffer(text, "<u4").reshape(-1, len(words)).T
     words[0, newline] ^= ord(",") ^ ord("\n")
     return words.T.tobytes().translate(None, b"\0")
 
 
 def _format_rows(rows):
     """The `%.17g` text of each row of a 2-D float array as bytes, values
-    joined by "," and the row ended by "\n".  Rows whose every value is
-    +-0 or has 1e-10 <= |v| < 1e13 go through _format_block, the others
-    through CPython's formatting."""
+    joined by "," and the row ended by "\n"."""
     width = rows.shape[1]
-    mag = np.abs(rows)
-    # (a row of no values has no separator to find it by)
-    fast = ((mag < 1e13) & ((mag >= 1e-10) | (mag == 0))).all(axis=1) & (width > 0)
-    flat = rows[fast].ravel()
+    if not width:                      # no value to carry the row's "\n"
+        return [b"\n"] * len(rows)
+    flat = rows.ravel()
     # a "\n" before each row's first value ends the row before it
     blocks = [_format_block(flat[k:k + _BLOCK], slice(-k % width, None, width))
               for k in range(0, flat.size, _BLOCK)]
-    fast_lines = iter(b"".join(blocks + [b"\n"]).splitlines(keepends=True)[1:])
-    line = b",".join([b"%.17g"] * width) + b"\n"
-    return [next(fast_lines) if ok else line % tuple(row.tolist())
-            for ok, row in zip(fast, rows)]
+    return b"".join(blocks + [b"\n"]).splitlines(keepends=True)[1:]
 
 
 def write_field_csv(path, fld: GridField):

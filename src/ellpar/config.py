@@ -104,13 +104,19 @@ def _float(cfg: dict, key: str, default: float) -> float:
     return float(v)
 
 
+def _named(keys: dict) -> str:
+    """`key = value` for each config key, a list's values joined by ", "."""
+    return ", ".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
+                     for k, v in keys.items())
+
+
 def _floats(cfg: dict, key: str, default: tuple) -> tuple:
     """Take a scalar or comma-separated list of numbers as a tuple of
     floats; anything else is a ConfigError naming the key and the value."""
     v = cfg.pop(key, default)
     v = v if isinstance(v, tuple) else (v,)
     if any(type(c) not in (int, float) for c in v):
-        raise ConfigError(f"{key} = {', '.join(map(str, v))}: need numbers")
+        raise ConfigError(f"{_named({key: v})}: need numbers")
     return tuple(float(c) for c in v)
 
 
@@ -126,30 +132,29 @@ def operator_from_config(cfg: dict) -> OperatorSpec:
         try:
             psi = PsiSpec(psi_kind, coeffs)
         except ValueError as exc:
-            raise ConfigError(f"psi.kind = {psi_kind}, psi.coeffs = "
-                              f"{', '.join(map(str, coeffs))}: {exc}") from exc
+            raise ConfigError(f"{_named({'psi.kind': psi_kind, 'psi.coeffs': coeffs})}: "
+                              f"{exc}") from exc
     lam = _float(cfg, "op.lambda", 1.0)
+    # in the order of OperatorSpec's fields
+    keys = {"op.kind": kind, "op.lambda": lam, "op.Lambda": _float(cfg, "op.Lambda", lam),
+            "op.delta1": _float(cfg, "op.delta1", 0.0),
+            "op.delta0": _float(cfg, "op.delta0", 0.0), "op.n_dim": _int(cfg, "op.n_dim", 1)}
     try:
-        return OperatorSpec(
-            kind=kind,
-            lam=lam,
-            Lam=_float(cfg, "op.Lambda", lam),
-            delta1=_float(cfg, "op.delta1", 0.0),
-            delta0=_float(cfg, "op.delta0", 0.0),
-            n_dim=_int(cfg, "op.n_dim", 1),
-            psi=psi,
-        )
+        return OperatorSpec(*keys.values(), psi=psi)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{_named(keys)}: {exc}") from exc
 
 
 def _bspec_from_config(cfg: dict) -> BSpec:
     """Take b.kind, and b.breakpoints and b.slopes for a lipschitz-table b."""
-    kind = cfg.pop("b.kind", "positive-part")
-    if kind == "lipschitz-table":
-        return BSpec(kind, _floats(cfg, "b.breakpoints", (0.0,)),
-                     _floats(cfg, "b.slopes", (1.0,)))
-    return BSpec(kind)
+    keys = {"b.kind": cfg.pop("b.kind", "positive-part")}
+    if keys["b.kind"] == "lipschitz-table":
+        keys["b.breakpoints"] = _floats(cfg, "b.breakpoints", (0.0,))
+        keys["b.slopes"] = _floats(cfg, "b.slopes", (1.0,))
+    try:
+        return BSpec(*keys.values())
+    except ValueError as exc:
+        raise ConfigError(f"{_named(keys)}: {exc}") from exc
 
 
 # the config key of each Geometry and ProblemSpec field a SpecError names

@@ -118,8 +118,8 @@ def _rows(offs):
 
 
 def _convolve(field: GridField, r: float, kind: str) -> ConvolvedField:
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
     hx, ht = field.require_uniform()
     if hx > r / 4.0:
         raise ValueError("grid spacing must be at most r/4")
@@ -202,8 +202,8 @@ def essential_envelopes(field: GridField, radii) -> tuple:
     every node.
     """
     radii = sorted(set(float(r) for r in radii), reverse=True)
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not radii or any(not 0 < r < math.inf for r in radii):
+        raise ValueError("radii must be positive and finite")
     hx, ht = field.require_uniform()
     vals = field.values
     nt, nx = vals.shape

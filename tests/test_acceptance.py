@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ellpar
-from ellpar import harness
+from ellpar import harness, operators
 from ellpar.harness import ALL_CRITERIA, CriterionResult
 from ellpar.regularize import InteriorBallReport
 
@@ -127,6 +127,19 @@ def test_criterion_03_structural_envelope():
     assert min(r.details.values()) >= -1e-10
 
 
+def test_criterion_03_fails_without_the_zeroth_order_slack(monkeypatch):
+    # the envelope without delta0 |z|: a Bellman-Isaacs entry with a
+    # nonzero zeroth coefficient leaves it
+    envelope = operators.structural_envelope
+    monkeypatch.setattr(operators, "structural_envelope",
+                        lambda op, eigs, grad_norm, z, sense: envelope(
+                            op, eigs, grad_norm, 0.0, sense))
+    r = ALL_CRITERIA[3]()
+    assert not r.passed
+    assert r.margin < 0
+    assert r.details["bellman-isaacs"] < -0.1
+
+
 def test_criterion_04_barrier_certificates():
     # margins bounded away from zero, flux gap to 1e-10, critical radius
     r = _check(4)
@@ -230,6 +243,24 @@ def test_criterion_11_elliptic_hopf():
     r = _check(11)
     assert r.details["oracle_error"] <= 1e-4
     assert min(r.details["hopf_quotients"]) >= r.details["hopf_floor"]
+
+
+def test_criterion_11_fails_on_a_wrong_tangential_coefficient(monkeypatch):
+    # the radial Pucci weight of u'/rho chosen by the sign of u'' instead of
+    # u'/rho: the discrete solution leaves the closed form
+    coefficients = operators._active_coefficients
+
+    def mutant(op, d2, d1, u, rho, radial):
+        a2, a1, a0 = coefficients(op, d2, d1, u, rho, radial)
+        if radial and op.kind in ("pucci-plus", "pucci-minus"):
+            a1 = a2 * (op.n_dim - 1) / rho
+        return a2, a1, a0
+
+    monkeypatch.setattr(operators, "_active_coefficients", mutant)
+    r = ALL_CRITERIA[11]()
+    assert not r.passed
+    assert r.margin < 0
+    assert r.details["oracle_error"] > 1e-4
 
 
 def test_criterion_11_loads_no_integrator():

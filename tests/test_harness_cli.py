@@ -57,6 +57,14 @@ op.delta0 = 0.2
 op.n_dim = 3
 """
 
+# each rule of OperatorSpec and BSpec broken from a config file, and the
+# key and value that its message names
+OP_B_RULES = (("op.lambda = 0", "op.lambda = 0.0"), ("op.kind = heat", "op.kind = heat"),
+              ("op.delta1 = -1", "op.delta1 = -1.0"), ("op.n_dim = 0", "op.n_dim = 0"),
+              ("b.kind = relu", "b.kind = relu"),
+              ("b.kind = lipschitz-table\nb.breakpoints = 0\nb.slopes = -1",
+               "b.slopes = -1.0"))
+
 # the keys each verify-barrier family reads beyond the operator's; the log
 # barrier is built for a divergence operator only
 FAMILY_CFG = {
@@ -257,7 +265,11 @@ class TestFieldCSV:
                 assert got.tobytes() == want.tobytes()
 
     def test_array_formatter_matches_per_value_reference(self):
-        # the range the array formatter takes, 1e-10 <= |v| < 1e13 and +-0:
+        def reference(field):
+            return [(",".join("%.17g" % v for v in row) + "\n").encode()
+                    for row in field.tolist()]
+
+        # the range the integer-digit path takes, 1e-10 <= |v| < 1e13:
         # every decade of both signs, powers of ten and their neighbours,
         # and odd m / 2**j, whose 17-digit ties round half to even
         rng = np.random.default_rng(5)
@@ -278,10 +290,26 @@ class TestFieldCSV:
             mixed = rows.copy()
             mixed[::2, -1] = wild[:len(mixed[::2])]
             for field in (rows, mixed, wild[:wild.size // width * width].reshape(-1, width)):
-                assert _format_rows(field) == [
-                    (",".join("%.17g" % v for v in row) + "\n").encode()
-                    for row in field.tolist()]
+                assert _format_rows(field) == reference(field)
         assert _format_rows(np.array([[1 + 2**-17]])) == [b"1.0000076293945312\n"]
+        # values outside that range take CPython's text in their own words:
+        # at the first, a middle and the last position of each 1,601-wide
+        # row, on both sides of the edge between the first two 4,096-value
+        # blocks, and a row of nothing else, whose block has the fewest
+        # words (7); the longest finite text is -2.2250738585072014e-308
+        outside = [0.0, -0.0, 7.93e-17, 5e-324, 1e13, 1.7976931348623157e308,
+                   -2.2250738585072014e-308]
+        assert rows.shape == (3, 1601)
+        for c in outside:
+            field = rows.copy()
+            field[:, [0, 800, -1]] = c
+            field.ravel()[[4095, 4096]] = c
+            assert _format_rows(field) == reference(field)
+        only = np.resize(outside, (1, 1601))
+        assert _format_rows(only) == reference(only)
+        assert _format_rows(np.array([outside[-1:]])) == [b"-2.2250738585072014e-308\n"]
+        # a row of no values is an empty line
+        assert _format_rows(np.zeros((2, 0))) == [b"\n", b"\n"]
 
     def test_malformed_is_config_error(self, tmp_path):
         p = tmp_path / "f.csv"
@@ -356,7 +384,8 @@ class TestCLI:
                              ("geometry.kind = radial-annulus\ngrid.lo = 0",
                               "geometry.kind = radial-annulus, grid.lo = 0.0: radial"),
                              ("geometry.kind = disc", "geometry.kind = disc: unknown"),
-                             ("b.n = 0", "b.n = 0: smoothing index must be >= 1")):
+                             ("b.n = 0", "b.n = 0: smoothing index must be >= 1"),
+                             *OP_B_RULES):
             p.write_text(JUMP_CFG + line + "\n")
             out = tmp_path / "o"
             assert main(["solve", "--config", str(p), "--out", str(out)]) == 2, line
@@ -364,6 +393,11 @@ class TestCLI:
         p.write_text(OP_CFG + "op.n_dim = 2.5\n")
         assert main(["verify-barrier", "--family", "parabola", "--config", str(p)]) == 2
         assert "op.n_dim = 2.5" in capsys.readouterr().err
+        # the log barrier reads b.* as well as op.*
+        for line, needle in OP_B_RULES:
+            p.write_text(OP_CFG + line + "\n")
+            assert main(["verify-barrier", "--family", "logdiv", "--config", str(p)]) == 2
+            assert needle in capsys.readouterr().err, line
         # compare reads grid.n and b.n the same way, and its scenario's own
         # bounds are config errors too
         for line, needle in (("b.n = 32.7", "b.n = 32.7"), ("grid.n = on", "grid.n = on"),
@@ -476,10 +510,12 @@ class TestCLI:
         fin = str(tmp_path / "in.csv")
         write_field_csv(fin, GridField(x, x, np.ones((41, 41))))
         # r = 0.05 is finer than 4 grid spacings; r = 5 leaves no shrunk grid
-        for r in ("0.05", "5"):
+        for r, needle in (("0.05", "at most r/4"), ("5", "shrunk grid is empty"),
+                          *((r, "positive and finite") for r in ("nan", "inf", "0", "-0.2"))):
             assert main(["envelope", "--in", fin, "--r", r,
                          "--out", str(tmp_path / "o.csv")]) == 2
-            assert "--r" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"--r {float(r)}" in err and needle in err, r
         assert not (tmp_path / "o.csv").exists()
 
     def test_envelope_decreasing_axis_exit_2(self, tmp_path, capsys):

@@ -240,6 +240,13 @@ class TestConvolution:
         with pytest.raises(ValueError):
             sup_convolve(fld, 0.1)  # hx = 0.05 > r/4
 
+    def test_radius_positive_and_finite(self):
+        fld = small_random_field()
+        for r in (0.0, -0.2, np.nan, np.inf, -np.inf):
+            for convolve in (sup_convolve, inf_convolve):
+                with pytest.raises(ValueError, match="radius must be positive and finite"):
+                    convolve(fld, r)
+
     def test_empty_shrunk_grid(self):
         x = np.linspace(0, 0.5, 11)
         ts = np.linspace(0, 0.1, 5)
@@ -342,6 +349,12 @@ class TestEnvelopes:
                 essential_envelopes(fld, [0.2])
             with pytest.raises(ValueError, match=f"{axis} grid nodes must increase"):
                 sup_convolve(fld, 0.2)
+
+    def test_radii_positive_and_finite(self):
+        fld = small_random_field()
+        for radii in ([], [0.0], [-0.2], [np.nan], [np.inf], [0.2, np.nan], [0.2, np.inf]):
+            with pytest.raises(ValueError, match="radii must be positive and finite"):
+                essential_envelopes(fld, radii)
 
     def test_matches_disc_oracle(self):
         rng = np.random.default_rng(12)
