@@ -36,8 +36,8 @@ class XiShape:
     r: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("radius must be positive and finite")
 
 
 def _space_norm(dx) -> float:
@@ -82,8 +82,8 @@ def harnack_chain(r: float, s: float) -> HarnackChain:
 
     For s >= r/16 the chain terminates immediately with k = 0.
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
     if not (0 < s <= r):
         raise ValueError("s must lie in (0, r]")
 

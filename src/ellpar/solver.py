@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .geometry import edge_zeros, window_max
 from .nonlinearity import BnFamily, BSpec, b_derivative, b_eval, bn_derivative, bn_eval
@@ -203,16 +204,25 @@ class SpaceTimeField(GridField):
         return self
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve the system with bands lower[1:], diag and upper[:-1], checked
-    finite once here with scipy's message, so solve_banded skips its check."""
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+def solve_banded(lower, diag, upper, rhs):
+    """Solve the tridiagonal system with bands lower[1:], diag and upper[:-1]
+    by LAPACK gtsv, the routine scipy's solve_banded((1, 1), ...) runs, so
+    the solution is bit-equal to scipy's and no argument is written to.  A
+    non-finite entry that the matrix reads, or one in rhs, is a ValueError,
+    and a zero pivot a LinAlgError, each with scipy's message.
+
+    It keeps scipy's name because the benchmark's solver.linear_solve hook
+    (perfbench/spans.py) wraps this module attribute by that name, until
+    the benchmark moves the hook; _implicit_solve calls it through the
+    module global, so the hook sees every call."""
+    dl, du = lower[1:], upper[:-1]
+    if not all(np.isfinite(a).all() for a in (dl, diag, du, rhs)):
         raise ValueError("array must not contain infs or NaNs")
-    return solve_banded((1, 1), ab, rhs, check_finite=False, overwrite_ab=True)
+    # f2py rejects empty off-diagonals; gtsv reads none when n = 1
+    _, _, _, x, info = dgtsv(dl if dl.size else lower, diag, du if du.size else upper, rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return x
 
 
 def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
@@ -274,7 +284,7 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
         if it == policy.max_iters:
             break
         lower, diag, upper = frozen or operator_bands(ext)
-        u[free] += _solve_tridiagonal(lower, np.asarray(bder(u[free])) + diag, upper, -r)
+        u[free] += solve_banded(lower, np.asarray(bder(u[free])) + diag, upper, -r)
         ext = np.concatenate([u[1:2], u]) if reflect else u
         bu = np.asarray(bval(u[free]))
     raise NewtonFailure("no convergence within the iteration budget", hist)
@@ -333,7 +343,7 @@ def _advance(spec, u, t, dt, policy, depth=0):
     try:
         u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
         lo, hi = max_principle_bounds(spec, u, t + dt)
-        if np.all(u_new >= lo - ORDER_TOL) and np.all(u_new <= hi + ORDER_TOL):
+        if u_new.min() >= lo - ORDER_TOL and u_new.max() <= hi + ORDER_TOL:
             return u_new, iters, 1
     except NewtonFailure as exc:
         failure = exc

@@ -33,10 +33,9 @@ def minkowski_oracle(r, dx, dt, n_samples=400):
 
 class TestXiShape:
     def test_radius_must_be_positive(self):
-        with pytest.raises(ValueError):
-            XiShape(0.0)
-        with pytest.raises(ValueError):
-            XiShape(-1.0)
+        for r in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius must be positive and finite"):
+                XiShape(r)
 
     def test_membership_against_minkowski_oracle(self):
         rng = np.random.default_rng(1)
@@ -88,6 +87,11 @@ class TestXiShape:
 
 
 class TestHarnackChain:
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, r):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            harnack_chain(r, 1.0)
+
     def test_immediate_termination_for_large_s(self):
         chain = harnack_chain(1.0, 0.5)
         assert chain.k == 0

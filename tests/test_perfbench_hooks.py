@@ -56,3 +56,24 @@ def test_hooks_bind_existing_parameters():
         checked.add(attr)
     assert checked == {"sup_convolve", "inf_convolve", "verify_subsolution_margin",
                        "write_field_csv", "_write_front_csv"}
+
+
+def test_the_layer_counts_every_linear_solve():
+    # installed around one short run, the tracer finds every hooked target
+    # and sees each Newton iteration's linear solve
+    from ellpar import solver
+    from ellpar.harness import make_jump_scenario
+
+    for mod in {hook[0] for hook in spans.HOOKS}:
+        importlib.import_module(f"ellpar.{mod}")
+    spec = make_jump_scenario(grid=201, n=32, T=0.1).spec
+    tracer = spans.Tracer()
+    instr = spans.Instrumentation(tracer).install()
+    try:
+        out = solver.run(spec)
+    finally:
+        instr.remove()
+    assert instr.missing == []
+    calls = spans.self_times(tracer.spans())["solver.linear_solve"][0]
+    assert calls == out.newton_iterations > 0
+    assert not hasattr(solver.solve_banded, "__wrapped__")

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+import scipy.linalg
 
 from ellpar.harness import _bi_operator, _pucci_radial_exact, jump_initial, make_jump_scenario
 from ellpar.nonlinearity import BnFamily, BSpec, PsiSpec, b_eval, psi_eval
@@ -17,12 +17,12 @@ from ellpar.solver import (
     SolverPolicy,
     _advance,
     _front_locations,
-    _solve_tridiagonal,
     bracket_maximal_minimal,
     max_principle_bounds,
     perturb_initial_data,
     run,
     singular_limit_study,
+    solve_banded,
     solve_elliptic,
     step_parabolic,
 )
@@ -372,6 +372,36 @@ class TestRun:
         # the Newton and ordering tolerances are constants, not settings
         assert [f.name for f in fields(SolverPolicy)] == ["max_iters", "max_substep_depth"]
 
+    @pytest.mark.parametrize("side", ["hi", "lo"])
+    @pytest.mark.parametrize("excess, split", [(ORDER_TOL, False), (2 * ORDER_TOL, True)],
+                             ids=["at-tolerance", "past-tolerance"])
+    def test_max_principle_excess_splits_the_step(self, monkeypatch, side, excess, split):
+        # a whole step that leaves its max-principle bounds by more than
+        # ORDER_TOL is split in two halves; one that leaves them by exactly
+        # ORDER_TOL is accepted
+        from ellpar import solver
+
+        spec = interval_spec()
+        u = spec.initial_values()
+        lo, hi = max_principle_bounds(spec, u, spec.dt)
+        calls = []
+
+        def stepping(spec, u_prev, t_next, dt, policy=None):
+            calls.append(dt)
+            u_new = u_prev.copy()
+            if dt == spec.dt:
+                u_new[u.size // 2] = hi + excess if side == "hi" else lo - excess
+            return u_new, 0
+
+        monkeypatch.setattr(solver, "step_parabolic", stepping)
+        u_new, _, steps = _advance(spec, u, 0.0, spec.dt, SolverPolicy())
+        if split:
+            assert steps == 2 and calls == [spec.dt, spec.dt / 2, spec.dt / 2]
+            assert u_new.tobytes() == u.tobytes()
+        else:
+            assert steps == 1 and calls == [spec.dt]
+            assert u_new[u.size // 2] == (hi + excess if side == "hi" else lo - excess)
+
     def test_jump_extinction_and_fronts(self):
         out = run(interval_spec(T=0.2), SolverPolicy())
         assert isinstance(out, GridField) and out.to_grid_field() is out
@@ -654,20 +684,25 @@ _WORK_KINDS = [
 ]
 
 
+def _scipy_solve(lower, diag, upper, rhs):
+    """scipy's default-checked solve_banded((1, 1), ...) of the same system."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:], ab[1], ab[2, :-1] = upper[:-1], diag, lower[1:]
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
 class TestTridiagonalSolve:
     @pytest.mark.parametrize("n", [3, 399, 1599])
     def test_matches_the_checked_solve_banded(self, n):
-        # the band and rhs are checked once, then scipy runs unchecked:
-        # the same solution, the same error, and the arguments untouched
+        # gtsv called directly: the same solution as scipy's checked
+        # solve_banded, the same error, and the arguments untouched
         rng = np.random.default_rng(n)
         lower, upper, rhs = rng.standard_normal((3, n))
         diag = 4.0 + rng.random(n)
-        ab = np.zeros((3, n))
-        ab[0, 1:], ab[1], ab[2, :-1] = upper[:-1], diag, lower[1:]
         args = (lower, diag, upper, rhs)
         kept = [a.copy() for a in args]
-        got = _solve_tridiagonal(*args)
-        assert got.tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
+        got = solve_banded(*args)
+        assert got.tobytes() == _scipy_solve(*args).tobytes()
         assert all(a.tobytes() == k.tobytes() for a, k in zip(args, kept))
         # a non-finite entry that the matrix reads, in each band and in rhs
         for which, i in ((0, n - 1), (1, 0), (2, 0), (3, n // 2)):
@@ -676,14 +711,47 @@ class TestTridiagonalSolve:
                 broken[which][i] = bad
                 kept = [a.copy() for a in broken]
                 with pytest.raises(ValueError) as want:
-                    ab_bad = np.zeros((3, n))
-                    ab_bad[0, 1:], ab_bad[1], ab_bad[2, :-1] = (
-                        broken[2][:-1], broken[1], broken[0][1:])
-                    solve_banded((1, 1), ab_bad, broken[3])
+                    _scipy_solve(*broken)
                 with pytest.raises(ValueError) as err:
-                    _solve_tridiagonal(*broken)
+                    solve_banded(*broken)
                 assert str(err.value) == str(want.value)
                 assert all(a.tobytes() == k.tobytes() for a, k in zip(broken, kept))
+
+    def test_one_unknown(self):
+        # gtsv reads no off-diagonal when n = 1: rhs / diag, as scipy divides
+        rng = np.random.default_rng(1)
+        scales = 10.0 ** rng.integers(-100, 100, (50, 2, 1))
+        for diag, rhs in rng.standard_normal((50, 2, 1)) * scales:
+            lower, upper = rng.standard_normal((2, 1))
+            got = solve_banded(lower, diag, upper, rhs).tobytes()
+            assert got == (rhs / diag).tobytes()
+            assert got == _scipy_solve(lower, diag, upper, rhs).tobytes()
+
+    def test_singular_matrix(self):
+        args = (np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3), np.ones(3))
+        for solve in (_scipy_solve, solve_banded):
+            with pytest.raises(scipy.linalg.LinAlgError, match="^singular matrix$"):
+                solve(*args)
+
+    @pytest.mark.parametrize("op", _WORK_KINDS)
+    @pytest.mark.parametrize("geometry", [Geometry("interval", 0.2, 1.0),
+                                          Geometry("radial-annulus", 0.2, 1.0),
+                                          Geometry("radial-ball-punctured", 0.2, 1.0)],
+                             ids=["interval", "annulus", "ball"])
+    def test_every_newton_system_matches_scipy(self, monkeypatch, op, geometry):
+        from ellpar import solver
+
+        solve, systems = solver.solve_banded, []
+
+        def recording(*args):
+            systems.append(tuple(a.copy() for a in args))
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "solve_banded", recording)
+        out = run(replace(_plateau_spec(op, 201), geometry=geometry))
+        assert len(systems) == out.newton_iterations > 0
+        for args in systems:
+            assert solve(*args).tobytes() == _scipy_solve(*args).tobytes()
 
 
 class TestJacobianWork:
@@ -777,11 +845,11 @@ class TestJacobianWork:
                 systems.append(tuple(a.copy() for a in (lower, diag, upper, rhs)))
                 return solve(lower, diag, upper, rhs)
 
-            monkeypatch.setattr(solver, "_solve_tridiagonal", recording)
+            monkeypatch.setattr(solver, "solve_banded", recording)
             out = run(replace(_plateau_spec(op, 201), geometry=geometry))
             return out, systems
 
-        solve = solver._solve_tridiagonal
+        solve = solver.solve_banded
         once, once_systems = record()
         monkeypatch.setattr(Spec, "linear", property(lambda self: False))
         each, each_systems = record()
@@ -794,7 +862,8 @@ class TestJacobianWork:
     @pytest.mark.parametrize("finite_at_start", [False, True], ids=["start", "first-step"])
     def test_non_finite_residual_is_a_newton_failure(self, monkeypatch, finite_at_start):
         # the operator reads NaN from its first call, or from its second on:
-        # scipy never sees it as a right-hand side, and the history ends in it
+        # the linear solve never sees it as a right-hand side, and the
+        # history ends in it
         from ellpar import solver
 
         apply, calls, solves = solver.apply_operator_1d, [0], [0]
