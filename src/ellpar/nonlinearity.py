@@ -4,6 +4,7 @@ divergence-form coefficient Psi."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -90,13 +91,17 @@ class BnFamily:
         if self.n < 1:
             raise ValueError("smoothing index must be >= 1")
 
+    @cached_property
+    def log_norm(self):  # logaddexp(n, 0), the constant term of bn_eval
+        return np.logaddexp(float(self.n), 0.0)
+
 
 def bn_eval(fam: BnFamily, s):
     """Evaluate b_n(s) via the overflow-safe rearrangement
     n^-2 * (logaddexp(n, n^2 s) - logaddexp(n, 0))."""
     n = float(fam.n)
     s = np.asarray(s, dtype=float)
-    out = (np.logaddexp(n, n * n * s) - np.logaddexp(n, 0.0)) / (n * n)
+    out = (np.logaddexp(n, n * n * s) - fam.log_norm) / (n * n)
     return out if out.ndim else float(out)
 
 

@@ -15,6 +15,7 @@ vanishes), so both go through one implicit solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -123,6 +124,21 @@ class ProblemSpec:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.geometry.lo, self.geometry.hi, self.grid)
 
+    @cached_property
+    def solve_setup(self):
+        """Read-only (x, bands) of every implicit solve: the grid, with a ghost
+        node before node 0 on the ball, and a linear kind's L without dt
+        (`_operator_bands`), else None.  The spec is frozen: it cannot go stale."""
+        x = self.nodes()
+        if self.geometry.reflect_inner:
+            # a ghost node mirroring u[1] lets interior stencils cover node 0
+            x = np.concatenate([[x[0] - (x[1] - x[0])], x])
+        # L does not depend on u for a linear kind: any finite u gives its bits
+        bands = _operator_bands(self, np.zeros_like(x), x) if self.op.linear else None
+        for a in (x, *(bands or ())):
+            a.setflags(write=False)
+        return x, bands
+
     def times(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
 
@@ -225,16 +241,26 @@ def solve_banded(lower, diag, upper, rhs):
     return x
 
 
+def _operator_bands(spec: ProblemSpec, ext, x):
+    """Bands (lower, diag, upper) of the operator matrix L at ext on the
+    grid x; on the ball, ghost = u[1] folds into the first superdiagonal."""
+    lower, diag, upper = operator_jacobian_1d(spec.op, ext, x, spec.b, spec.geometry.radial)
+    if spec.geometry.reflect_inner:
+        upper[0] += lower[0]
+        lower[0] = 0.0
+    return lower, diag, upper
+
+
 def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
                     policy: SolverPolicy):
     """Solve b(u) - b(u_prev) - dt F(u) = 0 at the free nodes by Newton from
     u_prev, with the Dirichlet data at t; returns (u, newton_iterations).
     Every iteration takes the full step u + J^{-1}(-r).  A linear kind's
-    part -dt L of J is assembled once per solve, other kinds' at each
-    iterate.  A non-finite residual raises NewtonFailure before the next
-    linear solve, as does a residual max-norm above NEWTON_TOL after
-    policy.max_iters iterations; either carries the residual history, and
-    `_advance` then splits the time step in two.
+    part -dt L of J is scaled once per solve from the spec's L, other
+    kinds' assembled at each iterate.  A non-finite residual raises
+    NewtonFailure before the next linear solve, as does a residual max-norm
+    above NEWTON_TOL after policy.max_iters iterations; either carries the
+    residual history, and `_advance` then splits the time step in two.
 
     Where b is convex, F linear or concave (the trace and Pucci-minus kinds,
     and the divergence kind with constant Psi) and the scheme monotone, the
@@ -244,11 +270,8 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
     Bellman-Isaacs kind and non-constant Psi the rule rests on measurement,
     with the iteration budget and `_advance`'s substeps as its net.
     """
-    x = spec.nodes()
+    x, linear_bands = spec.solve_setup
     reflect = spec.geometry.reflect_inner
-    if reflect:
-        # a ghost node mirroring u[1] lets interior stencils cover node 0
-        x = np.concatenate([[x[0] - (x[1] - x[0])], x])
     radial = spec.geometry.radial
     bc = spec.dirichlet(t)
     free = slice(1 if 0 in bc else 0, -1)
@@ -256,18 +279,8 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
     for i, g in bc.items():
         u[i] = g
 
-    def operator_bands(ext):
-        lower, diag, upper = operator_jacobian_1d(spec.op, ext, x, spec.b, radial=radial)
-        if reflect:
-            # ghost = u[1]: fold the ghost column into the first superdiagonal
-            upper[0] += lower[0]
-            lower[0] = 0.0
-        for band in (lower, diag, upper):
-            band *= -dt
-        return lower, diag, upper
-
     ext = np.concatenate([u[1:2], u]) if reflect else u
-    frozen = operator_bands(ext) if spec.op.linear else None
+    frozen = [band * -dt for band in linear_bands] if linear_bands else None
     # Newton starts at u_prev's free nodes, where b(u) is b_prev (b is elementwise)
     b_prev = bu = np.asarray(bval(u_prev))[free]
     hist = []
@@ -275,7 +288,7 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
         r = apply_operator_1d(spec.op, ext, x, spec.b, radial=radial)
         r *= dt
         np.subtract(bu - b_prev, r, out=r)
-        norm = float(np.max(np.abs(r)))
+        norm = float(np.abs(r).max())
         hist.append(norm)
         if norm <= NEWTON_TOL:
             return u, it
@@ -283,7 +296,7 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
             raise NewtonFailure("non-finite residual", hist)
         if it == policy.max_iters:
             break
-        lower, diag, upper = frozen or operator_bands(ext)
+        lower, diag, upper = frozen or [band * -dt for band in _operator_bands(spec, ext, x)]
         u[free] += solve_banded(lower, np.asarray(bder(u[free])) + diag, upper, -r)
         ext = np.concatenate([u[1:2], u]) if reflect else u
         bu = np.asarray(bval(u[free]))
@@ -331,24 +344,26 @@ def max_principle_bounds(spec: ProblemSpec, u, t):
     time t: the range of u and of the Dirichlet data at t (a reflecting
     inner boundary has none), widened to include 0 from above."""
     g = spec.dirichlet(t).values()
-    return (min(float(np.min(u)), min(g)),
-            max(float(np.max(u)), max(g), 0.0))
+    return (min(float(u.min()), min(g)),
+            max(float(u.max()), max(g), 0.0))
 
 
 def _advance(spec, u, t, dt, policy, depth=0):
     """Advance one macro step of size dt, recursively substepping on Newton
-    failure or a max-principle violation.  The underflow error carries the
-    residual history of the last Newton failure."""
+    failure or a max-principle violation.  The underflow error names the last
+    rejection: a Newton failure, with its history, or the bounds and excess."""
     failure = None
     try:
         u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
         lo, hi = max_principle_bounds(spec, u, t + dt)
         if u_new.min() >= lo - ORDER_TOL and u_new.max() <= hi + ORDER_TOL:
             return u_new, iters, 1
+        cause = (f"the step leaves its max-principle bounds ({lo}, {hi}) by "
+                 f"{max(lo - u_new.min(), u_new.max() - hi)}")
     except NewtonFailure as exc:
-        failure = exc
+        failure, cause = exc, str(exc)
     if depth >= policy.max_substep_depth:
-        raise NewtonFailure(f"time step underflow at t = {t}",
+        raise NewtonFailure(f"time step underflow at t = {t}: {cause}",
                             failure.history if failure else None) from failure
     u_half, it1, s1 = _advance(spec, u, t, dt / 2, policy, depth + 1)
     u_new, it2, s2 = _advance(spec, u_half, t + dt / 2, dt / 2, policy, depth + 1)
@@ -388,7 +403,7 @@ def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeFi
         u = u_next
     fronts = _front_locations(x, values[:solved + 1])
     fronts += [list(fronts[-1]) for _ in range(n_steps - solved)]
-    extinct = values.max(axis=1) < 0.0
+    extinct = values[:solved + 1].max(axis=1) < 0.0
     extinction = float(times[np.argmax(extinct)]) if extinct.any() else None
     return SpaceTimeField(x=x, times=times, values=values, fronts=fronts,
                           extinction_time=extinction,

@@ -114,6 +114,22 @@ class TestBnFamily:
             BnFamily(0)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 64, 200])
+    def test_eval_keeps_the_bytes_of_the_per_call_constant(self, n):
+        # the family's one logaddexp(n, 0) gives the bytes of computing it
+        # in every call
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal(100_000) * 10.0 ** rng.uniform(-3.0, 3.0, 100_000)
+        m = float(n)
+
+        def per_call(s):
+            return (np.logaddexp(m, m * m * s) - np.logaddexp(m, 0.0)) / (m * m)
+
+        fam = BnFamily(n)
+        assert bn_eval(fam, s).tobytes() == per_call(s).tobytes()
+        assert np.float64(bn_eval(fam, 0.5)).tobytes() == per_call(np.float64(0.5)).tobytes()
+        assert fam.log_norm is fam.log_norm and fam == BnFamily(n)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64, 200])
     def test_derivative_keeps_the_two_branch_bytes(self, n):
         # one division of where(z >= 0, 1, e) by 1 + e gives the bytes of the
         # two-branch logistic, clamp included

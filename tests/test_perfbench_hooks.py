@@ -59,8 +59,9 @@ def test_hooks_bind_existing_parameters():
 
 
 def test_the_layer_counts_every_linear_solve():
-    # installed around one short run, the tracer finds every hooked target
-    # and sees each Newton iteration's linear solve
+    # installed around one short run, the tracer finds every hooked target,
+    # sees each Newton iteration's linear solve and the one operator matrix
+    # of the run's linear kind
     from ellpar import solver
     from ellpar.harness import make_jump_scenario
 
@@ -73,7 +74,8 @@ def test_the_layer_counts_every_linear_solve():
         out = solver.run(spec)
     finally:
         instr.remove()
-    assert instr.missing == []
-    calls = spans.self_times(tracer.spans())["solver.linear_solve"][0]
-    assert calls == out.newton_iterations > 0
+    assert instr.missing == [] and spec.op.linear
+    layers = spans.self_times(tracer.spans())
+    assert layers["solver.linear_solve"][0] == out.newton_iterations > 0
+    assert layers["operators.jacobian"][0] == 1
     assert not hasattr(solver.solve_banded, "__wrapped__")

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -369,8 +370,27 @@ class TestRun:
         assert len(info.value.history) > 0
         assert isinstance(info.value.__cause__, NewtonFailure)
         assert info.value.history == info.value.__cause__.history
+        assert str(info.value).endswith(": no convergence within the iteration budget")
         # the Newton and ordering tolerances are constants, not settings
         assert [f.name for f in fields(SolverPolicy)] == ["max_iters", "max_substep_depth"]
+
+    @pytest.mark.parametrize("grid", [11, 41])
+    def test_underflow_names_a_max_principle_excess(self, grid):
+        # a non-monotone radial Pucci-minus grid: every halved step still
+        # leaves its bounds, so the error names them and the excess, and
+        # carries no Newton history
+        spec = ProblemSpec(geometry=Geometry("radial-annulus", 0.02, 1.0),
+                           op=OperatorSpec(kind="pucci-minus", lam=1.0, Lam=4.0, n_dim=5),
+                           g_lo=1.0, g_hi=-1.0, u0=lambda r: 1.0 - 2.0 * (r - 0.02) / 0.98,
+                           T=1e-2, grid=grid, dt=1e-2)
+        with pytest.raises(NewtonFailure) as info:
+            run(spec)
+        found = re.fullmatch(r"time step underflow at t = (\S+): the step leaves its "
+                             r"max-principle bounds \((\S+), (\S+)\) by (\S+)", str(info.value))
+        assert found, str(info.value)
+        t, lo, hi, excess = map(float, found.groups())
+        assert 0.0 <= t < spec.T and (lo, hi) == (-1.0, 1.0) and excess > ORDER_TOL
+        assert info.value.history == [] and info.value.__cause__ is None
 
     @pytest.mark.parametrize("side", ["hi", "lo"])
     @pytest.mark.parametrize("excess, split", [(ORDER_TOL, False), (2 * ORDER_TOL, True)],
@@ -778,12 +798,12 @@ class TestJacobianWork:
     def test_one_jacobian_and_one_residual_per_iteration(self, monkeypatch, op):
         # every iteration takes the full step: one residual per iteration,
         # plus the first residual of each solved step; one operator matrix
-        # per iteration, or per solved step for a linear kind, whose matrix
+        # per iteration, or one per spec for a linear kind, whose matrix
         # does not depend on u
         calls = self._count_operator_calls(monkeypatch)
         out = run(_plateau_spec(op, 201))
         assert out.newton_iterations > out.steps > 0
-        assert calls["jacobian"] == (out.steps if op.linear else out.newton_iterations)
+        assert calls["jacobian"] == (1 if op.linear else out.newton_iterations)
         assert calls["apply"] == out.newton_iterations + out.steps
 
     @pytest.mark.parametrize("op", _WORK_KINDS)
@@ -829,9 +849,10 @@ class TestJacobianWork:
         assert calls[0] == out.newton_iterations + out.steps
 
     @pytest.mark.parametrize("op", [p for p in _WORK_KINDS if p.values[0].linear])
-    @pytest.mark.parametrize("geometry", [Geometry("radial-annulus", 0.2, 1.0),
+    @pytest.mark.parametrize("geometry", [Geometry("interval", 0.2, 1.0),
+                                          Geometry("radial-annulus", 0.2, 1.0),
                                           Geometry("radial-ball-punctured", 0.2, 1.0)],
-                             ids=["annulus", "ball"])
+                             ids=["interval", "annulus", "ball"])
     def test_a_linear_kinds_matrix_is_each_iterations(self, monkeypatch, op, geometry):
         # the once-assembled matrix, ghost fold included, is the one the
         # iteration would assemble at its own iterate, bit for bit
@@ -911,6 +932,58 @@ class TestJacobianWork:
         star = u_star.tobytes()
         assert solve_elliptic(spec).tobytes() == star
         assert u_star.tobytes() == star and u0.tobytes() == kept
+
+
+class TestSolveSetup:
+    """A spec's grid and linear operator matrix, built once for all its
+    solves (`ProblemSpec.solve_setup`)."""
+
+    @pytest.mark.parametrize("op", [p for p in _WORK_KINDS if p.values[0].linear])
+    @pytest.mark.parametrize("geometry", [Geometry("interval", 0.2, 1.0),
+                                          Geometry("radial-ball-punctured", 0.2, 1.0)],
+                             ids=["interval", "ball"])
+    def test_a_reused_spec_gives_a_fresh_specs_bytes(self, monkeypatch, op, geometry):
+        # two runs, a step and a stationary solve of one spec build its
+        # matrix once, and each gives the bytes of the same call on a new spec
+        spec = replace(_plateau_spec(op, 201), geometry=geometry)
+        u_prev = spec.initial_values()
+
+        def outputs(spec_of):
+            runs = [run(spec_of()) for _ in range(2)]
+            step = step_parabolic(spec_of(), u_prev, spec.dt, 0.5 * spec.dt)
+            return [r.values.tobytes() for r in runs] + [
+                step[0].tobytes(), step[1], solve_elliptic(spec_of()).tobytes()]
+
+        fresh = outputs(lambda: replace(spec))
+        calls = TestJacobianWork._count_operator_calls(monkeypatch)
+        assert outputs(lambda: spec) == fresh
+        assert calls["jacobian"] == 1
+
+    @pytest.mark.parametrize("op", _WORK_KINDS)
+    def test_the_arrays_are_read_only(self, op):
+        spec = replace(_plateau_spec(op, 21), geometry=Geometry("radial-ball-punctured", 0.2, 1.0))
+        x, bands = spec.solve_setup
+        assert spec.solve_setup is spec.solve_setup
+        assert x.size == spec.grid + 1 and (bands is not None) == op.linear
+        for a in (x, *(bands or ())):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+
+    def test_a_new_spec_builds_its_own(self):
+        spec = _plateau_spec(_TRACE_AND_PUCCI[0], 201)
+        x, bands = setup = spec.solve_setup
+        kept = [a.copy() for a in (x, *bands)]
+        finer = replace(spec, grid=401)
+        ball = replace(spec, geometry=Geometry("radial-ball-punctured", 0.2, 1.0))
+        for other, size in ((finer, 401), (ball, 202)):
+            x_other, bands_other = other.solve_setup
+            assert x_other.size == size and bands_other[1].size == size - 2
+        assert ball.solve_setup[0][1:].tobytes() == x.tobytes()
+        assert ball.solve_setup[1][0][0] == 0.0 != bands[0][0]  # the ghost fold
+        assert spec.solve_setup is setup
+        assert all(a.tobytes() == k.tobytes() for a, k in zip((x, *bands), kept))
 
 
 class TestRichardsNewtonCount:
