@@ -1,8 +1,8 @@
 """`ellpar` command line: solve, sweep-n, verify-barrier, envelope, crossing,
 compare, accept.
 
-Exit codes: 0 success / criteria pass, 1 criterion or verification failure,
-2 configuration or command-line argument error.
+Exit codes: 0 success / criteria pass, 1 criterion, verification or solver
+failure, 2 configuration or command-line argument error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from . import config
 from .config import ConfigError
 from .regularize import GridField, crossing_time, inf_convolve, sup_convolve
+from .solver import MaxPrincipleViolation, NewtonFailure
 
 __all__ = ["main", "write_field_csv", "read_field_csv"]
 
@@ -246,8 +247,8 @@ def _cmd_solve(args):
 
     spec = config.read_config(args.config, config.problem_from_config)
     out = args.out
-    os.makedirs(out, exist_ok=True)
     field = run(spec)
+    os.makedirs(out, exist_ok=True)
     write_field_csv(os.path.join(out, "field.csv"), field)
     _write_front_csv(os.path.join(out, "front.csv"), field)
     lower, upper = max_principle_bounds(spec, field.values[0], 0.0)
@@ -422,6 +423,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (NewtonFailure, MaxPrincipleViolation) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

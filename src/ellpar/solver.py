@@ -33,6 +33,7 @@ __all__ = [
     "SolverPolicy",
     "SpaceTimeField",
     "NewtonFailure",
+    "MaxPrincipleViolation",
     "SpecError",
     "solve_elliptic",
     "step_parabolic",
@@ -50,6 +51,15 @@ class NewtonFailure(RuntimeError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = history or []
+
+
+class MaxPrincipleViolation(RuntimeError):
+    """A step from t that leaves its max-principle bounds (lo, hi) by excess > ORDER_TOL."""
+
+    def __init__(self, t, bounds, excess):
+        super().__init__(f"the step from t = {t} leaves its max-principle bounds "
+                         f"{bounds} by {excess}")
+        self.t, self.bounds, self.excess = t, bounds, excess
 
 
 class SpecError(ValueError):
@@ -201,7 +211,6 @@ ORDER_TOL = 1e-9
 @dataclass
 class SolverPolicy:
     max_iters: int = 40  # Newton iterations per implicit solve
-    max_substep_depth: int = 20
 
 
 @dataclass
@@ -211,8 +220,8 @@ class SpaceTimeField(GridField):
     fronts: list  # per time level, list of zero-crossing locations
     extinction_time: Optional[float]
     newton_iterations: int = 0  # over the solved steps
-    steps: int = 0  # solved steps, substeps included
-    repeated_steps: int = 0  # macro steps filled from a fixed point
+    steps: int = 0  # solved steps
+    repeated_steps: int = 0  # steps filled from a fixed point
 
     def to_grid_field(self):
         """The run itself, which is a GridField.  Kept only because the
@@ -259,8 +268,8 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
     part -dt L of J is scaled once per solve from the spec's L, other
     kinds' assembled at each iterate.  A non-finite residual raises
     NewtonFailure before the next linear solve, as does a residual max-norm
-    above NEWTON_TOL after policy.max_iters iterations; either carries the
-    residual history, and `_advance` then splits the time step in two.
+    above NEWTON_TOL after policy.max_iters iterations; either names t and dt
+    and carries the residual history.
 
     Where b is convex, F linear or concave (the trace and Pucci-minus kinds,
     and the divergence kind with constant Psi) and the scheme monotone, the
@@ -268,7 +277,7 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
     monotonically from any start (Ortega and Rheinboldt 1970, 13.3; Howard's
     algorithm in Bokanowski, Maroso and Zidani 2009).  For Pucci-plus, the
     Bellman-Isaacs kind and non-constant Psi the rule rests on measurement,
-    with the iteration budget and `_advance`'s substeps as its net.
+    with the iteration budget and NewtonFailure as its net.
     """
     x, linear_bands = spec.solve_setup
     reflect = spec.geometry.reflect_inner
@@ -293,14 +302,14 @@ def _implicit_solve(spec: ProblemSpec, u_prev, t, dt, bval, bder,
         if norm <= NEWTON_TOL:
             return u, it
         if not np.isfinite(norm):
-            raise NewtonFailure("non-finite residual", hist)
+            raise NewtonFailure(f"non-finite residual at t = {t}, dt = {dt}", hist)
         if it == policy.max_iters:
             break
         lower, diag, upper = frozen or [band * -dt for band in _operator_bands(spec, ext, x)]
         u[free] += solve_banded(lower, np.asarray(bder(u[free])) + diag, upper, -r)
         ext = np.concatenate([u[1:2], u]) if reflect else u
         bu = np.asarray(bval(u[free]))
-    raise NewtonFailure("no convergence within the iteration budget", hist)
+    raise NewtonFailure(f"no convergence in the iteration budget at t = {t}, dt = {dt}", hist)
 
 
 def solve_elliptic(spec: ProblemSpec) -> np.ndarray:
@@ -348,39 +357,28 @@ def max_principle_bounds(spec: ProblemSpec, u, t):
             max(float(u.max()), max(g), 0.0))
 
 
-def _advance(spec, u, t, dt, policy, depth=0):
-    """Advance one macro step of size dt, recursively substepping on Newton
-    failure or a max-principle violation.  The underflow error names the last
-    rejection: a Newton failure, with its history, or the bounds and excess."""
-    failure = None
-    try:
-        u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
-        lo, hi = max_principle_bounds(spec, u, t + dt)
-        if u_new.min() >= lo - ORDER_TOL and u_new.max() <= hi + ORDER_TOL:
-            return u_new, iters, 1
-        cause = (f"the step leaves its max-principle bounds ({lo}, {hi}) by "
-                 f"{max(lo - u_new.min(), u_new.max() - hi)}")
-    except NewtonFailure as exc:
-        failure, cause = exc, str(exc)
-    if depth >= policy.max_substep_depth:
-        raise NewtonFailure(f"time step underflow at t = {t}: {cause}",
-                            failure.history if failure else None) from failure
-    u_half, it1, s1 = _advance(spec, u, t, dt / 2, policy, depth + 1)
-    u_new, it2, s2 = _advance(spec, u_half, t + dt / 2, dt / 2, policy, depth + 1)
-    return u_new, it1 + it2, s1 + s2
+def _advance(spec, u, t, dt, policy):
+    """One step from t by dt and its max-principle check, never split, returning
+    (u, newton_iterations, 1) because the benchmark's hook (perfbench/spans.py)
+    unpacks three values."""
+    u_new, iters = step_parabolic(spec, u, t + dt, dt, policy)
+    lo, hi = max_principle_bounds(spec, u, t + dt)
+    if not (u_new.min() >= lo - ORDER_TOL and u_new.max() <= hi + ORDER_TOL):
+        raise MaxPrincipleViolation(t, (lo, hi), max(lo - u_new.min(), u_new.max() - hi))
+    return u_new, iters, 1
 
 
 def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeField:
-    """Integrate to the horizon on the macro time grid t_k = k dt, recording
-    every step's field, the free-boundary locations and the extinction time
-    (the first time with max u < 0).
+    """Integrate to the horizon on the time grid t_k = k dt, recording every
+    step's field, the free-boundary locations and the extinction time (the
+    first time with max u < 0).  A failed step raises NewtonFailure or
+    MaxPrincipleViolation; none is retried.
 
-    With constant boundary data a macro step depends on u alone, so one that
-    returns u unchanged with no Newton iteration and no substep is a fixed
-    point: every later step would repeat it bit for bit.  The remaining rows
-    are filled with it instead of being solved.  `steps` and
-    `newton_iterations` count the solved steps, `repeated_steps` the filled
-    ones."""
+    With constant boundary data a step depends on u alone, so one that
+    returns u unchanged with no Newton iteration is a fixed point: every
+    later step would repeat it bit for bit.  The remaining rows are filled
+    with it instead of being solved.  `steps` and `newton_iterations` count
+    the solved steps, `repeated_steps` the filled ones."""
     policy = policy or SolverPolicy()
     x = spec.nodes()
     n_steps = spec.steps
@@ -389,14 +387,12 @@ def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeFi
     values[0] = u = spec.initial_values()
     constant_data = not (callable(spec.g_lo) or callable(spec.g_hi))
     total_iters = 0
-    total_steps = 0
     solved = n_steps
     for k in range(n_steps):
-        u_next, iters, steps = _advance(spec, u, k * spec.dt, spec.dt, policy)
+        u_next, iters, _ = _advance(spec, u, k * spec.dt, spec.dt, policy)
         values[k + 1] = u_next
         total_iters += iters
-        total_steps += steps
-        if constant_data and iters == 0 and steps == 1 and np.array_equal(u_next, u):
+        if constant_data and iters == 0 and np.array_equal(u_next, u):
             solved = k + 1
             values[solved + 1:] = u_next
             break
@@ -407,7 +403,7 @@ def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeFi
     extinction = float(times[np.argmax(extinct)]) if extinct.any() else None
     return SpaceTimeField(x=x, times=times, values=values, fronts=fronts,
                           extinction_time=extinction,
-                          newton_iterations=total_iters, steps=total_steps,
+                          newton_iterations=total_iters, steps=solved,
                           repeated_steps=n_steps - solved)
 
 

@@ -48,6 +48,21 @@ g.lo = -1.0
 g.hi = -1.0
 """
 
+NON_MONOTONE_CFG = """
+geometry.kind = radial-annulus
+grid.lo = 0.02
+grid.hi = 1.0
+grid.n = 11
+op.kind = pucci-minus
+op.lambda = 1.0
+op.Lambda = 4.0
+op.n_dim = 5
+g.lo = 1.0
+g.hi = -1.0
+time.T = 0.01
+time.dt = 0.01
+"""
+
 OP_CFG = """
 op.kind = pucci-minus
 op.lambda = 1.0
@@ -350,6 +365,28 @@ class TestCLI:
             with open(os.path.join(out1, name), "rb") as f1, \
                  open(os.path.join(out2, name), "rb") as f2:
                 assert f1.read() == f2.read()
+
+    def test_a_solver_failure_exits_1_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # Pucci-minus on a non-monotone 11-node annulus: the first step's
+        # Newton solve fails, and no --out directory is made
+        p = tmp_path / "nm.cfg"
+        p.write_text(NON_MONOTONE_CFG)
+        out = tmp_path / "nm_out"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("solver error: no convergence in the iteration "
+                                           "budget at t = 0.01, dt = 0.01\n")
+        assert not out.exists()
+        # a step that leaves its max-principle bounds is reported the same way
+        from ellpar import solver
+
+        def leaving(spec, policy=None):
+            raise solver.MaxPrincipleViolation(0.0, (-1.0, 1.0), 0.5)
+
+        monkeypatch.setattr(solver, "run", leaving)
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("solver error: the step from t = 0.0 leaves its "
+                                           "max-principle bounds (-1.0, 1.0) by 0.5\n")
+        assert not out.exists()
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

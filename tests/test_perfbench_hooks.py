@@ -61,7 +61,8 @@ def test_hooks_bind_existing_parameters():
 def test_the_layer_counts_every_linear_solve():
     # installed around one short run, the tracer finds every hooked target,
     # sees each Newton iteration's linear solve and the one operator matrix
-    # of the run's linear kind
+    # of the run's linear kind, and its step counts agree with the run's:
+    # every step it sees is a whole step
     from ellpar import solver
     from ellpar.harness import make_jump_scenario
 
@@ -79,3 +80,5 @@ def test_the_layer_counts_every_linear_solve():
     assert layers["solver.linear_solve"][0] == out.newton_iterations > 0
     assert layers["operators.jacobian"][0] == 1
     assert not hasattr(solver.solve_banded, "__wrapped__")
+    assert spans.cross_check(tracer) == []
+    assert tracer.counters["solver.steps"] == tracer.counters["solver.macro_steps"] == out.steps > 0

@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -11,8 +10,10 @@ from ellpar.nonlinearity import BnFamily, BSpec, PsiSpec, b_eval, psi_eval
 from ellpar.operators import OperatorSpec
 from ellpar.regularize import GridField
 from ellpar.solver import (
+    NEWTON_TOL,
     ORDER_TOL,
     Geometry,
+    MaxPrincipleViolation,
     NewtonFailure,
     ProblemSpec,
     SolverPolicy,
@@ -321,9 +322,8 @@ class TestHorizon:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_initial_data_must_be_finite(self, bad):
-        # a non-finite datum used to end 20 substep levels deep in a time
-        # step underflow; it is refused where the datum is read, a Dirichlet
-        # node included
+        # a non-finite datum is refused where it is read, a Dirichlet node
+        # included, not left to fail the first Newton solve
         for i in (50, 0):
             datum = np.zeros(101)
             datum[i] = bad
@@ -362,42 +362,49 @@ class TestRun:
         assert out.values[k].max() < 0
         assert all(v.max() >= 0 for v in out.values[:k])
 
-    def test_underflow_carries_newton_history(self):
+    def test_a_newton_failure_propagates_with_its_history(self):
+        # one iteration is too few for the first step: the solve's own
+        # NewtonFailure reaches the caller, and nothing retries the step
         spec = make_jump_scenario(grid=201, n=32, T=0.01).spec
-        policy = SolverPolicy(max_iters=1, max_substep_depth=0)
-        with pytest.raises(NewtonFailure, match="underflow") as info:
+        policy = SolverPolicy(max_iters=1)
+        with pytest.raises(NewtonFailure) as info:
             run(spec, policy)
-        assert len(info.value.history) > 0
-        assert isinstance(info.value.__cause__, NewtonFailure)
-        assert info.value.history == info.value.__cause__.history
-        assert str(info.value).endswith(": no convergence within the iteration budget")
+        with pytest.raises(NewtonFailure) as direct:
+            step_parabolic(spec, spec.initial_values(), spec.dt, spec.dt, policy)
+        assert type(info.value) is NewtonFailure and info.value.__cause__ is None
+        assert len(info.value.history) == 2 and info.value.history == direct.value.history
+        assert str(info.value) == (f"no convergence in the iteration budget at "
+                                   f"t = {spec.dt}, dt = {spec.dt}")
         # the Newton and ordering tolerances are constants, not settings
-        assert [f.name for f in fields(SolverPolicy)] == ["max_iters", "max_substep_depth"]
+        assert [f.name for f in fields(SolverPolicy)] == ["max_iters"]
 
-    @pytest.mark.parametrize("grid", [11, 41])
-    def test_underflow_names_a_max_principle_excess(self, grid):
-        # a non-monotone radial Pucci-minus grid: every halved step still
-        # leaves its bounds, so the error names them and the excess, and
-        # carries no Newton history
-        spec = ProblemSpec(geometry=Geometry("radial-annulus", 0.02, 1.0),
-                           op=OperatorSpec(kind="pucci-minus", lam=1.0, Lam=4.0, n_dim=5),
-                           g_lo=1.0, g_hi=-1.0, u0=lambda r: 1.0 - 2.0 * (r - 0.02) / 0.98,
-                           T=1e-2, grid=grid, dt=1e-2)
+    def test_a_non_monotone_grid_leaves_its_bounds(self):
+        # the first step on 11 nodes converges but leaves its max-principle
+        # bounds: the error names t, the bounds and the excess
+        spec = _non_monotone_pucci_spec(grid=11, dt=1e-3)
+        with pytest.raises(MaxPrincipleViolation) as info:
+            run(spec)
+        err = info.value
+        assert (err.t, err.bounds) == (0.0, (-1.0, 1.0))
+        assert err.excess == pytest.approx(0.3611, abs=1e-4)
+        assert str(err) == (f"the step from t = 0.0 leaves its max-principle bounds "
+                            f"(-1.0, 1.0) by {err.excess}")
+
+    def test_a_non_monotone_grid_fails_newton(self):
+        # on 41 nodes the first step's Newton solve does not converge
+        spec = _non_monotone_pucci_spec(grid=41, dt=1e-2)
         with pytest.raises(NewtonFailure) as info:
             run(spec)
-        found = re.fullmatch(r"time step underflow at t = (\S+): the step leaves its "
-                             r"max-principle bounds \((\S+), (\S+)\) by (\S+)", str(info.value))
-        assert found, str(info.value)
-        t, lo, hi, excess = map(float, found.groups())
-        assert 0.0 <= t < spec.T and (lo, hi) == (-1.0, 1.0) and excess > ORDER_TOL
-        assert info.value.history == [] and info.value.__cause__ is None
+        assert len(info.value.history) == 41 and info.value.history[-1] > NEWTON_TOL
+        assert str(info.value) == ("no convergence in the iteration budget at "
+                                   "t = 0.01, dt = 0.01")
 
     @pytest.mark.parametrize("side", ["hi", "lo"])
-    @pytest.mark.parametrize("excess, split", [(ORDER_TOL, False), (2 * ORDER_TOL, True)],
+    @pytest.mark.parametrize("excess, raises", [(ORDER_TOL, False), (2 * ORDER_TOL, True)],
                              ids=["at-tolerance", "past-tolerance"])
-    def test_max_principle_excess_splits_the_step(self, monkeypatch, side, excess, split):
-        # a whole step that leaves its max-principle bounds by more than
-        # ORDER_TOL is split in two halves; one that leaves them by exactly
+    def test_max_principle_excess_raises(self, monkeypatch, side, excess, raises):
+        # a step that leaves its max-principle bounds by more than ORDER_TOL
+        # raises after its one solve; one that leaves them by exactly
         # ORDER_TOL is accepted
         from ellpar import solver
 
@@ -405,22 +412,24 @@ class TestRun:
         u = spec.initial_values()
         lo, hi = max_principle_bounds(spec, u, spec.dt)
         calls = []
+        moved = hi + excess if side == "hi" else lo - excess
 
         def stepping(spec, u_prev, t_next, dt, policy=None):
             calls.append(dt)
             u_new = u_prev.copy()
-            if dt == spec.dt:
-                u_new[u.size // 2] = hi + excess if side == "hi" else lo - excess
+            u_new[u.size // 2] = moved
             return u_new, 0
 
         monkeypatch.setattr(solver, "step_parabolic", stepping)
-        u_new, _, steps = _advance(spec, u, 0.0, spec.dt, SolverPolicy())
-        if split:
-            assert steps == 2 and calls == [spec.dt, spec.dt / 2, spec.dt / 2]
-            assert u_new.tobytes() == u.tobytes()
+        if raises:
+            with pytest.raises(MaxPrincipleViolation) as info:
+                _advance(spec, u, 0.0, spec.dt, SolverPolicy())
+            assert (info.value.t, info.value.bounds) == (0.0, (lo, hi))
+            assert info.value.excess == (moved - hi if side == "hi" else lo - moved)
         else:
-            assert steps == 1 and calls == [spec.dt]
-            assert u_new[u.size // 2] == (hi + excess if side == "hi" else lo - excess)
+            u_new, _, steps = _advance(spec, u, 0.0, spec.dt, SolverPolicy())
+            assert steps == 1 and u_new[u.size // 2] == moved
+        assert calls == [spec.dt]
 
     def test_jump_extinction_and_fronts(self):
         out = run(interval_spec(T=0.2), SolverPolicy())
@@ -453,7 +462,7 @@ class TestRun:
 
     @pytest.mark.parametrize("grid", [201, 801])
     def test_bellman_isaacs_jump_run(self, grid):
-        # the Bellman-Isaacs kind solves every macro step whole, and each
+        # the Bellman-Isaacs kind solves every step, and each
         # step stays inside the bounds that the maximum principle puts on it
         spec = replace(make_jump_scenario(grid=grid).spec, op=_bi_operator())
         out = run(spec)
@@ -480,19 +489,37 @@ class TestRun:
         assert np.max(np.abs(out.values + 0.5)) < 1e-9
 
 
+def _non_monotone_pucci_spec(grid, dt):
+    """Pucci-minus (Lam = 4, n = 5) on the annulus [0.02, 1] with data 1 / -1
+    and the affine datum: on 11 and 41 nodes the radial scheme is not
+    monotone."""
+    return ProblemSpec(geometry=Geometry("radial-annulus", 0.02, 1.0),
+                       op=OperatorSpec(kind="pucci-minus", lam=1.0, Lam=4.0, n_dim=5),
+                       g_lo=1.0, g_hi=-1.0, u0=lambda r: 1.0 - 2.0 * (r - 0.02) / 0.98,
+                       T=1e-2, grid=grid, dt=dt)
+
+
+# the divergence kind reads Psi = 1 + 2y
+_SCALING_KINDS = ["trace", "pucci-minus", "pucci-plus", "divergence"]
+
+
 class TestParabolicScaling:
     @pytest.mark.parametrize("geometry", [Geometry("interval", -1.0, 1.0),
                                           Geometry("radial-annulus", 0.02, 1.0),
                                           Geometry("radial-ball-punctured", 0.02, 1.0)],
                              ids=["interval", "annulus", "ball"])
-    @pytest.mark.parametrize("kind", ["trace", "pucci-minus", "pucci-plus"])
-    def test_scaling_by_two_is_bit_equal(self, kind, geometry):
+    @pytest.mark.parametrize("kind, bn", [(kind, bn) for bn in (None, BnFamily(32))
+                                          for kind in _SCALING_KINDS],
+                             ids=[kind + suffix for suffix in ("", "-b_32")
+                                  for kind in _SCALING_KINDS])
+    def test_scaling_by_two_is_bit_equal(self, kind, bn, geometry):
         # x -> 2x, t -> 4t: every difference quotient, dt F and the radial
         # (n - 1)/rho term scale by powers of two, so the run is the same
         # bit for bit, its fronts double and its extinction time quadruples
+        psi = PsiSpec("polynomial", (1.0, 2.0)) if kind == "divergence" else None
         base = ProblemSpec(geometry=geometry,
-                           op=OperatorSpec(kind=kind, lam=1.0, Lam=3.0, n_dim=3),
-                           b=BSpec("positive-part"), g_lo=-0.5, g_hi=-0.5,
+                           op=OperatorSpec(kind=kind, lam=1.0, Lam=3.0, n_dim=3, psi=psi),
+                           b=BSpec("positive-part"), bn=bn, g_lo=-0.5, g_hi=-0.5,
                            u0=lambda x: 0.6 * np.cos(2 * x - 0.4) - 0.3,
                            T=0.2, grid=201, dt=2.5e-3)
         scaled = replace(base, geometry=replace(geometry, lo=2 * geometry.lo, hi=2 * geometry.hi),
@@ -607,8 +634,8 @@ class TestStationaryTail:
         assert timed.newton_iterations == out.newton_iterations
 
     def test_totals_count_the_solved_macro_steps(self, monkeypatch):
-        # the sums over top-level _advance calls, as a tracer wrapping it
-        # sees them, equal the field's totals, substeps included
+        # the sums over _advance calls, as a tracer wrapping it sees them,
+        # equal the field's totals, and no call recurses
         from ellpar import solver
 
         advance = solver._advance
@@ -641,14 +668,11 @@ class TestStationaryTail:
         out = totals(spec, SolverPolicy())
         assert spec.steps == 400 and len(macro) <= 40
         assert deepest[0] == 1 and out.steps == len(macro)
-        # four Newton iterations are too few for some steps: they halve, and
-        # each half counts as a step
+        # four Newton iterations are too few for some step: the run raises
         spec = make_jump_scenario(grid=201, n=32, T=0.1).spec
-        out = totals(spec, SolverPolicy(max_iters=4))
-        assert deepest[0] > 1 and out.steps > len(macro)
-        default = run(spec)
-        assert out.extinction_time == default.extinction_time
-        assert np.max(np.abs(out.values - default.values)) <= 0.02
+        with pytest.raises(NewtonFailure):
+            run(spec, SolverPolicy(max_iters=4))
+        assert deepest[0] == 1
 
     @pytest.mark.parametrize("make_spec, bn", [
         (_jump_spec, BnFamily(32)), (_jump_spec, None),
@@ -1002,7 +1026,7 @@ class TestRichardsNewtonCount:
 class TestAnnulusNewtonCount:
     """The plateau run for the nondivergence kinds.  Its first step moves
     the front across more nodes the finer the grid; Newton's full step
-    crosses them in a few iterations at every grid, so no step is split."""
+    crosses them in a few iterations at every grid, so no step fails."""
 
     @pytest.mark.parametrize("op", _TRACE_AND_PUCCI, ids=lambda op: op.kind)
     def test_first_step_count_does_not_grow_with_the_grid(self, op):
