@@ -3,6 +3,7 @@ divergence-form coefficient Psi."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -30,7 +31,7 @@ class BSpec:
     kind "positive-part" is b(s) = max(s, 0).  kind "lipschitz-table" is a
     piecewise-linear increasing function given by breakpoints 0 = s_0 < s_1 <
     ... and a slope on each segment (the last slope extends to +infinity);
-    every slope must be >= some c > 0.
+    every slope must be >= some c > 0, and every breakpoint and slope finite.
     """
 
     kind: str = "positive-part"
@@ -45,6 +46,8 @@ class BSpec:
             sl = np.asarray(self.slopes, dtype=float)
             if bp.size == 0 or sl.size != bp.size:
                 raise ValueError("need one slope per breakpoint segment")
+            if not (np.isfinite(bp).all() and np.isfinite(sl).all()):
+                raise ValueError("breakpoints and slopes must be finite")
             if bp[0] != 0.0 or np.any(np.diff(bp) <= 0):
                 raise ValueError("breakpoints must start at 0 and increase")
             if np.any(sl <= 0):
@@ -83,13 +86,13 @@ def b_derivative(spec: BSpec, s):
 @dataclass(frozen=True)
 class BnFamily:
     """Canonical smooth approximation of s_+ with index n:
-    b_n(s) = n^-2 * log((e^n + e^(n^2 s)) / (e^n + 1))."""
+    b_n(s) = n^-2 * log((e^n + e^(n^2 s)) / (e^n + 1)), n an integer >= 1."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("smoothing index must be >= 1")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError("smoothing index must be >= 1 and an integer")
 
     @cached_property
     def log_norm(self):  # logaddexp(n, 0), the constant term of bn_eval

@@ -9,6 +9,7 @@ psi'', so every operator evaluation reduces to a 1D computation on an annulus.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -46,9 +47,10 @@ class OperatorSpec:
     bi_entries is a finite inf-sup family: a list of groups, each group a list
     of (A, drift, zeroth) triples; F = min over groups of max over triples of
     tr(A M) + drift . p + zeroth * z.  Zeroth coefficients must be <= 0 so the
-    operator is proper, and every entry must lie in the class: A symmetric
-    n_dim x n_dim with eigenvalues in [lam, Lam], |drift| <= delta1 and
-    |zeroth| <= delta0.  psi is the Psi of the divergence kind (constant 1 if
+    operator is proper, and every entry must lie in the class: A finite and
+    symmetric n_dim x n_dim with eigenvalues in [lam, Lam], |drift| <= delta1
+    and |zeroth| <= delta0, so that a NaN entry is rejected.  n_dim is an
+    integer >= 1.  psi is the Psi of the divergence kind (constant 1 if
     not given).  A field that the kind does not read, psi or a non-empty
     bi_entries, is a ValueError.
     """
@@ -72,8 +74,8 @@ class OperatorSpec:
         for name in ("Lam", "delta1", "delta0"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)}: need a finite value")
-        if self.n_dim < 1:
-            raise ValueError("dimension must be >= 1")
+        if not (isinstance(self.n_dim, numbers.Integral) and self.n_dim >= 1):
+            raise ValueError("dimension n_dim must be an integer >= 1")
         if self.psi is not None and self.kind != "divergence":
             raise ValueError(f"psi is read by divergence only, not by {self.kind}")
         if self.bi_entries and self.kind != "bellman-isaacs":
@@ -83,18 +85,22 @@ class OperatorSpec:
                 raise ValueError("bellman-isaacs needs at least one entry group")
             n, tol = self.n_dim, 1e-12  # relative, for rounding in eigvalsh and norm
             for group in self.bi_entries:
+                # each test is written so that a NaN fails it
                 for A, drift, zeroth in group:
-                    if zeroth > 0:
-                        raise ValueError("positive zeroth-order coefficient breaks properness")
+                    if not zeroth <= 0:
+                        raise ValueError(f"entry zeroth coefficient {zeroth}: need <= 0 "
+                                         "for properness")
                     A, drift = np.asarray(A, dtype=float), np.asarray(drift, dtype=float)
-                    if A.shape != (n, n) or not np.array_equal(A, A.T):
-                        raise ValueError(f"entry matrix must be symmetric {n}x{n}")
+                    if not (A.shape == (n, n) and np.isfinite(A).all()
+                            and np.array_equal(A, A.T)):
+                        raise ValueError(f"entry matrix must be finite and symmetric {n}x{n}")
                     eigs = np.linalg.eigvalsh(A)
-                    if eigs[0] < self.lam * (1 - tol) or eigs[-1] > self.Lam * (1 + tol):
+                    if not (eigs[0] >= self.lam * (1 - tol) and eigs[-1] <= self.Lam * (1 + tol)):
                         raise ValueError("entry matrix eigenvalues must lie in [lambda, Lambda]")
-                    if drift.shape != (n,) or np.linalg.norm(drift) > self.delta1 * (1 + tol):
+                    if not (drift.shape == (n,)
+                            and np.linalg.norm(drift) <= self.delta1 * (1 + tol)):
                         raise ValueError(f"entry drift must have length {n} and norm <= delta1")
-                    if abs(zeroth) > self.delta0:
+                    if not abs(zeroth) <= self.delta0:
                         raise ValueError("entry zeroth coefficient must have |c| <= delta0")
         if self.kind == "divergence" and self.psi is None:
             object.__setattr__(self, "psi", PsiSpec("constant", (1.0,)))

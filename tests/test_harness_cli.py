@@ -376,9 +376,20 @@ class TestCLI:
         assert capsys.readouterr().err == ("solver error: no convergence in the iteration "
                                            "budget at t = 0.01, dt = 0.01\n")
         assert not out.exists()
-        # a step that leaves its max-principle bounds is reported the same way
+        # so is a zero pivot in the first linear solve
         from ellpar import solver
 
+        solve = solver.solve_banded
+
+        def singular(lower, diag, upper, rhs):
+            return solve(*(np.zeros_like(a) for a in (lower, diag, upper)), rhs)
+
+        monkeypatch.setattr(solver, "solve_banded", singular)
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("solver error: no finite Newton step "
+                                           "at t = 0.01, dt = 0.01\n")
+        assert not out.exists()
+        # a step that leaves its max-principle bounds is reported the same way
         def leaving(spec, policy=None):
             raise solver.MaxPrincipleViolation(0.0, (-1.0, 1.0), 0.5)
 

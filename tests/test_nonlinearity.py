@@ -59,6 +59,13 @@ class TestBSpec:
         with pytest.raises(ValueError):
             BSpec("nope")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_table_entries_are_finite(self, bad):
+        for bp, sl in (((0.0, bad), (1.0, 2.0)), ((0.0, 1.0), (bad, 2.0)),
+                       ((0.0, 1.0), (1.0, bad))):
+            with pytest.raises(ValueError, match="breakpoints and slopes must be finite"):
+                BSpec("lipschitz-table", breakpoints=bp, slopes=sl)
+
 
 class TestBnFamily:
     def test_against_mpmath_oracle(self):
@@ -110,8 +117,11 @@ class TestBnFamily:
         assert np.all(np.diff(v[s > -0.3]) > 0)
 
     def test_index_validation(self):
-        with pytest.raises(ValueError):
-            BnFamily(0)
+        # an integer >= 1, as the annotation says: NaN fails the test too
+        for n in (0, -1, np.nan, np.inf, 2.5, 16.0):
+            with pytest.raises(ValueError, match="must be >= 1 and an integer$"):
+                BnFamily(n)
+        assert bn_eval(BnFamily(np.int64(16)), 0.5) == bn_eval(BnFamily(16), 0.5)
 
     @pytest.mark.parametrize("n", [1, 4, 16, 64, 200])
     def test_eval_keeps_the_bytes_of_the_per_call_constant(self, n):

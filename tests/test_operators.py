@@ -83,6 +83,12 @@ class TestPucci:
             with pytest.raises(ValueError, match=f"{name} = {value}: need a finite value"):
                 OperatorSpec(kind="pucci-plus", **{name: value})
 
+    @pytest.mark.parametrize("n_dim", [np.nan, np.inf, 2.5, 2.0, 0], ids=str)
+    def test_n_dim_is_an_integer(self, n_dim):
+        with pytest.raises(ValueError, match="n_dim must be an integer >= 1$"):
+            OperatorSpec(kind="pucci-plus", n_dim=n_dim)
+        assert OperatorSpec(kind="pucci-plus", n_dim=np.int64(3)).n_dim == 3
+
 
 class TestOperatorFullEval:
     def test_trace(self):
@@ -120,6 +126,21 @@ class TestOperatorFullEval:
         with pytest.raises(ValueError, match=match):
             OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=2.0, delta1=0.5,
                          delta0=0.2, n_dim=2, bi_entries=(((A, drift, zeroth),),))
+
+    @pytest.mark.parametrize("A, drift, zeroth, match", [
+        (((1.0, 0.0), (0.0, 1.0)), (np.nan, 0.0), 0.0, "drift"),
+        (((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), np.nan, "zeroth"),
+        (((1.0, np.nan), (np.nan, 1.0)), (0.0, 0.0), 0.0, "finite and symmetric"),
+        (((np.nan, 0.0), (0.0, 1.0)), (0.0, 0.0), 0.0, "finite and symmetric"),
+        (((np.inf, 0.0), (0.0, 1.0)), (0.0, 0.0), 0.0, "finite and symmetric"),
+    ], ids=["drift-nan", "zeroth-nan", "A-offdiag-nan", "A-diag-nan", "A-inf"])
+    def test_a_non_finite_entry_is_rejected(self, A, drift, zeroth, match):
+        # every comparison with NaN is false, so each check is written to
+        # fail on it: otherwise _inf_sup would drop the entry without a word
+        good = (((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match=match):
+            OperatorSpec(kind="bellman-isaacs", lam=1.0, Lam=2.0, delta1=0.5,
+                         delta0=0.2, n_dim=2, bi_entries=((good, (A, drift, zeroth)),))
 
     def test_bellman_isaacs_entry_on_class_edge(self):
         # eigenvalues lambda and Lambda, |zeroth| = delta0, and |drift| = 0.5

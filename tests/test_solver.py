@@ -17,6 +17,7 @@ from ellpar.solver import (
     NewtonFailure,
     ProblemSpec,
     SolverPolicy,
+    SpecError,
     _advance,
     _front_locations,
     bracket_maximal_minimal,
@@ -302,6 +303,16 @@ class TestHorizon:
             with pytest.raises(ValueError, match=f"lo = {lo}, hi = {hi}: need finite lo and hi"):
                 interval_spec(geometry=Geometry("interval", lo, hi))
         assert interval_spec(T=0.1, dt=0.025).steps == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_boundary_data_must_be_finite(self, bad):
+        # constant data are checked where the spec is built, not at the
+        # first step's residual; callable data are read only when a step
+        # needs them
+        for name in ("g_lo", "g_hi"):
+            with pytest.raises(SpecError, match=f"^{name} = {bad}: need finite boundary data$"):
+                interval_spec(**{name: bad})
+            assert callable(getattr(interval_spec(**{name: lambda t: bad}), name))
 
     def test_spec_is_frozen(self):
         # assignment would bypass the whole-steps check; replace() re-runs it
@@ -739,27 +750,15 @@ class TestTridiagonalSolve:
     @pytest.mark.parametrize("n", [3, 399, 1599])
     def test_matches_the_checked_solve_banded(self, n):
         # gtsv called directly: the same solution as scipy's checked
-        # solve_banded, the same error, and the arguments untouched
+        # solve_banded, info = 0, and the arguments untouched
         rng = np.random.default_rng(n)
         lower, upper, rhs = rng.standard_normal((3, n))
         diag = 4.0 + rng.random(n)
         args = (lower, diag, upper, rhs)
         kept = [a.copy() for a in args]
-        got = solve_banded(*args)
-        assert got.tobytes() == _scipy_solve(*args).tobytes()
+        got, info = solve_banded(*args)
+        assert info == 0 and got.tobytes() == _scipy_solve(*args).tobytes()
         assert all(a.tobytes() == k.tobytes() for a, k in zip(args, kept))
-        # a non-finite entry that the matrix reads, in each band and in rhs
-        for which, i in ((0, n - 1), (1, 0), (2, 0), (3, n // 2)):
-            for bad in (np.nan, np.inf, -np.inf):
-                broken = [a.copy() for a in args]
-                broken[which][i] = bad
-                kept = [a.copy() for a in broken]
-                with pytest.raises(ValueError) as want:
-                    _scipy_solve(*broken)
-                with pytest.raises(ValueError) as err:
-                    solve_banded(*broken)
-                assert str(err.value) == str(want.value)
-                assert all(a.tobytes() == k.tobytes() for a, k in zip(broken, kept))
 
     def test_one_unknown(self):
         # gtsv reads no off-diagonal when n = 1: rhs / diag, as scipy divides
@@ -767,15 +766,61 @@ class TestTridiagonalSolve:
         scales = 10.0 ** rng.integers(-100, 100, (50, 2, 1))
         for diag, rhs in rng.standard_normal((50, 2, 1)) * scales:
             lower, upper = rng.standard_normal((2, 1))
-            got = solve_banded(lower, diag, upper, rhs).tobytes()
-            assert got == (rhs / diag).tobytes()
-            assert got == _scipy_solve(lower, diag, upper, rhs).tobytes()
+            got, info = solve_banded(lower, diag, upper, rhs)
+            assert info == 0 and got.tobytes() == (rhs / diag).tobytes()
+            assert got.tobytes() == _scipy_solve(lower, diag, upper, rhs).tobytes()
 
-    def test_singular_matrix(self):
+    def test_singular_matrix(self, monkeypatch):
+        # scipy raises at the zero pivot; the bare solve returns info > 0
+        # and leaves its arguments alone
         args = (np.zeros(3), np.array([1.0, 0.0, 1.0]), np.zeros(3), np.ones(3))
-        for solve in (_scipy_solve, solve_banded):
-            with pytest.raises(scipy.linalg.LinAlgError, match="^singular matrix$"):
-                solve(*args)
+        kept = [a.copy() for a in args]
+        with pytest.raises(scipy.linalg.LinAlgError, match="^singular matrix$"):
+            _scipy_solve(*args)
+        assert solve_banded(*args)[1] > 0
+        assert all(a.tobytes() == k.tobytes() for a, k in zip(args, kept))
+        # a run whose every solve meets a zero pivot fails its first
+        # iteration with the one residual it computed
+        from ellpar import solver
+
+        solve = solver.solve_banded
+
+        def singular(lower, diag, upper, rhs):
+            return solve(*(np.zeros_like(a) for a in (lower, diag, upper)), rhs)
+
+        monkeypatch.setattr(solver, "solve_banded", singular)
+        spec = interval_spec()
+        with pytest.raises(NewtonFailure,
+                           match="^no finite Newton step at t = 0.0025, dt = 0.0025$") as err:
+            run(spec)
+        assert len(err.value.history) == 1 and np.isfinite(err.value.history[0])
+
+    @pytest.mark.parametrize("op", _TRACE_AND_PUCCI[:2], ids=["trace", "pucci-minus"])
+    @pytest.mark.parametrize("which", range(4), ids=["lower", "diag", "upper", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_band_is_a_newton_failure(self, monkeypatch, op, which, bad):
+        # the solve checks no input: Newton's check of the step, or its
+        # residual, turns a non-finite entry that the matrix reads, or one
+        # in rhs, into a NewtonFailure that names t and dt, before a NaN
+        # reaches b_n (a RuntimeWarning fails the test)
+        from ellpar import solver
+
+        solve = solver.solve_banded
+
+        def broken(*args):
+            args = [a.copy() for a in args]
+            args[which][(-1, 50, 0, 50)[which]] = bad
+            return solve(*args)
+
+        monkeypatch.setattr(solver, "solve_banded", broken)
+        spec = interval_spec(op=replace(op, n_dim=1))
+        with pytest.raises(NewtonFailure, match="at t = 0.0025, dt = 0.0025$") as err:
+            run(spec)
+        assert err.value.history
+        if np.isnan(bad):
+            # a NaN always spoils the step: the first iteration fails
+            assert str(err.value).startswith("no finite Newton step")
+            assert len(err.value.history) == 1
 
     @pytest.mark.parametrize("op", _WORK_KINDS)
     @pytest.mark.parametrize("geometry", [Geometry("interval", 0.2, 1.0),
@@ -795,7 +840,8 @@ class TestTridiagonalSolve:
         out = run(replace(_plateau_spec(op, 201), geometry=geometry))
         assert len(systems) == out.newton_iterations > 0
         for args in systems:
-            assert solve(*args).tobytes() == _scipy_solve(*args).tobytes()
+            got, info = solve(*args)
+            assert info == 0 and got.tobytes() == _scipy_solve(*args).tobytes()
 
 
 class TestJacobianWork:
