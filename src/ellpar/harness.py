@@ -121,9 +121,9 @@ def validate_class_P(scn: Scenario) -> bool:
 def make_comparison_pair(base: Scenario, gap: float):
     """Strictly separated ordered pair: the upper problem's front is shifted
     outward by gap, values lifted by gap/2, and the lateral boundary data
-    raised by gap/2 so separation is strict on the whole parabolic boundary.
-    Raises ValueError if the shifted datum is positive next to a Dirichlet
-    node (`ProblemSpec.check_front_inside`)."""
+    raised by gap/2 at every t, so separation is strict on the whole
+    parabolic boundary.  Raises ValueError if the shifted datum is positive
+    next to a Dirichlet node (`ProblemSpec.check_front_inside`)."""
     if not 0 < gap < np.inf:
         raise ValueError("gap must be positive and finite")
     spec = base.spec
@@ -131,9 +131,10 @@ def make_comparison_pair(base: Scenario, gap: float):
     u0 = spec.initial_values()
     up = perturb_initial_data(u0, x, gap, "up", lift_factor=0.5)
     spec.check_front_inside(up)
-    g_up = spec.boundary(0.0)
-    upper_spec = replace(spec, u0=up,
-                         g_lo=g_up[0] + gap / 2, g_hi=g_up[1] + gap / 2)
+
+    def raised(g):
+        return (lambda t: g(t) + gap / 2) if callable(g) else float(g) + gap / 2
+    upper_spec = replace(spec, u0=up, g_lo=raised(spec.g_lo), g_hi=raised(spec.g_hi))
     lower = Scenario(name=base.name + "-lower", spec=spec)
     upper = Scenario(name=base.name + f"-upper-gap{gap}", spec=upper_spec)
     return lower, upper
@@ -207,17 +208,17 @@ def criterion_1_bn_family():
         sup_err.append(float(np.max(np.abs(bn_eval(fam, s) - np.maximum(s, 0)))))
     decreasing = all(b < a for a, b in zip(sup_err, sup_err[1:]))
 
-    mpmath.mp.dps = 60
     fam = BnFamily(64)
     oracle_err = 0.0
-    for sv in (-1000.0, 1000.0, -10.0, 0.0, 0.015625, 10.0):
-        n = mpmath.mpf(64)
-        ref = (mpmath.log(mpmath.exp(n) + mpmath.exp(n * n * sv))
-               - mpmath.log(mpmath.exp(n) + 1)) / (n * n)
-        got = bn_eval(fam, sv)
-        if not math.isfinite(got):
-            return -1.0, {"nonfinite_at": sv}
-        oracle_err = float(np.maximum(oracle_err, abs(got - float(ref))))
+    with mpmath.workdps(60):
+        for sv in (-1000.0, 1000.0, -10.0, 0.0, 0.015625, 10.0):
+            n = mpmath.mpf(64)
+            ref = (mpmath.log(mpmath.exp(n) + mpmath.exp(n * n * sv))
+                   - mpmath.log(mpmath.exp(n) + 1)) / (n * n)
+            got = bn_eval(fam, sv)
+            if not math.isfinite(got):
+                return -1.0, {"nonfinite_at": sv}
+            oracle_err = float(np.maximum(oracle_err, abs(got - float(ref))))
     margin = [1e-6 - der_err, 1e-9 - oracle_err] if decreasing else -1.0
     return margin, {"derivative_err": der_err, "oracle_err": oracle_err,
                     "sup_err_first_last": [sup_err[0], sup_err[-1]],
@@ -552,5 +553,5 @@ def run_acceptance(criteria=None, out_path: Optional[str] = None):
     }
     if out_path is not None:
         with open(out_path, "w") as fh:
-            json.dump(report, fh, indent=2, default=str)
+            json.dump(report, fh, indent=2)
     return (0 if report["passed"] else 1), report

@@ -194,41 +194,39 @@ def crossing_time(Z, W) -> CrossingReport:
 
 
 def essential_envelopes(field: GridField, radii) -> tuple:
-    """Discrete shrinking-window envelopes.
+    """Discrete essential envelopes (upper, lower, candidate).
 
-    upper(x,t) = min over r in radii of the window max of the field over the
-    grid ball B_r(x,t); lower swaps max and min.  Also returns the candidate
-    v = max(min(field, upper), lower), which on a grid equals the field at
-    every node.
+    upper(x,t) = min over r in radii of the field's max over the grid disc
+    (di*hx)^2 + (dj*ht)^2 <= r^2 around (x,t), cut at the grid; lower swaps
+    max and min.  The discs nest exactly in floating point (the left side is
+    the same for every radius; r*r and the box floor(r/h) grow with r), so
+    only the smallest radius's disc is computed; every radius is checked.
+    Each disc holds its centre, so lower <= field <= upper and the candidate
+    max(min(field, upper), lower) is the field: `field` itself is returned.
     """
-    radii = sorted(set(float(r) for r in radii), reverse=True)
+    radii = [float(r) for r in radii]
     if not radii or any(not 0 < r < math.inf for r in radii):
         raise ValueError("radii must be positive and finite")
+    r = min(radii)
     hx, ht = field.require_uniform()
     vals = field.values
     nt, nx = vals.shape
-    upper = np.full_like(vals, np.inf)
-    lower = np.full_like(vals, -np.inf)
-    for r in radii:
-        rx = int(math.floor(r / hx))
-        rt = int(math.floor(r / ht))
-        # the grid disc (di*hx)^2 + (dj*ht)^2 <= r^2 of the bounding box;
-        # row dj is |di| <= w, so its count is 2w + 1
-        dj, di = np.ogrid[-rt:rt + 1, -rx:rx + 1]
-        count = ((di * hx) ** 2 + (dj * ht) ** 2 <= r * r).sum(axis=1).tolist()
-        rows = [(j, (c - 1) // 2) for j, c in zip(range(-rt, rt + 1), count) if c]
-        # max and -min of the field at once; -inf pads cut windows at the edge
-        both = np.pad(np.stack([vals, -vals]), ((0, 0), (rt, rt), (rx, rx)),
-                      constant_values=-np.inf)
-        table = WindowMaxTable(both, [2 * w + 1 for _, w in rows])
-        acc = np.full((2, nt, nx), -np.inf)
-        for dj, w in rows:
-            lead = (slice(None), slice(rt + dj, rt + dj + nt))
-            np.maximum(acc, table.query(2 * w + 1, lead, rx - w, nx), out=acc)
-        np.minimum(upper, acc[0], out=upper)
-        np.maximum(lower, -acc[1], out=lower)
-    v = np.maximum(np.minimum(vals, upper), lower)
-    return tuple(GridField(field.x, field.times, a) for a in (upper, lower, v))
+    rx = int(math.floor(r / hx))
+    rt = int(math.floor(r / ht))
+    # the grid disc in its bounding box: row dj is |di| <= w, of count 2w + 1
+    dj, di = np.ogrid[-rt:rt + 1, -rx:rx + 1]
+    count = ((di * hx) ** 2 + (dj * ht) ** 2 <= r * r).sum(axis=1).tolist()
+    rows = [(j, (c - 1) // 2) for j, c in zip(range(-rt, rt + 1), count) if c]
+    # max and -min of the field at once; -inf pads cut windows at the edge
+    both = np.pad(np.stack([vals, -vals]), ((0, 0), (rt, rt), (rx, rx)),
+                  constant_values=-np.inf)
+    table = WindowMaxTable(both, [2 * w + 1 for _, w in rows])
+    acc = np.full((2, nt, nx), -np.inf)
+    for dj, w in rows:
+        lead = (slice(None), slice(rt + dj, rt + dj + nt))
+        np.maximum(acc, table.query(2 * w + 1, lead, rx - w, nx), out=acc)
+    return (GridField(field.x, field.times, acc[0]),
+            GridField(field.x, field.times, -acc[1]), field)
 
 
 @dataclass

@@ -6,6 +6,7 @@ with -s or look at captured output on failure).  Every criterion builds its
 own runs, so the tests share no state.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -85,6 +86,22 @@ def test_criterion_01_bn_family():
     assert r.margin == min(1e-6 - r.details["derivative_err"],
                            1e-9 - r.details["oracle_err"]) > 0
     assert r.runtime < 10
+
+
+def test_criterion_01_restores_the_mpmath_precision():
+    # the oracle runs at 60 digits whatever the ambient precision, and leaves
+    # the ambient precision as it found it
+    import mpmath
+
+    with mpmath.workdps(15):
+        at_15 = ALL_CRITERIA[1]()
+        assert mpmath.mp.dps == 15
+    with mpmath.workdps(60):
+        at_60 = ALL_CRITERIA[1]()
+    assert (at_15.passed, at_15.margin, at_15.details) == (at_60.passed, at_60.margin,
+                                                           at_60.details)
+    assert at_15.details["oracle_err"] == 4.607859233063394e-19
+    assert at_15.margin == 9.999999995392141e-10
 
 
 def test_criterion_01_fails_on_a_shifted_derivative(monkeypatch):
@@ -274,3 +291,23 @@ def test_criterion_11_loads_no_integrator():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _json_native(value):
+    if isinstance(value, dict):
+        return all(type(k) is str and _json_native(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_json_native(v) for v in value)
+    return value is None or type(value) in (bool, int, float, str)
+
+
+def test_every_detail_is_json_native(tmp_path, capsys):
+    # the report is written with no fallback serializer: a numpy scalar or a
+    # tuple among the details would be refused or changed on the way out
+    out = tmp_path / "report.json"
+    code, report = harness.run_acceptance(out_path=str(out))
+    assert code == 0 and len(report["criteria"]) == 11
+    for row in report["criteria"]:
+        assert _json_native(row["details"]), (row["name"], row["details"])
+    with open(out) as fh:
+        assert json.load(fh)["criteria"] == report["criteria"]

@@ -223,6 +223,8 @@ class TestScenarios:
         glo_l, _ = lower.spec.boundary(0.0)
         glo_u, _ = upper.spec.boundary(0.0)
         assert glo_u - glo_l == pytest.approx(0.025)
+        # a constant datum stays the float g + gap/2
+        assert type(upper.spec.g_lo) is float and upper.spec.g_lo == -1.0 + 0.05 / 2
 
     @pytest.mark.parametrize("kind, Lam", [("trace", 1.0), ("pucci-minus", 2.0)])
     def test_comparison_pair_on_punctured_ball(self, kind, Lam):
@@ -235,6 +237,19 @@ class TestScenarios:
         lower, upper = make_comparison_pair(base, 0.05)
         rl, ru = run(lower.spec), run(upper.spec)
         assert float(np.min(ru.values - rl.values)) >= -1e-9
+
+    def test_comparison_pair_raises_time_dependent_data_at_every_t(self):
+        # the upper problem's boundary data used to be frozen at t = 0, and
+        # this pair's worst gap then read -0.725
+        base = make_jump_scenario(grid=201, T=0.5)
+        base.spec = replace(base.spec, g_lo=lambda t: -1 + 1.5 * t,
+                            g_hi=lambda t: -1 + 1.5 * t)
+        lower, upper = make_comparison_pair(base, 0.05)
+        for t in (0.0, 0.25, 0.5):
+            lift = np.subtract(upper.spec.boundary(t), lower.spec.boundary(t))
+            assert lift == pytest.approx([0.025, 0.025]), t
+        rl, ru = run(lower.spec), run(upper.spec)
+        assert float(np.min(ru.values - rl.values)) == pytest.approx(0.025, abs=1e-9)
 
     def test_comparison_pair_infeasible(self):
         base = make_jump_scenario(grid=201, n=16)
@@ -540,17 +555,29 @@ class TestCLI:
                                  + lines[2:]) + "\n")
         ragged = tmp_path / "ragged.csv"
         ragged.write_text("\n".join(lines[:5] + [lines[5].rsplit(",", 1)[0]]) + "\n")
-        for bad in (str(nan), str(ragged)):
+        header = tmp_path / "header.csv"
+        header.write_text("\n".join(["time" + lines[0][1:]] + lines[1:]) + "\n")
+        for bad in (str(nan), str(ragged), str(header)):
             assert main(["envelope", "--in", bad, "--r", "0.2",
                          "--out", str(tmp_path / "o.csv")]) == 2
             assert main(["crossing", "--z", bad, "--w", good]) == 2
             assert main(["crossing", "--z", good, "--w", bad]) == 2
+        assert f"{header}: expected 't' as first header column" in capsys.readouterr().err
         # one time row: the field parses, but it has no time step
         one = tmp_path / "one.csv"
         one.write_text("\n".join(lines[:2]) + "\n")
         assert main(["envelope", "--in", str(one), "--r", "0.2",
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert str(one) in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_envelope_uneven_grid_exit_2(self, tmp_path, capsys):
+        x = np.linspace(-1, 1, 41)
+        fin = str(tmp_path / "in.csv")
+        write_field_csv(fin, GridField(x ** 3, x, np.ones((41, 41))))
+        assert main(["envelope", "--in", fin, "--r", "0.2",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "space grid must be uniform" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_envelope_radius_out_of_range_exit_2(self, tmp_path, capsys):

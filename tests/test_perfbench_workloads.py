@@ -7,11 +7,14 @@ Beyond the names its tracer hooks (`tests/test_perfbench_hooks.py`),
 the `t_slice` of a convolution and `ALL_CRITERIA[k]`.  A change in `src/`
 that broke one of them would show only when the benchmark runs.  These tests
 load the workloads without changing them and run a short pass of each
-through the workloads' own output checks.
+through the workloads' own output checks.  The workloads also keep their own
+copy of the solver's order tolerance, which must not drift from it.
 """
 
 import importlib.util
 from pathlib import Path
+
+from ellpar import solver
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -48,3 +51,8 @@ def test_solve_warmup_one_job_of_each_command_and_every_check(tmp_path):
     wl.jobs = [next(job for job in wl.jobs if job[0].startswith(command))
                for command in ("solve.", "sweep-n.")]
     wl.run_pass(_item)
+
+
+def test_the_order_tolerance_is_the_solvers():
+    # the ensemble's ordered-pair check gates on this copy
+    assert workloads.ORDER_TOL == solver.ORDER_TOL

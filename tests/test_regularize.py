@@ -334,6 +334,25 @@ class TestEnvelopes:
         assert np.all(v.values <= up.values)
         assert np.array_equal(v.values, fld.values)
 
+    def test_larger_radii_change_nothing(self):
+        # the grid discs nest, so radii above the smallest leave both
+        # envelopes byte-identical, in any order, and the candidate is the
+        # input field itself
+        rng = np.random.default_rng(14)
+        x = np.linspace(0.0, 1.0, 23)
+        ts = np.linspace(0.0, 0.6, 17)
+        for vals in (rng.standard_normal((17, 23)),
+                     rng.integers(-2, 3, (17, 23)).astype(float)):
+            fld = GridField(x, ts, vals)
+            for r in (0.05, 0.12, 0.3):
+                up, lo, v = essential_envelopes(fld, [r])
+                assert v is fld
+                for radii in ([r, 2 * r], [3 * r, r, 1.5 * r], [r, r]):
+                    up2, lo2, v2 = essential_envelopes(fld, radii)
+                    assert up2.values.tobytes() == up.values.tobytes(), radii
+                    assert lo2.values.tobytes() == lo.values.tobytes(), radii
+                    assert v2 is fld
+
     def test_one_node_axis_rejected(self):
         x = np.linspace(-1.0, 1.0, 21)
         for fld, axis in ((GridField(x, [0.0], np.ones((1, 21))), "time"),
@@ -352,7 +371,9 @@ class TestEnvelopes:
 
     def test_radii_positive_and_finite(self):
         fld = small_random_field()
-        for radii in ([], [0.0], [-0.2], [np.nan], [np.inf], [0.2, np.nan], [0.2, np.inf]):
+        # every radius is checked, not only the smallest
+        for radii in ([], [0.0], [-0.2], [np.nan], [np.inf], [0.2, np.nan], [0.2, np.inf],
+                      [0.2, -0.1], [np.nan, 0.2]):
             with pytest.raises(ValueError, match="radii must be positive and finite"):
                 essential_envelopes(fld, radii)
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -344,6 +345,12 @@ class TestHorizon:
                     spec.initial_datum()
                 with pytest.raises(ValueError, match="initial data must be finite"):
                     run(spec)
+
+    def test_initial_data_must_match_the_grid(self):
+        for u0 in (np.zeros(100), lambda x: np.zeros(x.size + 1), np.zeros((101, 1))):
+            spec = interval_spec(grid=101, u0=u0)
+            with pytest.raises(ValueError, match="initial data shape does not match the grid"):
+                spec.initial_datum()
 
     def test_every_step_recorded_up_to_horizon(self):
         spec = interval_spec(T=0.0125, grid=101)
@@ -1182,6 +1189,23 @@ class TestStudies:
         half = 0.49 * spec.dt
         rep = singular_limit_study(spec, [4, 8, 16], probe_times=[-half, 0.01 + half])
         assert rep.probe_times == [-half, 0.01 + half]
+
+    @pytest.mark.parametrize("levels, ordered", [
+        ((2.0, -2.0, 1.0, -1.0), True),
+        ((2.0, -2.0, -0.5, 0.0), False),
+        ((1.0, -2.0, 2.0, -1.0), False),
+        ((2.0, -1.0, 1.0, -2.0), False),
+    ], ids=["ordered", "up-below-down", "up-not-nested", "down-not-nested"])
+    def test_bracket_ordering_checks(self, monkeypatch, levels, ordered):
+        # constant runs in call order up, down at eps 0.08, then up, down at
+        # eps 0.04; each unordered case breaks exactly one of the checks
+        from ellpar import solver
+
+        spec = make_jump_scenario(grid=101, n=8, T=0.01).spec
+        level = iter(levels)
+        monkeypatch.setattr(solver, "run", lambda s: SimpleNamespace(
+            values=np.full((spec.steps + 1, spec.grid), next(level)), extinction_time=None))
+        assert bracket_maximal_minimal(spec, [0.08, 0.04]).ordered is ordered
 
     def test_bracket_on_punctured_ball(self):
         # the inner node is free, so the shifted data may stay positive there
