@@ -14,17 +14,42 @@ vanishes), so both go through one implicit solve.
 
 from __future__ import annotations
 
+import numbers
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec, spec_from_file_location
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .geometry import edge_zeros, window_max
 from .nonlinearity import BnFamily, BSpec, b_derivative, b_eval, bn_derivative, bn_eval
 from .operators import OperatorSpec, apply_operator_1d, operator_jacobian_1d
 from .regularize import GridField
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module, the one scipy.linalg.lapack re-exports,
+    loaded by file under its own name, so that no ellpar process runs the
+    scipy.linalg package __init__, which loads about 290 more modules."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:  # scipy.linalg was imported first
+        return sys.modules[name]
+    where = os.path.join(scipy.__path__[0], "linalg")
+    found = PathFinder.find_spec("_flapack", [where])
+    if found is None:
+        raise ImportError(f"no compiled _flapack module in {where}", name=name)
+    spec = spec_from_file_location(name, found.origin)
+    module = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dgtsv = _load_flapack().dgtsv
 
 __all__ = [
     "Geometry",
@@ -115,8 +140,8 @@ class ProblemSpec:
     dt: float = 2.5e-3
 
     def __post_init__(self):
-        if self.grid < 3:
-            raise SpecError({"grid": self.grid}, "need at least 3 grid nodes")
+        if not (isinstance(self.grid, numbers.Integral) and self.grid >= 3):
+            raise SpecError({"grid": self.grid}, "need at least 3 grid nodes, an integer count")
         if not (self.dt > 0 and 0 <= self.T < np.inf
                 and abs(self.steps * self.dt - self.T) <= 1e-9 * max(self.T, 1.0)):
             raise SpecError({"T": self.T, "dt": self.dt},
@@ -235,9 +260,12 @@ def solve_banded(lower, diag, upper, rhs):
     """Solve the tridiagonal system with bands lower[1:], diag and upper[:-1]
     by one LAPACK gtsv call, the routine of scipy's solve_banded((1, 1), ...),
     so a finite system's solution is bit-equal to scipy's.  Returns (x, info),
-    info > 0 at a zero pivot; no argument is checked or written to.  It keeps
-    scipy's name for the benchmark's solver.linear_solve hook (perfbench/
-    spans.py), which wraps the module global that _implicit_solve calls."""
+    info > 0 at a zero pivot; no argument is checked or written to.  dgtsv
+    comes from scipy's compiled _flapack module, loaded by file
+    (_load_flapack): no ellpar module imports the scipy.linalg package,
+    though the tests import it as the reference.  It keeps scipy's name for
+    the benchmark's solver.linear_solve hook (perfbench/spans.py), which
+    wraps the module global that _implicit_solve calls."""
     dl, du = lower[1:], upper[:-1]
     # f2py rejects empty off-diagonals; gtsv reads none when n = 1
     _, _, _, x, info = dgtsv(dl if dl.size else lower, diag, du if du.size else upper, rhs)

@@ -4,6 +4,11 @@ name has a caller outside the tests.
 
 The package `__init__` imports nothing, so a caller that needs the Xi_r
 geometry does not pay for the solver, the harness or scipy.
+
+`dgtsv` comes from scipy's compiled `_flapack` module, which `ellpar.solver`
+loads by file under scipy's own name: no `ellpar` module imports the
+`scipy.linalg` package, whose `__init__` loads about 290 more modules.
+Tests may still import `scipy.linalg` as a reference.
 """
 
 import ast
@@ -11,10 +16,15 @@ import glob
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import pytest
 
 import ellpar
+from ellpar import solver
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(ellpar.__file__)))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,16 +37,16 @@ WAITING = {
 }
 
 
-def loaded_after(module):
+def loaded_after(module, then=""):
     """The sorted ellpar and scipy modules that a fresh interpreter holds
-    after `import <module>`."""
+    after `import <module>` and the statements `then`."""
     code = (f"import sys; sys.path.insert(0, {SRC!r})\n"
-            f"import {module}\n"
+            f"import {module}\n{then}\n"
             "print(' '.join(sorted(m for m in sys.modules\n"
             "                      if m.split('.')[0] in ('ellpar', 'scipy'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    return out.stdout.split()
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1].split()
 
 
 def test_geometry_loads_no_other_module():
@@ -46,6 +56,48 @@ def test_geometry_loads_no_other_module():
 def test_operators_loads_only_nonlinearity():
     assert loaded_after("ellpar.operators") == ["ellpar", "ellpar.nonlinearity",
                                                 "ellpar.operators"]
+
+
+def test_solve_and_criterion_11_load_no_scipy_subpackage(tmp_path):
+    # one `ellpar solve` and one acceptance criterion reach no scipy.linalg
+    # module but the compiled LAPACK one, and neither integrate nor optimize
+    cfg = tmp_path / "jump.cfg"
+    cfg.write_text("op.kind = trace\nb.n = 16\nu0.kind = jump\ngrid.n = 101\n"
+                   "time.T = 0.1\ntime.dt = 0.0025\n")
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    loaded = loaded_after("ellpar.cli, ellpar.harness",
+                          then=f"assert ellpar.cli.main({argv!r}) == 0\n"
+                               "assert ellpar.harness.ALL_CRITERIA[11]().passed")
+    assert (tmp_path / "out" / "field.csv").exists()
+    heavy = ("scipy.linalg", "scipy.integrate", "scipy.optimize")
+    assert [m for m in loaded if m.startswith(heavy)] == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("first, second", [("ellpar.solver", "scipy.linalg"),
+                                           ("scipy.linalg", "ellpar.solver")])
+def test_either_import_order_gives_scipys_gtsv(first, second):
+    # the routine loaded by file is the one scipy.linalg.lapack re-exports,
+    # whichever of the two a process imports first
+    check = ("import numpy as np\n"
+             "from ellpar import solver\n"
+             "rng = np.random.default_rng(401)\n"
+             "lower, upper, rhs = rng.standard_normal((3, 401))\n"
+             "diag = 4.0 + rng.random(401)\n"
+             "x, info = solver.solve_banded(lower, diag, upper, rhs)\n"
+             "ab = np.zeros((3, 401))\n"
+             "ab[0, 1:], ab[1], ab[2, :-1] = upper[:-1], diag, lower[1:]\n"
+             "ref = scipy.linalg.solve_banded((1, 1), ab, rhs)\n"
+             "assert info == 0 and x.tobytes() == ref.tobytes()\n"
+             "assert scipy.linalg.lapack.dgtsv is solver.dgtsv")
+    loaded_after(f"{first}, {second}", then=check)
+
+
+def test_missing_lapack_module_names_its_directory(monkeypatch, tmp_path):
+    # no fallback: without the compiled module the solver does not import
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(solver, "scipy", SimpleNamespace(__path__=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=re.escape(f"no compiled _flapack module in {tmp_path}")):
+        solver._load_flapack()
 
 
 def sibling_names(tree):

@@ -315,6 +315,13 @@ class TestHorizon:
                 interval_spec(**{name: bad})
             assert callable(getattr(interval_spec(**{name: lambda t: bad}), name))
 
+    @pytest.mark.parametrize("grid", [401.0, 401.5, np.nan, 2, 0], ids=str)
+    def test_grid_is_an_integer_of_at_least_3(self, grid):
+        # np.linspace would refuse a float count only at the first nodes()
+        with pytest.raises(SpecError, match=f"^grid = {grid}: need at least 3 grid nodes"):
+            replace(interval_spec(), grid=grid)
+        assert interval_spec(grid=np.int64(5)).nodes().size == 5
+
     def test_spec_is_frozen(self):
         # assignment would bypass the whole-steps check; replace() re-runs it
         spec = interval_spec(T=0.1, dt=0.025)
