@@ -242,9 +242,26 @@ def _int_list(flag, raw):
         raise ConfigError(f"{flag} {raw}: {exc}") from exc
 
 
+def _check_out(out, directory):
+    """Check an --out path before any work, and create nothing: a directory
+    output must not be, or lie under, an existing non-directory; a file
+    output needs a file name in an existing directory."""
+    if directory:
+        head = out
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not out or (head and not os.path.isdir(head)):
+            raise ConfigError(f"--out {out!r}: need a directory path that is not, "
+                              f"and is not under, an existing file")
+    elif (not os.path.basename(out) or os.path.isdir(out)
+          or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigError(f"--out {out!r}: need a file name in an existing directory")
+
+
 def _cmd_solve(args):
     from .solver import max_principle_bounds, run
 
+    _check_out(args.out, directory=True)
     spec = config.read_config(args.config, config.problem_from_config)
     out = args.out
     field = run(spec)
@@ -272,6 +289,7 @@ def _cmd_solve(args):
 def _cmd_sweep_n(args):
     from .solver import singular_limit_study
 
+    _check_out(args.out, directory=True)
     spec = config.read_config(args.config, config.problem_from_config)
     if spec.b.kind != "positive-part":
         raise ConfigError(f"b.kind = {spec.b.kind}: sweep-n runs b_n, which "
@@ -308,6 +326,7 @@ def _cmd_verify_barrier(args):
 
 
 def _cmd_envelope(args):
+    _check_out(args.out, directory=False)
     path = getattr(args, "in")
     fld = read_field_csv(path)
     convolve = sup_convolve if args.kind == "sup" else inf_convolve
@@ -351,11 +370,8 @@ def _cmd_compare(args):
 def _cmd_accept(args):
     from .harness import ALL_CRITERIA, run_acceptance
 
-    # the report is written after the whole suite: check its path first
-    out = args.out
-    if out is not None and (not os.path.basename(out) or os.path.isdir(out)
-                            or not os.path.isdir(os.path.dirname(out) or ".")):
-        raise ConfigError(f"--out {out!r}: need a file name in an existing directory")
+    if args.out is not None:
+        _check_out(args.out, directory=False)
     criteria = None
     if args.criteria is not None:
         criteria = _int_list("--criteria", args.criteria)

@@ -190,9 +190,9 @@ def _criterion(index: int, name: str):
 @_criterion(1, "bn-family")
 def criterion_1_bn_family():
     """Smoothing family: derivative bounds, b_n' against a central difference
-    of b_n, monotone approximation error, stable extreme evaluation against an
-    extended-precision oracle."""
-    import mpmath
+    of b_n, monotone approximation error, stable extreme evaluation against a
+    60-digit decimal oracle in a context of its own, whatever the caller's."""
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
     s = np.linspace(-10.0, 10.0, 1000)
     h = 1e-6
@@ -210,11 +210,11 @@ def criterion_1_bn_family():
 
     fam = BnFamily(64)
     oracle_err = 0.0
-    with mpmath.workdps(60):
+    with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        n = Decimal(64)
         for sv in (-1000.0, 1000.0, -10.0, 0.0, 0.015625, 10.0):
-            n = mpmath.mpf(64)
-            ref = (mpmath.log(mpmath.exp(n) + mpmath.exp(n * n * sv))
-                   - mpmath.log(mpmath.exp(n) + 1)) / (n * n)
+            ref = ((n.exp() + (n * n * Decimal(sv)).exp()).ln()
+                   - (n.exp() + 1).ln()) / (n * n)
             got = bn_eval(fam, sv)
             if not math.isfinite(got):
                 return -1.0, {"nonfinite_at": sv}

@@ -230,14 +230,14 @@ def _differences(op: OperatorSpec, u, h, radial):
     return (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2, d1
 
 
-def _divergence_fluxes(op: OperatorSpec, u, x, bspec, radial):
-    """Face coefficients c_{i+1/2} = (Psi(b(u_i)) + Psi(b(u_{i+1}))) / 2 *
-    r_{i+1/2}, face weights r_{i+1/2} and node weights w_i of the
-    conservative form F_i = (c_{i+1/2}(u_{i+1}-u_i) - c_{i-1/2}(u_i-u_{i-1}))
-    / (h^2 w_i): r = rho^(n-1) at the faces and w = rho^(n-1) at the nodes on
-    a radial grid, ones on the interval."""
+def _divergence_fluxes(op: OperatorSpec, bu, x, radial):
+    """Of the nodal values bu = b(u): face coefficients c_{i+1/2} =
+    (Psi(bu_i) + Psi(bu_{i+1})) / 2 * r_{i+1/2}, face weights r_{i+1/2} and
+    node weights w_i of the conservative form F_i = (c_{i+1/2}(u_{i+1}-u_i)
+    - c_{i-1/2}(u_i-u_{i-1})) / (h^2 w_i): r = rho^(n-1) at the faces and
+    w = rho^(n-1) at the nodes on a radial grid, ones on the interval."""
     n = op.n_dim
-    psi_nodes = psi_eval(op.psi, b_eval(bspec, u))
+    psi_nodes = psi_eval(op.psi, bu)
     faces = 0.5 * (psi_nodes[1:] + psi_nodes[:-1])
     if radial:
         face_w = (0.5 * (x[1:] + x[:-1])) ** (n - 1)
@@ -261,7 +261,7 @@ def apply_operator_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
         raise ValueError("need at least 3 nodes")
     h = x[1] - x[0]
     if op.kind == "divergence":
-        faces, _, w = _divergence_fluxes(op, u, x, bspec, radial)
+        faces, _, w = _divergence_fluxes(op, b_eval(bspec, u), x, radial)
         du = np.diff(u)
         return (faces[1:] * du[1:] - faces[:-1] * du[:-1]) / (h**2 * w[1:-1])
     d2, d1 = _differences(op, u, h, radial)
@@ -290,11 +290,12 @@ def operator_jacobian_1d(op: OperatorSpec, u, x, bspec: BSpec = BSpec(),
     x = np.asarray(x, dtype=float)
     h = x[1] - x[0]
     if op.kind == "divergence":
-        faces, face_w, w = _divergence_fluxes(op, u, x, bspec, radial)
+        bu = b_eval(bspec, u)
+        faces, face_w, w = _divergence_fluxes(op, bu, x, radial)
         # right and left: d/du_{k+1} and -d/du_k of the face flux
         # c_k (u_{k+1} - u_k), where c_k moves with both of its nodes
         q = 0.5 * face_w * np.diff(u)
-        dpsi = psi_derivative(op.psi, b_eval(bspec, u)) * b_derivative(bspec, u)
+        dpsi = psi_derivative(op.psi, bu) * b_derivative(bspec, u)
         right, left = faces + q * dpsi[1:], faces - q * dpsi[:-1]
         scale = h**2 * w[1:-1]
         return left[:-1] / scale, -(left[1:] + right[:-1]) / scale, right[1:] / scale

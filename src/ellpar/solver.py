@@ -438,11 +438,13 @@ def run(spec: ProblemSpec, policy: Optional[SolverPolicy] = None) -> SpaceTimeFi
 
 def _probe_rows(spec: ProblemSpec, probe_times):
     """The probe times of a study (T/4, T/2 and 3T/4 unless given) and the
-    index of the stored time level nearest to each.  A probe time more than
-    half a step outside [0, T] is a ValueError."""
+    index of the stored time level nearest to each.  An empty list, and a
+    probe time more than half a step outside [0, T], are a ValueError."""
     if probe_times is None:
         probe_times = [0.25 * spec.T, 0.5 * spec.T, 0.75 * spec.T]
     probe_times = list(probe_times)
+    if not probe_times:
+        raise ValueError("need at least one probe time")
     for pt in probe_times:
         if not -0.5 * spec.dt <= pt <= spec.T + 0.5 * spec.dt:
             raise ValueError(f"probe time {pt} is outside [0, T] = [0, {spec.T}]")

@@ -6,6 +6,7 @@ with -s or look at captured output on failure).  Every criterion builds its
 own runs, so the tests share no state.
 """
 
+import decimal
 import json
 import math
 import os
@@ -88,20 +89,20 @@ def test_criterion_01_bn_family():
     assert r.runtime < 10
 
 
-def test_criterion_01_restores_the_mpmath_precision():
-    # the oracle runs at 60 digits whatever the ambient precision, and leaves
-    # the ambient precision as it found it
-    import mpmath
-
-    with mpmath.workdps(15):
-        at_15 = ALL_CRITERIA[1]()
-        assert mpmath.mp.dps == 15
-    with mpmath.workdps(60):
-        at_60 = ALL_CRITERIA[1]()
-    assert (at_15.passed, at_15.margin, at_15.details) == (at_60.passed, at_60.margin,
-                                                           at_60.details)
-    assert at_15.details["oracle_err"] == 4.607859233063394e-19
-    assert at_15.margin == 9.999999995392141e-10
+def test_criterion_01_ignores_the_ambient_decimal_context():
+    # the oracle runs in a 60-digit context of its own, whatever the ambient
+    # precision and rounding, and leaves the ambient context as it found it
+    coarse_context = decimal.Context(prec=15, rounding=decimal.ROUND_FLOOR)
+    with decimal.localcontext(coarse_context) as ambient:
+        coarse = ALL_CRITERIA[1]()
+        assert decimal.getcontext() is ambient
+        assert (ambient.prec, ambient.rounding) == (15, decimal.ROUND_FLOOR)
+        assert not any(ambient.flags.values())
+    default = ALL_CRITERIA[1]()
+    assert (coarse.passed, coarse.margin, coarse.details) == (default.passed, default.margin,
+                                                              default.details)
+    assert coarse.details["oracle_err"] == 4.607859233063394e-19
+    assert coarse.margin == 9.999999995392141e-10
 
 
 def test_criterion_01_fails_on_a_shifted_derivative(monkeypatch):

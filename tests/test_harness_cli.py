@@ -749,13 +749,35 @@ class TestCLI:
         assert flag in capsys.readouterr().err
 
     def test_accept_out_is_checked_before_the_suite(self, tmp_path, capsys, monkeypatch):
-        # a report path that cannot be written fails at once, not after the run
-        from ellpar import harness
-        monkeypatch.setitem(harness.ALL_CRITERIA, 1, lambda: pytest.fail("a criterion ran"))
-        for out in (str(tmp_path / "missing" / "r.json"), str(tmp_path),
-                    str(tmp_path) + os.sep):
+        # an output path that cannot be written fails at once with exit 2,
+        # not after the work, and creates nothing
+        from ellpar import cli, harness, solver
+
+        def no_work(*args, **kwargs):
+            pytest.fail("the command did its work")
+
+        monkeypatch.setitem(harness.ALL_CRITERIA, 1, no_work)
+        monkeypatch.setattr(cli, "read_field_csv", no_work)
+        monkeypatch.setattr(solver, "run", no_work)
+        monkeypatch.setattr(solver, "singular_limit_study", no_work)
+        cfg = self._write_cfg(tmp_path)
+        field = tmp_path / "f.csv"
+        field.touch()
+        before = sorted(tmp_path.iterdir())
+        no_file_name = [str(tmp_path / "missing" / "r.json"), str(tmp_path),
+                        str(tmp_path) + os.sep]
+        not_a_directory = [str(field), str(field / "sub"), ""]
+        for out in no_file_name:
             assert main(["accept", "--criteria", "1", "--out", out]) == 2
-            assert "--out" in capsys.readouterr().err
+            assert "config error: --out" in capsys.readouterr().err
+            assert main(["envelope", "--in", str(field), "--r", "0.1", "--out", out]) == 2
+            assert "config error: --out" in capsys.readouterr().err
+        for out in not_a_directory:
+            assert main(["solve", "--config", cfg, "--out", out]) == 2
+            assert "config error: --out" in capsys.readouterr().err
+            assert main(["sweep-n", "--config", cfg, "--n", "4,8,16", "--out", out]) == 2
+            assert "config error: --out" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_accept_subset(self, tmp_path):
         rep = str(tmp_path / "report.json")

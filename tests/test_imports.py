@@ -1,6 +1,7 @@
 """Importing one `ellpar` module loads only what that module imports, and
 reaches a sibling module only through the names it exports; every exported
-name has a caller outside the tests.
+name has a caller outside the tests; the third-party packages that `ellpar`
+imports are exactly the dependencies that `pyproject.toml` declares.
 
 The package `__init__` imports nothing, so a caller that needs the Xi_r
 geometry does not pay for the solver, the harness or scipy.
@@ -190,3 +191,39 @@ def test_every_exported_name_has_a_caller_outside_tests():
     # a waiting name leaves WAITING once it has its caller, or is deleted
     stale = sorted(WAITING.keys() - uncalled)
     assert not stale, f"no longer waiting: {stale}"
+
+
+def top_level_imports(tree):
+    """The top-level package of each absolute import in a parsed module, at
+    any depth: `import a.b` and `from a.b import c` both give "a"."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_top_level_imports_reads_every_form():
+    tree = ast.parse("import os.path, numpy as np\n"
+                     "from scipy.linalg import lapack\n"
+                     "from . import solver\n"
+                     "from .config import ConfigError\n"
+                     "def f():\n"
+                     "    import yaml\n")
+    assert top_level_imports(tree) == {"os", "numpy", "scipy", "yaml"}
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    # an undeclared import fails, and so does a declared package that
+    # nothing imports
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[\w.-]+", d).group() for d in dependencies}
+    imported = set()
+    for path in glob.glob(os.path.join(SRC, "ellpar", "*.py")):
+        with open(path) as fh:
+            imported |= top_level_imports(ast.parse(fh.read()))
+    assert imported - set(sys.stdlib_module_names) - {"ellpar"} == declared

@@ -1191,6 +1191,20 @@ class TestStudies:
         with pytest.raises(ValueError, match=f"probe time {probe}"):
             bracket_maximal_minimal(spec, [0.08, 0.04], probe_times=[probe])
 
+    def test_an_empty_probe_list_raises_before_any_run(self, monkeypatch):
+        # no probe left max() an empty sequence after every run
+        from ellpar import solver
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        spec = make_jump_scenario(grid=101, n=8, T=0.01).spec
+        monkeypatch.setattr(solver, "run", no_run)
+        with pytest.raises(ValueError, match="need at least one probe time"):
+            singular_limit_study(spec, [4, 8, 16], probe_times=[])
+        with pytest.raises(ValueError, match="need at least one probe time"):
+            bracket_maximal_minimal(spec, [0.1, 0.05], probe_times=[])
+
     def test_probe_times_within_half_a_step_of_the_horizon(self):
         spec = make_jump_scenario(grid=101, n=8, T=0.01).spec
         half = 0.49 * spec.dt
